@@ -106,23 +106,33 @@ def run_experiment(cfg, output_dir, quiet=True):
     failure); identical configs produce bit-identical numeric outputs.
     """
     try:
-        traj = _run_model(cfg)
+        traj, run_s = _timed(_run_model, cfg)
     except _SOLVER_ERRORS as e:
         print(f"solver failure: {type(e).__name__}: {e}", file=sys.stderr)
         return 3
     reports = _write_run_artifacts(cfg, traj, cfg.build_params(), output_dir,
-                                   quiet)
+                                   quiet, run_s)
     if any((not r.passed) and (not r.skipped) for r in reports):
         return 4
     return 0
 
 
-def _write_run_artifacts(cfg, traj, params, outdir, quiet):
+def _timed(fn, *args):
+    """fn(*args) and the seconds it took."""
+    t0 = time.perf_counter()
+    result = fn(*args)
+    return result, time.perf_counter() - t0
+
+
+def _write_run_artifacts(cfg, traj, params, outdir, quiet, run_s):
+    """Write snapshots, diag.csv, checks.json and manifest.json; the
+    manifest's wall_time_s is run_s, the seconds of the model run, plus
+    the time spent here."""
     from . import diagnostics as dg
     from .trajectory import write_diag_csv, write_snapshots_1d, write_snapshots_2d
 
+    t0 = time.perf_counter()
     os.makedirs(outdir, exist_ok=True)
-    t0 = time.time()
     artifacts = []
     if cfg.is_2d:
         artifacts += write_snapshots_2d(traj, outdir)
@@ -153,7 +163,7 @@ def _write_run_artifacts(cfg, traj, params, outdir, quiet):
         "version": __version__,
         "model": cfg.model,
         "config": cfg.raw_text,
-        "wall_time_s": time.time() - t0,
+        "wall_time_s": run_s + (time.perf_counter() - t0),
         "artifacts": sorted(os.path.basename(a) for a in artifacts),
     }
     with open(os.path.join(outdir, "manifest.json"), "w") as f:
@@ -196,18 +206,21 @@ def _sweep_runs(cfg, outdir, jobs, quiet):
         from concurrent.futures import ThreadPoolExecutor
 
         with ThreadPoolExecutor(max_workers=jobs) as pool:
-            futs = {label: pool.submit(_run_model_with, cfg, model, params, g)
+            futs = {label: pool.submit(_timed, _run_model_with, cfg, model,
+                                       params, g)
                     for label, value, model, params, g in tasks}
-        for label, value, model, params, g in tasks:
-            results[label] = (value, futs[label].result(), params)
+        runs = {label: fut.result() for label, fut in futs.items()}
     else:
+        runs = {}
         for label, value, model, params, g in tasks:
             _say(quiet, f"[sweep] running {label} (n = {g.n}) ...")
-            results[label] = (value, _run_model_with(cfg, model, params, g),
-                              params)
+            runs[label] = _timed(_run_model_with, cfg, model, params, g)
     for label, value, model, params, g in tasks:
-        _write_run_artifacts_for_member(cfg, results[label][1], params, model,
-                                        os.path.join(outdir, label), quiet)
+        traj, run_s = runs[label]
+        results[label] = (value, traj, params)
+        _write_run_artifacts_for_member(cfg, traj, params, model,
+                                        os.path.join(outdir, label), quiet,
+                                        run_s)
     return results
 
 
@@ -223,12 +236,13 @@ def _run_model_with(cfg, model, params, g):
     return singular1d.run_singular(params, g, rho0, u0, cfg.T, times)
 
 
-def _write_run_artifacts_for_member(cfg, traj, params, model, outdir, quiet):
+def _write_run_artifacts_for_member(cfg, traj, params, model, outdir, quiet,
+                                    run_s):
     import copy
 
     sub = copy.copy(cfg)
     sub.model = model
-    return _write_run_artifacts(sub, traj, params, outdir, quiet)
+    return _write_run_artifacts(sub, traj, params, outdir, quiet, run_s)
 
 
 def cmd_sweep(args):

@@ -5,8 +5,8 @@ Fields are plain numpy arrays; a Field1D on Grid1D has shape (n,),
 a scalar Field2D has shape (nx, ny), a vector field shape (2, nx, ny)
 and a symmetric tensor field shape (3, nx, ny) storing (d11, d22, d12).
 
-All operators are periodic by construction (np.roll), so discrete
-integration by parts holds exactly for the central scheme:
+All operators are periodic by construction (wrap-around differences),
+so discrete integration by parts holds exactly for the central scheme:
 sum(f * ddx(g)) + sum(ddx(f) * g) == 0 up to roundoff.
 """
 
@@ -91,15 +91,33 @@ def integrate(f, g):
 
 
 def ddx_2d(f, g, axis, scheme="central"):
-    """Periodic difference of a 2D scalar field along one axis."""
+    """Periodic difference of a 2D scalar field along one axis.
+
+    Slice differences with the wrap-around rows written separately; each
+    entry is the same floating-point expression as the np.roll form.
+    """
     h = g.dx if axis == 0 else g.dy
+    f = np.asarray(f)
+    out = np.empty(f.shape, dtype=np.result_type(f, 1.0))
+    # difference along the first axis of a (transposed) view
+    a, d = (f, out) if axis == 0 else (f.T, out.T)
+    sub = np.subtract
     if scheme == "central":
-        return (np.roll(f, -1, axis=axis) - np.roll(f, 1, axis=axis)) / (2.0 * h)
-    if scheme == "forward":
-        return (np.roll(f, -1, axis=axis) - f) / h
-    if scheme == "backward":
-        return (f - np.roll(f, 1, axis=axis)) / h
-    raise ValueError(f"unknown scheme {scheme!r}")
+        sub(a[2:], a[:-2], out=d[1:-1])
+        sub(a[1], a[-1], out=d[0])
+        sub(a[0], a[-2], out=d[-1])
+        out /= 2.0 * h
+    elif scheme == "forward":
+        sub(a[1:], a[:-1], out=d[:-1])
+        sub(a[0], a[-1], out=d[-1])
+        out /= h
+    elif scheme == "backward":
+        sub(a[1:], a[:-1], out=d[1:])
+        sub(a[0], a[-1], out=d[0])
+        out /= h
+    else:
+        raise ValueError(f"unknown scheme {scheme!r}")
+    return out
 
 
 def sym_grad_2d(u, g):

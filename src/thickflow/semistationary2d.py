@@ -11,11 +11,11 @@ density is then advected by a conservative dimension-by-dimension
 upwind update. Velocity is determined only up to constants, so the
 mean-zero gauge makes the minimizer unique.
 
-Minimization uses preconditioned nonlinear conjugate gradient with
-Armijo backtracking on J. The preconditioner is the p = 2 operator
-(w |K|^2 I + w K K^T)/2 + shift, inverted mode-by-mode in Fourier
-space; Newton is avoided because the Hessian degenerates wherever
-|Du| is small at large p.
+Minimization uses limited-memory BFGS with Armijo backtracking on J.
+Its initial inverse Hessian is the scaled inverse of the p = 2 operator
+w (|K|^2 I + K K^T)/2, inverted mode-by-mode in Fourier space; Newton
+is avoided because the Hessian degenerates wherever |Du| is small at
+large p.
 """
 
 from dataclasses import dataclass
@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SolverDivergence, VacuumError
-from .grids import div_2d, integrate, sym_grad_2d, sym_grad_norm
+from .grids import ddx_2d, div_2d, integrate, sym_grad_2d
 from .trajectory import DiagnosticsRecord, State2D, Trajectory
 
 
@@ -64,8 +64,6 @@ def functional(v, rho_gamma_a, g, p, delta):
 
 def functional_gradient(v, rho_gamma_a, g, p, delta):
     """Discrete adjoint gradient of J: -div(W Dv) + grad(a rho^gamma)."""
-    from .grids import ddx_2d
-
     D = sym_grad_2d(v, g)
     W = _weight(D, p, delta)
     s11, s22, s12 = W * D[0], W * D[1], W * D[2]
@@ -115,10 +113,14 @@ def solve_momentum(rho, params, g, u_init=None):
     """Minimize J over mean-zero periodic velocity fields.
 
     First-order method (the Hessian degenerates wherever |Du| is small
-    at large p, so Newton is avoided): limited-memory BFGS directions
-    built on the Fourier p = 2 preconditioner, with Armijo backtracking
-    on J. Returns the minimizer; raises SolverDivergence with the
-    iteration trace if the gradient norm fails to reach newton_tol.
+    at large p, so Newton is avoided): limited-memory BFGS with Armijo
+    backtracking on J. The two-loop recursion starts from H0 = gamma_k P,
+    P the Fourier p = 2 preconditioner and gamma_k = s'y / y'Py from the
+    newest pair (Nocedal & Wright, Numerical Optimization, 2nd ed., eq.
+    7.20, preconditioned); the clipped viscosity of P alone makes unit
+    steps far too long. Returns the minimizer; raises SolverDivergence
+    with the iteration trace if the gradient norm fails to reach
+    newton_tol.
     """
     p, delta, a = params.p, params.delta, params.a
     rga = a * rho**params.gamma
@@ -148,7 +150,7 @@ def solve_momentum(rho, params, g, u_init=None):
         if gn < params.newton_tol:
             u -= u.mean(axis=(1, 2), keepdims=True)
             return u
-        # two-loop recursion with the Fourier preconditioner as H0
+        # two-loop recursion with H0 = gamma_k P
         q = grad.copy()
         alphas = []
         for s, y, irho in reversed(memory):
@@ -156,6 +158,9 @@ def solve_momentum(rho, params, g, u_init=None):
             alphas.append(a_k)
             q -= a_k * y
         z = precond.apply(q)
+        if memory:
+            _, y, irho = memory[-1]
+            z /= irho * float(np.sum(y * precond.apply(y)))
         for (s, y, irho), a_k in zip(memory, reversed(alphas)):
             b_k = irho * float(np.sum(y * z))
             z += (a_k - b_k) * s
@@ -218,17 +223,15 @@ def transport_density(rho, u, dt, g):
     return rho - d
 
 
-def _dissipation_rate(u, g, params):
-    D = sym_grad_2d(u, g)
-    W = _weight(D, params.p, params.delta)
-    return integrate(W * (D[0] ** 2 + D[1] ** 2 + 2.0 * D[2] ** 2), g)
-
-
 def _record_2d(state, g, params, dt, acc):
+    """Diagnostics of one state; leaves its dissipation rate
+    int W |Du|^2 in acc["rate"] for the next step's accumulation."""
     rho, u = state.rho, state.u
     D = sym_grad_2d(u, g)
-    dn = sym_grad_norm(D)
+    dsq = D[0] ** 2 + D[1] ** 2 + 2.0 * D[2] ** 2
+    dn = np.sqrt(dsq)
     W = _weight(D, params.p, params.delta)
+    acc["rate"] = integrate(W * dsq, g)
     sigma = W * dn - params.a * rho**params.gamma
     energy = params.a / (params.gamma - 1.0) * integrate(rho**params.gamma, g)
     mom = np.array([integrate(rho * u[0], g), integrate(rho * u[1], g)])
@@ -243,7 +246,7 @@ def _record_2d(state, g, params, dt, acc):
         dudx_maxabs=float(np.max(dn)),
         sigma_max=float(np.max(sigma)),
         hoff_cum=acc["hoff"],
-        lpnorm_term=_dissipation_rate(u, g, params) / params.p,
+        lpnorm_term=acc["rate"] / params.p,
     )
 
 
@@ -273,12 +276,11 @@ def run_2d(params, g, rho0, T, snapshot_times=None):
 
         rho_new = transport_density(state.rho, state.u, dt, g)
         u_new = solve_momentum(rho_new, params, g, u_init=state.u)
-        from .grids import ddx_2d
         adv1 = u_new[0] * ddx_2d(u_new[0], g, 0) + u_new[1] * ddx_2d(u_new[0], g, 1)
         adv2 = u_new[0] * ddx_2d(u_new[1], g, 0) + u_new[1] * ddx_2d(u_new[1], g, 1)
         udot = (u_new - state.u) / dt + np.stack([adv1, adv2])
 
-        acc["dissipation"] += dt * _dissipation_rate(state.u, g, params)
+        acc["dissipation"] += dt * acc["rate"]  # rate of state.u
         acc["hoff"] += dt * integrate(rho_new * (udot[0] ** 2 + udot[1] ** 2), g)
         state = State2D(rho_new, u_new, t + dt)
         t = state.t

@@ -1,5 +1,6 @@
 import json
 import os
+import time
 
 import pytest
 
@@ -135,6 +136,33 @@ class TestCLI:
                           "rho_min,rho_max,dudx_maxabs,sigma_max,hoff_cum")
         shead = (out / "snap_000000.csv").read_text().splitlines()[0]
         assert shead == "t,x,rho,u,dudx,sigma"
+
+    def test_manifest_wall_time_covers_the_run(self, tmp_path, monkeypatch):
+        from thickflow import powerlaw1d
+
+        solve_s = {}
+        run = powerlaw1d.run
+
+        def timed_run(params, *args):
+            t0 = time.perf_counter()
+            traj = run(params, *args)
+            solve_s[params.p] = time.perf_counter() - t0
+            return traj
+
+        monkeypatch.setattr(powerlaw1d, "run", timed_run)
+        cfgp = tmp_path / "run.cfg"
+        cfgp.write_text(SMALL_RUN)
+        out = tmp_path / "out"
+        assert main(["run", str(cfgp), "--output", str(out), "--quiet"]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["wall_time_s"] >= solve_s.pop(8.0)
+
+        cfgp.write_text(SMALL_RUN + "\n[sweep]\nkind = p\nvalues = 4, 8\n")
+        sw = tmp_path / "sw"
+        assert main(["sweep", str(cfgp), "--output", str(sw), "--quiet"]) == 0
+        for p in (4.0, 8.0):
+            member = json.loads((sw / f"p_{p:g}" / "manifest.json").read_text())
+            assert member["wall_time_s"] >= solve_s[p]
 
     def test_config_error_exit_2(self, tmp_path):
         cfgp = tmp_path / "bad.cfg"

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from thickflow.grids import (Grid1D, Grid2D, ddx_periodic, div_2d, integrate,
-                             sym_grad_2d, sym_grad_norm)
+from thickflow.grids import (Grid1D, Grid2D, ddx_2d, ddx_periodic, div_2d,
+                             integrate, sym_grad_2d, sym_grad_norm)
 
 
 def test_grid_invariants():
@@ -125,3 +125,19 @@ def test_sym_grad_symmetric_by_construction():
     D = sym_grad_2d(u, g)
     assert D.shape == (3, 16, 16)
     assert np.all(np.isfinite(sym_grad_norm(D)))
+
+
+def test_ddx_2d_equals_roll_form():
+    # the slice differences must reproduce the np.roll stencil bit for bit
+    g = Grid2D(16, 12)
+    f = np.random.default_rng(5).normal(size=(16, 12))
+    for axis, h in ((0, g.dx), (1, g.dy)):
+        ahead = np.roll(f, -1, axis=axis)
+        behind = np.roll(f, 1, axis=axis)
+        rolled = {"central": (ahead - behind) / (2.0 * h),
+                  "forward": (ahead - f) / h,
+                  "backward": (f - behind) / h}
+        for scheme, expected in rolled.items():
+            assert np.array_equal(ddx_2d(f, g, axis, scheme), expected)
+    with pytest.raises(ValueError):
+        ddx_2d(f, g, 0, "upwind")

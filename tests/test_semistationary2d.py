@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from thickflow import semistationary2d
 from thickflow.grids import Grid2D, div_2d, integrate
 from thickflow.semistationary2d import (Stokes2DParams, check_linf_growth,
                                         functional, functional_gradient,
@@ -88,6 +89,30 @@ class TestSolveMomentum:
         for v in bank:
             Jv = functional(v.spatial(X, Y), rga, g, pr.p, pr.delta)
             assert Ju <= Jv + 1e-8
+
+    def test_cold_solve_work_is_pinned(self, monkeypatch):
+        # the scaled initial Hessian gamma_k P makes unit steps the right
+        # length, so nearly every trial step passes Armijo at once
+        g = Grid2D(32, 32)
+        pr = Stokes2DParams(p=8.0, gamma=2.0)
+        X, Y = g.meshgrid()
+        rho = (1 + 0.25 * np.cos(2 * np.pi * (X + Y))
+               + 0.25 * np.cos(2 * np.pi * (X - Y)))
+        calls = {"functional": 0, "functional_gradient": 0}
+        for name in calls:
+            def counted(*args, _fn=getattr(semistationary2d, name), _n=name):
+                calls[_n] += 1
+                return _fn(*args)
+            monkeypatch.setattr(semistationary2d, name, counted)
+        u = solve_momentum(rho, pr, g)
+        its = calls["functional_gradient"] - 1
+        evals = calls["functional"] - 1
+        assert 0 < its <= 100
+        assert evals <= 1.5 * its
+        grad = functional_gradient(u, pr.a * rho**pr.gamma, g, pr.p, pr.delta)
+        assert np.sqrt(np.sum(grad**2) * g.dx * g.dy) < pr.newton_tol
+        for k in (0, 1):
+            assert abs(integrate(rho * u[k], g)) < 1e-12
 
     def test_gauge_mean_zero(self):
         g = Grid2D(16, 16)
