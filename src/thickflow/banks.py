@@ -17,11 +17,19 @@ vanishes (with its first derivative) at t = 0 and t = T and peaks at 1.
 Velocity-type test fields are the same objects rescaled so the shear
 constraint holds with margin: max |dv/dx| = 0.99 in 1D, max |Dv| = 0.99
 in 2D (maxima taken over a dense sample grid and the envelope peak).
+
+Every spatial part is evaluated by one plane-wave evaluator,
+PlaneWaves.series, from the cos and sin of each wave sampled once on the
+points at hand. sample_bank samples a whole scalar bank on a grid at
+once, sharing each wave's cos and sin between the members, for checks
+that evaluate the same test functions at many times.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
+
+from .grids import Grid1D
 
 _MASK = (1 << 64) - 1
 
@@ -53,6 +61,76 @@ def _envelope_dt(t, T):
     return 16.0 * (2.0 * s * (1.0 - s) ** 2 - 2.0 * s**2 * (1.0 - s)) / T
 
 
+class PlaneWaves:
+    """The cos and sin of plane waves, sampled once on a set of points.
+
+    A wave is (k,) in 1D, with phase (2 pi k) x, or (kx, ky) in 2D, with
+    phase 2 pi (kx X + ky Y). series() is the one Fourier-series
+    evaluator of the test functions below.
+    """
+
+    def __init__(self, waves, *coords):
+        self.shape = np.shape(coords[0])
+        self.trig = {}
+        for wave in waves:
+            if len(wave) == 1:
+                phase = (2.0 * np.pi * wave[0]) * coords[0]
+            else:
+                phase = 2.0 * np.pi * (wave[0] * coords[0] + wave[1] * coords[1])
+            self.trig[wave] = np.cos(phase), np.sin(phase)
+
+    def series(self, coeffs, d=None):
+        """sum of c cos + s sin over tuples (*wave, c, s), in their order;
+        with d given, its derivative along axis d."""
+        out = np.zeros(self.shape)
+        for *wave, c, s in coeffs:
+            cos, sin = self.trig[tuple(wave)]
+            if d is None:
+                out += c * cos + s * sin
+            else:
+                w = 2.0 * np.pi * wave[d]
+                out += w * (-c * sin + s * cos)
+        return out
+
+
+def _waves(coeffs):
+    return {tuple(q[:-2]) for q in coeffs}
+
+
+@dataclass
+class SampledTestFunction:
+    """A scalar test function with its spatial part sampled on a grid.
+
+    S is the spatial part, grad_S its derivatives (one per axis); the time
+    enters only through the envelope.
+    """
+
+    T: float
+    S: np.ndarray
+    grad_S: tuple
+
+    def eval(self, t):
+        return _envelope(t, self.T) * self.S
+
+    def dt(self, t):
+        return _envelope_dt(t, self.T) * self.S
+
+    def grad(self, t):
+        e = _envelope(t, self.T)
+        return [e * d for d in self.grad_S]
+
+
+def sample_bank(bank, grid):
+    """Each scalar test function of bank sampled on grid.
+
+    The cos and sin of each plane wave are evaluated once for the bank.
+    """
+    coords = (grid.x,) if isinstance(grid, Grid1D) else grid.meshgrid()
+    waves = PlaneWaves(set().union(*(_waves(phi.coeffs) for phi in bank)),
+                       *coords)
+    return [phi.sampled(waves) for phi in bank]
+
+
 @dataclass
 class TestFunction1D:
     """phi(t, x) = env(t) * sum_k [c_k cos(2 pi k x) + s_k sin(2 pi k x)]."""
@@ -61,21 +139,15 @@ class TestFunction1D:
     T: float
     scale: float = 1.0
 
-    def spatial(self, x):
-        x = np.asarray(x)
-        out = np.zeros_like(x, dtype=float)
-        for k, c, s in self.coeffs:
-            w = 2.0 * np.pi * k
-            out += c * np.cos(w * x) + s * np.sin(w * x)
-        return self.scale * out
+    def spatial(self, x, d=None):
+        """The spatial part at x, or with d = 0 its x-derivative."""
+        waves = PlaneWaves(_waves(self.coeffs), x)
+        return self.scale * waves.series(self.coeffs, d)
 
-    def spatial_dx(self, x):
-        x = np.asarray(x)
-        out = np.zeros_like(x, dtype=float)
-        for k, c, s in self.coeffs:
-            w = 2.0 * np.pi * k
-            out += w * (-c * np.sin(w * x) + s * np.cos(w * x))
-        return self.scale * out
+    def sampled(self, waves):
+        return SampledTestFunction(
+            self.T, self.scale * waves.series(self.coeffs),
+            (self.scale * waves.series(self.coeffs, d=0),))
 
     def eval(self, t, x):
         return _envelope(t, self.T) * self.spatial(x)
@@ -84,11 +156,11 @@ class TestFunction1D:
         return _envelope_dt(t, self.T) * self.spatial(x)
 
     def dx(self, t, x):
-        return _envelope(t, self.T) * self.spatial_dx(x)
+        return _envelope(t, self.T) * self.spatial(x, d=0)
 
     def max_shear(self, oversample=2048):
         x = np.arange(oversample) / oversample
-        return float(np.max(np.abs(self.spatial_dx(x))))
+        return float(np.max(np.abs(self.spatial(x, d=0))))
 
 
 @dataclass
@@ -104,41 +176,29 @@ class TestFunction2D:
     T: float
     scale: float = 1.0
 
-    @staticmethod
-    def _eval_modes(coeffs, X, Y, d=None):
-        out = np.zeros_like(X, dtype=float)
-        for kx, ky, c, s in coeffs:
-            phase = 2.0 * np.pi * (kx * X + ky * Y)
-            if d is None:
-                out += c * np.cos(phase) + s * np.sin(phase)
-            else:
-                w = 2.0 * np.pi * (kx if d == 0 else ky)
-                out += w * (-c * np.sin(phase) + s * np.cos(phase))
-        return out
+    def _plane_waves(self, X, Y):
+        return PlaneWaves(_waves(self.coeffs1) | _waves(self.coeffs2), X, Y)
 
     def spatial(self, X, Y):
-        return np.stack(
-            [
-                self.scale * self._eval_modes(self.coeffs1, X, Y),
-                self.scale * self._eval_modes(self.coeffs2, X, Y),
-            ]
-        )
+        waves = self._plane_waves(X, Y)
+        return np.stack([self.scale * waves.series(self.coeffs1),
+                         self.scale * waves.series(self.coeffs2)])
 
     def spatial_sym_grad(self, X, Y):
-        d11 = self.scale * self._eval_modes(self.coeffs1, X, Y, d=0)
-        d22 = self.scale * self._eval_modes(self.coeffs2, X, Y, d=1)
-        d12 = 0.5 * self.scale * (
-            self._eval_modes(self.coeffs1, X, Y, d=1)
-            + self._eval_modes(self.coeffs2, X, Y, d=0)
-        )
+        waves = self._plane_waves(X, Y)
+        d11 = self.scale * waves.series(self.coeffs1, d=0)
+        d22 = self.scale * waves.series(self.coeffs2, d=1)
+        d12 = 0.5 * self.scale * (waves.series(self.coeffs1, d=1)
+                                  + waves.series(self.coeffs2, d=0))
         return np.stack([d11, d22, d12])
 
     def eval(self, t, X, Y):
         return _envelope(t, self.T) * self.spatial(X, Y)
 
     def div(self, t, X, Y):
-        d11 = self._eval_modes(self.coeffs1, X, Y, d=0)
-        d22 = self._eval_modes(self.coeffs2, X, Y, d=1)
+        waves = self._plane_waves(X, Y)
+        d11 = waves.series(self.coeffs1, d=0)
+        d22 = waves.series(self.coeffs2, d=1)
         return _envelope(t, self.T) * self.scale * (d11 + d22)
 
     def max_sym_grad(self, oversample=256):
@@ -155,26 +215,23 @@ class ScalarTestFunction2D:
     coeffs: list
     T: float
 
-    def _modes(self, X, Y, d=None):
-        out = np.zeros_like(X, dtype=float)
-        for kx, ky, c, s in self.coeffs:
-            phase = 2.0 * np.pi * (kx * X + ky * Y)
-            if d is None:
-                out += c * np.cos(phase) + s * np.sin(phase)
-            else:
-                w = 2.0 * np.pi * (kx if d == 0 else ky)
-                out += w * (-c * np.sin(phase) + s * np.cos(phase))
-        return out
+    def sampled(self, waves):
+        return SampledTestFunction(
+            self.T, waves.series(self.coeffs),
+            (waves.series(self.coeffs, d=0), waves.series(self.coeffs, d=1)))
+
+    def _series(self, X, Y, d=None):
+        return PlaneWaves(_waves(self.coeffs), X, Y).series(self.coeffs, d)
 
     def eval(self, t, X, Y):
-        return _envelope(t, self.T) * self._modes(X, Y)
+        return _envelope(t, self.T) * self._series(X, Y)
 
     def dt(self, t, X, Y):
-        return _envelope_dt(t, self.T) * self._modes(X, Y)
+        return _envelope_dt(t, self.T) * self._series(X, Y)
 
     def grad(self, t, X, Y):
         e = _envelope(t, self.T)
-        return e * self._modes(X, Y, d=0), e * self._modes(X, Y, d=1)
+        return e * self._series(X, Y, d=0), e * self._series(X, Y, d=1)
 
 
 def scalar_bank_2d(seed, T, size=10, modes=2):

@@ -54,11 +54,11 @@ def _standard_checks(cfg, traj, params):
     reports = []
     reports.extend(dg.check_conservation(traj))
     reports.append(dg.check_energy_inequality(traj, tol=cfg.energy_tol))
-    c1, c2 = cfg.initial_density_range()
     if cfg.model == "powerlaw1d":
         reports.append(dg.check_stress_max_principle(
             traj, params, tol_c=cfg.tol_c,
             paper_initial=cfg.paper_initial_conditions))
+        c1, c2 = cfg.initial_density_range()
         reports.append(dg.check_density_bounds(traj, params, c1, c2,
                                                tol_c=cfg.tol_c))
     elif cfg.model == "singular1d":
@@ -70,7 +70,7 @@ def _standard_checks(cfg, traj, params):
 
 def _transport_checks(cfg, traj):
     """Weak-form transport reports appended to the run's check stream."""
-    from .banks import scalar_bank_1d, scalar_bank_2d
+    from .banks import sample_bank, scalar_bank_1d, scalar_bank_2d
     from .diagnostics import CheckReport
     from .transport_check import (continuity_residual, renormalized_residual,
                                   time_mean_continuity)
@@ -80,8 +80,8 @@ def _transport_checks(cfg, traj):
     reports = []
     try:
         maker = scalar_bank_2d if cfg.is_2d else scalar_bank_1d
-        bank = maker(cfg.seed, cfg.T, size=min(cfg.bank_size, 10),
-                     modes=cfg.bank_modes)
+        bank = sample_bank(maker(cfg.seed, cfg.T, size=min(cfg.bank_size, 10),
+                                 modes=cfg.bank_modes), traj.grid)
         dts = [r.dt for r in traj.records if r.dt > 0]
         tol = 2.0 * cfg.tol_c * (traj.grid.dx + max(dts))
         worst_c = max(continuity_residual(traj, phi) for phi in bank)

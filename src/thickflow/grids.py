@@ -73,13 +73,8 @@ class Grid2D:
 def ddx_periodic(f, g, scheme="central"):
     """Periodic difference of a 1D field: central (2nd order) or one-sided."""
     f = np.asarray(f)
-    if scheme == "central":
-        return (np.roll(f, -1) - np.roll(f, 1)) / (2.0 * g.dx)
-    if scheme == "forward":
-        return (np.roll(f, -1) - f) / g.dx
-    if scheme == "backward":
-        return (f - np.roll(f, 1)) / g.dx
-    raise ValueError(f"unknown scheme {scheme!r}")
+    out = np.empty(f.shape, dtype=np.result_type(f, 1.0))
+    return _wrap_diff(f, out, scheme, g.dx)
 
 
 def integrate(f, g):
@@ -91,33 +86,39 @@ def integrate(f, g):
 
 
 def ddx_2d(f, g, axis, scheme="central"):
-    """Periodic difference of a 2D scalar field along one axis.
-
-    Slice differences with the wrap-around rows written separately; each
-    entry is the same floating-point expression as the np.roll form.
-    """
+    """Periodic difference of a 2D scalar field along one axis."""
     h = g.dx if axis == 0 else g.dy
     f = np.asarray(f)
     out = np.empty(f.shape, dtype=np.result_type(f, 1.0))
     # difference along the first axis of a (transposed) view
     a, d = (f, out) if axis == 0 else (f.T, out.T)
+    _wrap_diff(a, d, scheme, h)
+    return out
+
+
+def _wrap_diff(a, d, scheme, h):
+    """Periodic difference of a along its first axis, written into d.
+
+    Slice differences with the wrap-around entries written separately;
+    each entry is the same floating-point expression as the np.roll form.
+    """
     sub = np.subtract
     if scheme == "central":
         sub(a[2:], a[:-2], out=d[1:-1])
-        sub(a[1], a[-1], out=d[0])
-        sub(a[0], a[-2], out=d[-1])
-        out /= 2.0 * h
+        sub(a[1:2], a[-1:], out=d[:1])
+        sub(a[:1], a[-2:-1], out=d[-1:])
+        d /= 2.0 * h
     elif scheme == "forward":
         sub(a[1:], a[:-1], out=d[:-1])
-        sub(a[0], a[-1], out=d[-1])
-        out /= h
+        sub(a[:1], a[-1:], out=d[-1:])
+        d /= h
     elif scheme == "backward":
         sub(a[1:], a[:-1], out=d[1:])
-        sub(a[0], a[-1], out=d[0])
-        out /= h
+        sub(a[:1], a[-1:], out=d[:1])
+        d /= h
     else:
         raise ValueError(f"unknown scheme {scheme!r}")
-    return out
+    return d
 
 
 def sym_grad_2d(u, g):

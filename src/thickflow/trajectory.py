@@ -17,6 +17,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .grids import ddx_periodic, div_2d, sym_grad_2d, sym_grad_norm
+
 FMT = "%.17g"
 
 
@@ -88,59 +90,72 @@ class Trajectory:
         return self.records[0].energy
 
 
-def _fmt_row(values):
-    return ",".join(FMT % v for v in values)
+_CHUNK = 1024  # snapshot rows converted to Python floats at a time
+
+
+def _row_format(n):
+    return ",".join([FMT] * n)
+
+
+def _write_csv(path, header, fmt, rows):
+    """Write the header, then each row formatted by one % operation."""
+    with open(path, "w") as f:
+        f.write(header + "\n")
+        f.writelines(map((fmt + "\n").__mod__, rows))
+
+
+def _format_coords(coords):
+    """One string per grid point: its coordinates, formatted once for all
+    snapshots."""
+    fmt = _row_format(len(coords))
+    return list(map(fmt.__mod__, zip(*[c.ravel().tolist() for c in coords])))
+
+
+def _write_snapshot(path, header, t, coords, columns):
+    """Rows t, coordinates, columns. t is formatted once for the file (its
+    digits hold no %); the columns are converted to Python floats a chunk
+    at a time, so no whole-snapshot copy is kept."""
+    fmt = ",".join([FMT % t, "%s", _row_format(len(columns))])
+    columns = [c.ravel() for c in columns]
+
+    def rows():
+        for i in range(0, len(coords), _CHUNK):
+            yield from zip(coords[i:i + _CHUNK],
+                           *[c[i:i + _CHUNK].tolist() for c in columns])
+
+    _write_csv(path, header, fmt, rows())
 
 
 def write_diag_csv(traj, path, maxabs_name="dudx_maxabs"):
     fields = list(DiagnosticsRecord.CSV_FIELDS)
     fields[fields.index("dudx_maxabs")] = maxabs_name
-    lines = [",".join(fields)]
-    for r in traj.records:
-        lines.append(_fmt_row(
-            [r.t, r.dt, r.mass, r.momentum, r.energy, r.dissipation_cum,
-             r.rho_min, r.rho_max, r.dudx_maxabs, r.sigma_max, r.hoff_cum]))
-    with open(path, "w") as f:
-        f.write("\n".join(lines) + "\n")
+    _write_csv(path, ",".join(fields), _row_format(len(fields)), (
+        (r.t, r.dt, r.mass, r.momentum, r.energy, r.dissipation_cum,
+         r.rho_min, r.rho_max, r.dudx_maxabs, r.sigma_max, r.hoff_cum)
+        for r in traj.records))
 
 
 def write_snapshots_1d(traj, outdir, sigma_func):
     """One snapshot CSV per stored state; sigma_func(state) gives the stress field."""
-    from .grids import ddx_periodic
-
     paths = []
+    coords = _format_coords([traj.grid.x])
     for idx, s in enumerate(traj.snapshots):
         dudx = ddx_periodic(s.u, traj.grid)
-        sigma = sigma_func(s)
         path = os.path.join(outdir, f"snap_{idx:06d}.csv")
-        lines = ["t,x,rho,u,dudx,sigma"]
-        x = traj.grid.x
-        for i in range(traj.grid.n):
-            lines.append(_fmt_row([s.t, x[i], s.rho[i], s.u[i], dudx[i], sigma[i]]))
-        with open(path, "w") as f:
-            f.write("\n".join(lines) + "\n")
+        _write_snapshot(path, "t,x,rho,u,dudx,sigma", s.t, coords,
+                        [s.rho, s.u, dudx, sigma_func(s)])
         paths.append(path)
     return paths
 
 
 def write_snapshots_2d(traj, outdir):
-    from .grids import div_2d, sym_grad_2d, sym_grad_norm
-
     paths = []
     g = traj.grid
-    X, Y = g.meshgrid()
+    coords = _format_coords(g.meshgrid())
     for idx, s in enumerate(traj.snapshots):
-        D = sym_grad_2d(s.u, g)
-        dn = sym_grad_norm(D)
-        dv = div_2d(s.u, g)
+        dn = sym_grad_norm(sym_grad_2d(s.u, g))
         path = os.path.join(outdir, f"snap_{idx:06d}.csv")
-        lines = ["t,x1,x2,rho,u1,u2,Du_norm,divu"]
-        for i in range(g.nx):
-            for j in range(g.ny):
-                lines.append(_fmt_row(
-                    [s.t, X[i, j], Y[i, j], s.rho[i, j],
-                     s.u[0, i, j], s.u[1, i, j], dn[i, j], dv[i, j]]))
-        with open(path, "w") as f:
-            f.write("\n".join(lines) + "\n")
+        _write_snapshot(path, "t,x1,x2,rho,u1,u2,Du_norm,divu", s.t, coords,
+                        [s.rho, s.u[0], s.u[1], dn, div_2d(s.u, g)])
         paths.append(path)
     return paths

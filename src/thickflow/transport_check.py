@@ -9,11 +9,17 @@ t = 0 and t = T, so no boundary terms appear.
 The time-mean check evaluates m(s) = |(1/s) int_0^s int (rho^gamma -
 rho_0^gamma)| on a decreasing list of horizons s; for a dissipative
 run int rho^gamma(t) decays linearly at t = 0+, so m(s) ~ (c/2) s.
+
+The spatial part of a test function does not depend on t: it is
+evaluated once per test function (banks.sample_bank, once per bank
+and grid), and the time enters the residuals only through the scalar
+envelope env(t) and its derivative.
 """
 
 import numpy as np
 
-from .grids import ddx_periodic, integrate
+from .banks import SampledTestFunction, sample_bank
+from .grids import ddx_periodic, div_2d, integrate
 
 
 def _midpoint_snapshots(traj):
@@ -38,54 +44,53 @@ def _midpoint_snapshots(traj):
     return keep, w
 
 
+def _sampled(phi, grid):
+    if isinstance(phi, SampledTestFunction):
+        return phi
+    return sample_bank([phi], grid)[0]
+
+
 def continuity_residual(traj, phi):
-    """|int int rho dphi/dt + rho u . grad phi| over the snapshot grid."""
+    """|int int rho dphi/dt + rho u . grad phi| over the snapshot grid.
+
+    phi is a scalar test function, or the same sampled on traj.grid by
+    sample_bank.
+    """
     g = traj.grid
+    phi = _sampled(phi, g)
     snaps, w = _midpoint_snapshots(traj)
     total = 0.0
-    if traj.snapshots[0].rho.ndim == 1:
-        x = g.x
-        for s in snaps:
-            total += w * integrate(s.rho * phi.dt(s.t, x)
-                                   + s.rho * s.u * phi.dx(s.t, x), g)
-    else:
-        X, Y = g.meshgrid()
-        for s in snaps:
-            gx, gy = phi.grad(s.t, X, Y)
-            total += w * integrate(s.rho * phi.dt(s.t, X, Y)
-                                   + s.rho * (s.u[0] * gx + s.u[1] * gy), g)
+    for s in snaps:
+        grad = phi.grad(s.t)
+        if s.rho.ndim == 1:
+            flux = s.rho * s.u * grad[0]
+        else:
+            flux = s.rho * (s.u[0] * grad[0] + s.u[1] * grad[1])
+        total += w * integrate(s.rho * phi.dt(s.t) + flux, g)
     return abs(total)
 
 
 def renormalized_residual(traj, gamma, phi):
     """Weak residual of d/dt rho^g + div(rho^g u) + (g-1) rho^g div u = 0.
 
-    For gamma = 1 this reduces exactly to continuity_residual.
+    phi as in continuity_residual. For gamma = 1 this reduces exactly to
+    continuity_residual.
     """
     g = traj.grid
+    phi = _sampled(phi, g)
     snaps, w = _midpoint_snapshots(traj)
     total = 0.0
-    if traj.snapshots[0].rho.ndim == 1:
-        x = g.x
-        for s in snaps:
-            rg = s.rho**gamma
+    for s in snaps:
+        rg = s.rho**gamma
+        grad = phi.grad(s.t)
+        if s.rho.ndim == 1:
             divu = ddx_periodic(s.u, g)
-            total += w * integrate(rg * phi.dt(s.t, x)
-                                   + rg * s.u * phi.dx(s.t, x)
-                                   - (gamma - 1.0) * rg * divu * phi.eval(s.t, x),
-                                   g)
-    else:
-        from .grids import div_2d
-
-        X, Y = g.meshgrid()
-        for s in snaps:
-            rg = s.rho**gamma
+            flux = rg * s.u * grad[0]
+        else:
             divu = div_2d(s.u, g)
-            gx, gy = phi.grad(s.t, X, Y)
-            total += w * integrate(rg * phi.dt(s.t, X, Y)
-                                   + rg * (s.u[0] * gx + s.u[1] * gy)
-                                   - (gamma - 1.0) * rg * divu
-                                   * phi.eval(s.t, X, Y), g)
+            flux = rg * (s.u[0] * grad[0] + s.u[1] * grad[1])
+        total += w * integrate(rg * phi.dt(s.t) + flux
+                               - (gamma - 1.0) * rg * divu * phi.eval(s.t), g)
     return abs(total)
 
 

@@ -141,3 +141,17 @@ def test_ddx_2d_equals_roll_form():
             assert np.array_equal(ddx_2d(f, g, axis, scheme), expected)
     with pytest.raises(ValueError):
         ddx_2d(f, g, 0, "upwind")
+
+
+def test_ddx_periodic_equals_roll_form():
+    # the slice differences must reproduce the np.roll stencil bit for bit
+    g = Grid1D(37)
+    f = np.random.default_rng(7).normal(size=g.n)
+    ahead, behind = np.roll(f, -1), np.roll(f, 1)
+    rolled = {"central": (ahead - behind) / (2.0 * g.dx),
+              "forward": (ahead - f) / g.dx,
+              "backward": (f - behind) / g.dx}
+    for scheme, expected in rolled.items():
+        assert np.array_equal(ddx_periodic(f, g, scheme), expected)
+    with pytest.raises(ValueError):
+        ddx_periodic(f, g, "upwind")

@@ -140,3 +140,70 @@ def test_2d_continuity_residual_small():
     for phi in scalar_bank_2d(seed=17, T=T, size=4):
         assert continuity_residual(traj, phi) <= 2.0 * scale
         assert renormalized_residual(traj, 2.0, phi) <= 6.0 * scale
+
+
+def _reference_residuals(traj, gamma, phi):
+    """Continuity and renormalized residuals in the per-snapshot form:
+    phi.eval / dt / grad evaluated at every snapshot on the full grid."""
+    from thickflow.grids import ddx_periodic, div_2d, integrate
+    from thickflow.transport_check import _midpoint_snapshots
+
+    g = traj.grid
+    snaps, w = _midpoint_snapshots(traj)
+    cont = ren = 0.0
+    if traj.snapshots[0].rho.ndim == 1:
+        x = g.x
+        for s in snaps:
+            cont += w * integrate(s.rho * phi.dt(s.t, x)
+                                  + s.rho * s.u * phi.dx(s.t, x), g)
+            rg = s.rho**gamma
+            ren += w * integrate(rg * phi.dt(s.t, x)
+                                 + rg * s.u * phi.dx(s.t, x)
+                                 - (gamma - 1.0) * rg * ddx_periodic(s.u, g)
+                                 * phi.eval(s.t, x), g)
+    else:
+        X, Y = g.meshgrid()
+        for s in snaps:
+            gx, gy = phi.grad(s.t, X, Y)
+            cont += w * integrate(s.rho * phi.dt(s.t, X, Y)
+                                  + s.rho * (s.u[0] * gx + s.u[1] * gy), g)
+            rg = s.rho**gamma
+            ren += w * integrate(rg * phi.dt(s.t, X, Y)
+                                 + rg * (s.u[0] * gx + s.u[1] * gy)
+                                 - (gamma - 1.0) * rg * div_2d(s.u, g)
+                                 * phi.eval(s.t, X, Y), g)
+    return abs(cont), abs(ren)
+
+
+def _random_trajectory(grid, shape, u_shape, T=1.0, nsnap=8):
+    """Random O(1) fields on the midpoint snapshot grid: no term of the
+    residuals dominates the others, so a changed rounding shows."""
+    from thickflow.trajectory import State1D, State2D, Trajectory
+
+    rng = np.random.default_rng(29)
+    state = State1D if len(shape) == 1 else State2D
+    snaps = [state(1.0 + 0.5 * rng.random(shape), rng.normal(size=u_shape),
+                   (k + 0.5) * T / nsnap) for k in range(nsnap)]
+    return Trajectory("random", grid, None, snapshots=snaps)
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_sampled_residuals_equal_per_snapshot_form(dim):
+    # sampling each test function once must not change a single bit
+    from thickflow.banks import sample_bank
+    from thickflow.grids import Grid2D
+
+    if dim == 1:
+        traj = _random_trajectory(Grid1D(60), (60,), (60,))
+        bank = scalar_bank_1d(seed=23, T=1.0, size=10)
+    else:
+        traj = _random_trajectory(Grid2D(18, 20), (18, 20), (2, 18, 20))
+        bank = scalar_bank_2d(seed=23, T=1.0, size=10)
+    for gamma in (1.0, 1.4, 2.0):
+        for phi, sampled in zip(bank, sample_bank(bank, traj.grid)):
+            cont, ren = _reference_residuals(traj, gamma, phi)
+            assert cont > 0.0 and ren > 0.0
+            assert continuity_residual(traj, phi) == cont
+            assert continuity_residual(traj, sampled) == cont
+            assert renormalized_residual(traj, gamma, phi) == ren
+            assert renormalized_residual(traj, gamma, sampled) == ren
