@@ -19,17 +19,17 @@ constraint holds with margin: max |dv/dx| = 0.99 in 1D, max |Dv| = 0.99
 in 2D (maxima taken over a dense sample grid and the envelope peak).
 
 Every spatial part is evaluated by one plane-wave evaluator,
-PlaneWaves.series, from the cos and sin of each wave sampled once on the
-points at hand. sample_bank samples a whole scalar bank on a grid at
-once, sharing each wave's cos and sin between the members, for checks
-that evaluate the same test functions at many times.
+grids.PlaneWaves.series, from the cos and sin of each wave sampled once
+on the points at hand. sample_bank samples a whole scalar bank on a
+grid at once, sharing each wave's cos and sin between the members, for
+checks that evaluate the same test functions at many times.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .grids import Grid1D
+from .grids import Grid1D, PlaneWaves
 
 _MASK = (1 << 64) - 1
 
@@ -59,38 +59,6 @@ def _envelope(t, T):
 def _envelope_dt(t, T):
     s = np.asarray(t) / T
     return 16.0 * (2.0 * s * (1.0 - s) ** 2 - 2.0 * s**2 * (1.0 - s)) / T
-
-
-class PlaneWaves:
-    """The cos and sin of plane waves, sampled once on a set of points.
-
-    A wave is (k,) in 1D, with phase (2 pi k) x, or (kx, ky) in 2D, with
-    phase 2 pi (kx X + ky Y). series() is the one Fourier-series
-    evaluator of the test functions below.
-    """
-
-    def __init__(self, waves, *coords):
-        self.shape = np.shape(coords[0])
-        self.trig = {}
-        for wave in waves:
-            if len(wave) == 1:
-                phase = (2.0 * np.pi * wave[0]) * coords[0]
-            else:
-                phase = 2.0 * np.pi * (wave[0] * coords[0] + wave[1] * coords[1])
-            self.trig[wave] = np.cos(phase), np.sin(phase)
-
-    def series(self, coeffs, d=None):
-        """sum of c cos + s sin over tuples (*wave, c, s), in their order;
-        with d given, its derivative along axis d."""
-        out = np.zeros(self.shape)
-        for *wave, c, s in coeffs:
-            cos, sin = self.trig[tuple(wave)]
-            if d is None:
-                out += c * cos + s * sin
-            else:
-                w = 2.0 * np.pi * wave[d]
-                out += w * (-c * sin + s * cos)
-        return out
 
 
 def _waves(coeffs):

@@ -5,6 +5,9 @@
     thickflow verify <dir> [--policy strict|tolerant] [--quiet]
     thickflow banks <config> [--output DIR]
 
+A sweep runs its members one after another; --jobs is accepted and
+changes nothing.
+
 Exit codes: 0 success, 2 config error, 3 solver failure, 4 check
 failure. Numeric CSV output is formatted with 17 significant digits,
 so re-running an identical config reproduces byte-identical files.
@@ -18,7 +21,7 @@ import sys
 import time
 
 from . import __version__
-from .config import load_config
+from .config import MODELS, load_config
 from .errors import (ConstraintViolation, FluxOverflow, NewtonDivergence,
                      ParseError, SolverDivergence, StepFailure, VacuumError,
                      ValidationError)
@@ -32,19 +35,24 @@ def _say(quiet, *args):
         print(*args)
 
 
-def _run_model(cfg, params=None, grid=None):
-    from . import powerlaw1d, semistationary2d, singular1d
+def _launch(cfg, model, params, g):
+    """Run the named model from the config's initial data on grid g."""
+    from .semistationary2d import run_2d
 
-    g = grid if grid is not None else cfg.grid()
-    params = params if params is not None else cfg.build_params()
-    times = cfg.snapshot_schedule()
-    if cfg.is_2d:
-        rho0, _ = cfg.initial_fields(g)
-        return semistationary2d.run_2d(params, g, rho0, cfg.T, times)
     rho0, u0 = cfg.initial_fields(g)
-    if cfg.model == "powerlaw1d":
-        return powerlaw1d.run(params, g, rho0, u0, cfg.T, times)
-    return singular1d.run_singular(params, g, rho0, u0, cfg.T, times)
+    times = cfg.snapshot_schedule()
+    model_1d = MODELS[model][1]
+    if model_1d is None:
+        return run_2d(params, g, rho0, cfg.T, times)
+    return model_1d.run(params, g, rho0, u0, cfg.T, times)
+
+
+def _run_model(cfg):
+    return _launch(cfg, cfg.model, cfg.build_params(), cfg.grid())
+
+
+def _run_model_with(cfg, model, params, g):
+    return _launch(cfg, model, params, g)
 
 
 def _standard_checks(cfg, traj, params):
@@ -54,14 +62,14 @@ def _standard_checks(cfg, traj, params):
     reports = []
     reports.extend(dg.check_conservation(traj))
     reports.append(dg.check_energy_inequality(traj, tol=cfg.energy_tol))
-    if cfg.model == "powerlaw1d":
+    if traj.model == "powerlaw1d":
         reports.append(dg.check_stress_max_principle(
             traj, params, tol_c=cfg.tol_c,
             paper_initial=cfg.paper_initial_conditions))
         c1, c2 = cfg.initial_density_range()
         reports.append(dg.check_density_bounds(traj, params, c1, c2,
                                                tol_c=cfg.tol_c))
-    elif cfg.model == "singular1d":
+    elif traj.model == "singular1d":
         reports.append(dg.check_barrier_invariant(traj))
     else:
         reports.append(check_linf_growth(traj, tol_c=cfg.tol_c))
@@ -110,8 +118,7 @@ def run_experiment(cfg, output_dir, quiet=True):
     except _SOLVER_ERRORS as e:
         print(f"solver failure: {type(e).__name__}: {e}", file=sys.stderr)
         return 3
-    reports = _write_run_artifacts(cfg, traj, cfg.build_params(), output_dir,
-                                   quiet, run_s)
+    reports = _write_run_artifacts(cfg, traj, output_dir, quiet, run_s)
     if any((not r.passed) and (not r.skipped) for r in reports):
         return 4
     return 0
@@ -124,35 +131,27 @@ def _timed(fn, *args):
     return result, time.perf_counter() - t0
 
 
-def _write_run_artifacts(cfg, traj, params, outdir, quiet, run_s):
-    """Write snapshots, diag.csv, checks.json and manifest.json; the
-    manifest's wall_time_s is run_s, the seconds of the model run, plus
-    the time spent here."""
+def _write_run_artifacts(cfg, traj, outdir, quiet, run_s):
+    """Write snapshots, diag.csv, checks.json and manifest.json of the
+    run traj of model traj.model; the manifest's wall_time_s is run_s,
+    the seconds of the model run, plus the time spent here."""
     from . import diagnostics as dg
     from .trajectory import write_diag_csv, write_snapshots_1d, write_snapshots_2d
 
     t0 = time.perf_counter()
     os.makedirs(outdir, exist_ok=True)
-    artifacts = []
-    if cfg.is_2d:
-        artifacts += write_snapshots_2d(traj, outdir)
-        diag = os.path.join(outdir, "diag.csv")
+    diag = os.path.join(outdir, "diag.csv")
+    model_1d = MODELS[traj.model][1]
+    if model_1d is None:
+        artifacts = write_snapshots_2d(traj, outdir)
         write_diag_csv(traj, diag, maxabs_name="Du_maxnorm")
     else:
-        if cfg.model == "powerlaw1d":
-            from .powerlaw1d import cauchy_stress_field
-
-            sigma = lambda s: cauchy_stress_field(s, params, traj.grid)
-        else:
-            from .singular1d import cauchy_stress_field
-
-            sigma = lambda s: cauchy_stress_field(s, params, traj.grid)
-        artifacts += write_snapshots_1d(traj, outdir, sigma)
-        diag = os.path.join(outdir, "diag.csv")
+        stress = model_1d(traj.params, traj.grid).stress
+        artifacts = write_snapshots_1d(traj, outdir, stress)
         write_diag_csv(traj, diag)
     artifacts.append(diag)
 
-    reports = _standard_checks(cfg, traj, params)
+    reports = _standard_checks(cfg, traj, traj.params)
     reports.extend(_transport_checks(cfg, traj))
     checks_path = os.path.join(outdir, "checks.json")
     dg.write_reports(reports, checks_path)
@@ -161,7 +160,7 @@ def _write_run_artifacts(cfg, traj, params, outdir, quiet, run_s):
 
     manifest = {
         "version": __version__,
-        "model": cfg.model,
+        "model": traj.model,
         "config": cfg.raw_text,
         "wall_time_s": run_s + (time.perf_counter() - t0),
         "artifacts": sorted(os.path.basename(a) for a in artifacts),
@@ -182,67 +181,35 @@ def cmd_run(args):
     return run_experiment(cfg, outdir, quiet=args.quiet)
 
 
-def _sweep_runs(cfg, outdir, jobs, quiet):
-    """Execute all sweep members; returns {label: (value, traj, params)}."""
+def _sweep_runs(cfg, outdir, quiet):
+    """Run the sweep members one after another, writing each member's
+    artifacts; returns {"p": {p: traj}, "eps": {eps: traj}} for the
+    families the sweep has. Every member's params are built before the
+    first run, so that a bad value fails before any run."""
     from .grids import Grid1D
 
-    tasks = []
+    members = []
     if cfg.sweep_kind in ("p", "cross"):
-        for p in (cfg.sweep_values or [cfg.params["p"]]):
-            params = cfg.build_params("powerlaw1d", p=float(p))
-            tasks.append((f"p_{p:g}", float(p), "powerlaw1d", params, cfg.grid()))
+        for p in map(float, cfg.sweep_values or [cfg.params["p"]]):
+            members.append(("p", p, "powerlaw1d",
+                            cfg.build_params("powerlaw1d", p=p), cfg.grid()))
     if cfg.sweep_kind in ("eps", "cross"):
         eps_list = cfg.sweep_eps_values if cfg.sweep_kind == "cross" \
             else cfg.sweep_values
         g_eps = Grid1D(cfg.sweep_eps_n) if cfg.sweep_eps_n else cfg.grid()
-        for e in eps_list:
-            params = cfg.build_params("singular1d", eps=float(e))
-            tasks.append((f"eps_{e:g}", float(e), "singular1d", params, g_eps))
+        for e in map(float, eps_list):
+            members.append(("eps", e, "singular1d",
+                            cfg.build_params("singular1d", eps=e), g_eps))
 
     results = {}
-    if jobs > 1:
-        # runs are independent (no shared mutable state); artifacts and
-        # report assembly stay sequential and sorted for determinism
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            futs = {label: pool.submit(_timed, _run_model_with, cfg, model,
-                                       params, g)
-                    for label, value, model, params, g in tasks}
-        runs = {label: fut.result() for label, fut in futs.items()}
-    else:
-        runs = {}
-        for label, value, model, params, g in tasks:
-            _say(quiet, f"[sweep] running {label} (n = {g.n}) ...")
-            runs[label] = _timed(_run_model_with, cfg, model, params, g)
-    for label, value, model, params, g in tasks:
-        traj, run_s = runs[label]
-        results[label] = (value, traj, params)
-        _write_run_artifacts_for_member(cfg, traj, params, model,
-                                        os.path.join(outdir, label), quiet,
-                                        run_s)
+    for key, v, model, params, g in members:
+        label = f"{key}_{v:g}"
+        _say(quiet, f"[sweep] running {label} (n = {g.n}) ...")
+        traj, run_s = _timed(_run_model_with, cfg, model, params, g)
+        _write_run_artifacts(cfg, traj, os.path.join(outdir, label), quiet,
+                             run_s)
+        results.setdefault(key, {})[v] = traj
     return results
-
-
-def _run_model_with(cfg, model, params, g):
-    from . import powerlaw1d, singular1d
-
-    times = cfg.snapshot_schedule()
-    x = g.x
-    rho0 = cfg.rho0.eval(x)
-    u0 = cfg.u0.eval(x)
-    if model == "powerlaw1d":
-        return powerlaw1d.run(params, g, rho0, u0, cfg.T, times)
-    return singular1d.run_singular(params, g, rho0, u0, cfg.T, times)
-
-
-def _write_run_artifacts_for_member(cfg, traj, params, model, outdir, quiet,
-                                    run_s):
-    import copy
-
-    sub = copy.copy(cfg)
-    sub.model = model
-    return _write_run_artifacts(sub, traj, params, outdir, quiet, run_s)
 
 
 def cmd_sweep(args):
@@ -263,35 +230,27 @@ def cmd_sweep(args):
     outdir = args.output or cfg.output_dir or "out"
     os.makedirs(outdir, exist_ok=True)
     try:
-        results = _sweep_runs(cfg, outdir, args.jobs, args.quiet)
+        results = _sweep_runs(cfg, outdir, args.quiet)
     except _SOLVER_ERRORS as e:
         print(f"solver failure: {type(e).__name__}: {e}", file=sys.stderr)
         return 3
 
     gamma = cfg.params["gamma"]
     reports = []
-    rep = None
-    if cfg.sweep_kind in ("p", "cross"):
-        vals = [v for (lbl, (v, t, pr)) in results.items() if lbl.startswith("p_")]
-        trajs = {v: results[f"p_{v:g}"][1] for v in vals}
-        rep = assemble_sweep_report("p", vals, trajs, gamma, etas=cfg.eta)
+    kind = "eps" if cfg.sweep_kind == "eps" else "p"
+    trajs = results[kind]
+    rep = assemble_sweep_report(kind, list(trajs), trajs, gamma, etas=cfg.eta)
+    if kind == "p":
         ys = [rep.hoff[str(v)] for v in rep.param_values]
         reports.append(dg.check_hoff_uniformity(ys, rep.param_values))
-        finest = rep.param_values[-1]
+        finest = trajs[rep.param_values[-1]]
         bank = velocity_bank_1d(cfg.seed, cfg.T, size=cfg.bank_size,
                                 modes=cfg.bank_modes)
-        reports.append(variational_residual_1d(
-            trajs[finest], bank, results[f"p_{finest:g}"][2]))
-    if cfg.sweep_kind == "eps":
-        vals = [v for (lbl, (v, t, pr)) in results.items()
-                if lbl.startswith("eps_")]
-        trajs = {v: results[f"eps_{v:g}"][1] for v in vals}
-        rep = assemble_sweep_report("eps", vals, trajs, gamma, etas=cfg.eta)
-    if cfg.sweep_kind == "cross" and rep is not None:
-        eps_fine = min(cfg.sweep_eps_values)
-        p_fine = max(float(v) for v in cfg.sweep_values)
+        reports.append(variational_residual_1d(finest, bank, finest.params))
+    if cfg.sweep_kind == "cross":
+        eps_trajs = results["eps"]
         rep.cross_distance = cross_model_distance(
-            results[f"p_{p_fine:g}"][1], results[f"eps_{eps_fine:g}"][1])
+            trajs[max(trajs)], eps_trajs[min(eps_trajs)])
         rep.context["eps_values"] = list(cfg.sweep_eps_values)
 
     rep.write_json(os.path.join(outdir, "sweep_report.json"))
@@ -374,7 +333,8 @@ def main(argv=None):
     p_sweep = sub.add_parser("sweep", help="run a parameter sweep")
     p_sweep.add_argument("config")
     p_sweep.add_argument("--output", default="")
-    p_sweep.add_argument("--jobs", type=int, default=1)
+    p_sweep.add_argument("--jobs", type=int, default=1,
+                         help="accepted; members run one after another")
     p_sweep.add_argument("--quiet", action="store_true")
 
     p_ver = sub.add_parser("verify", help="aggregate check reports")

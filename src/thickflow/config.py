@@ -14,11 +14,22 @@ resolution, and |du0/dx| <= 1 is enforced when paper_initial_conditions
 is set.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from .errors import ParseError, ValidationError
+from .grids import Grid1D, Grid2D, PlaneWaves
+from .powerlaw1d import PowerLawModel, PowerLawParams
+from .semistationary2d import Stokes2DParams
+from .singular1d import SingularModel, SingularParams
+
+# model name -> (params class, 1D model class); the 2D solver has no 1D model
+MODELS = {
+    "powerlaw1d": (PowerLawParams, PowerLawModel),
+    "singular1d": (SingularParams, SingularModel),
+    "semistationary2d": (Stokes2DParams, None),
+}
 
 _SECTIONS = ("model", "grid", "params", "initial", "time", "sweep",
              "checks", "output")
@@ -93,38 +104,26 @@ def parse_raw(text):
 
 
 @dataclass
-class FourierField1D:
-    mean: float = 1.0
-    modes: list = field(default_factory=list)  # (k, cos, sin)
+class FourierField:
+    """mean + sum of plane waves: modes are (k, cos, sin) triples in 1D and
+    (kx, ky, cos, sin) quadruples in 2D; the mean is the leading zero wave."""
 
-    def eval(self, x):
-        x = np.asarray(x)
-        out = np.full_like(x, self.mean, dtype=float)
-        for k, c, s in self.modes:
-            w = 2.0 * np.pi * k
-            out += c * np.cos(w * x) + s * np.sin(w * x)
-        return out
+    mean: float = 1.0
+    modes: list = field(default_factory=list)
+
+    def _series(self, coords, d=None):
+        # one wave at a time: validation samples 2D fields on 512 x 512
+        # points, where holding every wave's cos and sin at once would
+        # raise the peak memory of a 2D run
+        coeffs = [(0,) * len(coords) + (self.mean, 0.0), *self.modes]
+        return sum(PlaneWaves([q[:-2]], *coords).series([q], d)
+                   for q in coeffs)
+
+    def eval(self, *coords):
+        return self._series(coords)
 
     def eval_dx(self, x):
-        x = np.asarray(x)
-        out = np.zeros_like(x, dtype=float)
-        for k, c, s in self.modes:
-            w = 2.0 * np.pi * k
-            out += w * (-c * np.sin(w * x) + s * np.cos(w * x))
-        return out
-
-
-@dataclass
-class FourierField2D:
-    mean: float = 1.0
-    modes: list = field(default_factory=list)  # (kx, ky, cos, sin)
-
-    def eval(self, X, Y):
-        out = np.full_like(X, self.mean, dtype=float)
-        for kx, ky, c, s in self.modes:
-            phase = 2.0 * np.pi * (kx * X + ky * Y)
-            out += c * np.cos(phase) + s * np.sin(phase)
-        return out
+        return self._series((x,), d=0)
 
 
 def _triples(flat, where, errors):
@@ -157,7 +156,7 @@ class Config:
     ny: int = 0
     params: dict = field(default_factory=dict)
     rho0: object = None
-    u0: object = None          # 1D: FourierField1D; 2D: (u1, u2) pair
+    u0: object = None          # 1D only
     paper_initial_conditions: bool = False
     seed: int = 1
     T: float = 0.0
@@ -181,8 +180,6 @@ class Config:
         return self.model == "semistationary2d"
 
     def grid(self):
-        from .grids import Grid1D, Grid2D
-
         return Grid2D(self.nx, self.ny) if self.is_2d else Grid1D(self.n)
 
     def snapshot_schedule(self):
@@ -194,33 +191,10 @@ class Config:
         return [(k + 0.5) * self.T / n for k in range(n)]
 
     def build_params(self, model=None, **overrides):
-        from .powerlaw1d import PowerLawParams
-        from .semistationary2d import Stokes2DParams
-        from .singular1d import SingularParams
-
-        model = model or self.model
-        src = dict(self.params)
-        src.update(overrides)
-
-        def pick(cls, names, defaults=()):
-            kw = {k: src[k] for k in names if src.get(k) is not None}
-            kw.update({k: v for k, v in defaults})
-            kw.update({k: src[k] for k in names if src.get(k) is not None})
-            return cls(**kw)
-
-        if model == "powerlaw1d":
-            return pick(PowerLawParams,
-                        ("p", "mu", "a", "gamma", "delta", "cfl",
-                         "newton_tol", "newton_max_iter"))
-        if model == "singular1d":
-            return pick(SingularParams,
-                        ("eps", "a", "gamma", "cfl", "newton_tol",
-                         "newton_max_iter", "theta"))
-        if model == "semistationary2d":
-            return pick(Stokes2DParams,
-                        ("p", "a", "gamma", "delta", "cfl", "newton_tol",
-                         "newton_max_iter"))
-        raise ValueError(f"unknown model {model}")
+        cls = MODELS[model or self.model][0]
+        src = dict(self.params, **overrides)
+        return cls(**{f.name: src[f.name] for f in fields(cls)
+                      if src.get(f.name) is not None})
 
     def initial_fields(self, g):
         if self.is_2d:
@@ -234,7 +208,7 @@ class Config:
         if self.is_2d:
             m = oversample * max(self.nx, self.ny)
             gx = np.arange(m) / m
-            X, Y = np.meshgrid(gx, gx, indexing="ij")
+            X, Y = np.meshgrid(gx, gx, indexing="ij", copy=False)
             vals = self.rho0.eval(X, Y)
         else:
             m = oversample * self.n
@@ -255,7 +229,7 @@ def parse_config(text):
     errors = []
 
     model = raw.get("model", {}).get("kind")
-    if model not in ("powerlaw1d", "singular1d", "semistationary2d"):
+    if model not in MODELS:
         errors.append(f"model.kind: expected powerlaw1d | singular1d | "
                       f"semistationary2d, got {model!r}")
         raise ValidationError(errors)
@@ -293,16 +267,16 @@ def parse_config(text):
     cfg.paper_initial_conditions = bool(isec["paper_initial_conditions"])
     cfg.seed = int(isec["seed"])
     if cfg.is_2d:
-        cfg.rho0 = FourierField2D(float(isec.get("rho_mean", 1.0)),
-                                  _quads(isec.get("rho_modes"),
-                                         "initial.rho_modes", errors))
+        cfg.rho0 = FourierField(float(isec.get("rho_mean", 1.0)),
+                                _quads(isec.get("rho_modes"),
+                                       "initial.rho_modes", errors))
     else:
-        cfg.rho0 = FourierField1D(float(isec.get("rho_mean", 1.0)),
-                                  _triples(isec.get("rho_modes"),
-                                           "initial.rho_modes", errors))
-        cfg.u0 = FourierField1D(float(isec.get("u_mean", 0.0)),
-                                _triples(isec.get("u_modes"),
-                                         "initial.u_modes", errors))
+        cfg.rho0 = FourierField(float(isec.get("rho_mean", 1.0)),
+                                _triples(isec.get("rho_modes"),
+                                         "initial.rho_modes", errors))
+        cfg.u0 = FourierField(float(isec.get("u_mean", 0.0)),
+                              _triples(isec.get("u_modes"),
+                                       "initial.u_modes", errors))
 
     tsec = raw.get("time", {})
     cfg.T = float(tsec.get("T", 0.0))
@@ -322,9 +296,26 @@ def parse_config(text):
     if cfg.sweep_kind and cfg.sweep_kind not in ("p", "eps", "cross"):
         errors.append(f"sweep.kind: expected p | eps | cross, got "
                       f"{cfg.sweep_kind!r}")
+    for key, vals in (("values", cfg.sweep_values),
+                      ("eps_values", cfg.sweep_eps_values)):
+        labels = [f"{v:g}" for v in vals if isinstance(v, (int, float))]
+        if len(set(labels)) < len(labels):
+            errors.append(f"sweep.{key}: two of {vals} would share one member "
+                          "directory (members are named with %g)")
+    if cfg.sweep_kind == "cross":
+        if not cfg.sweep_values:
+            errors.append("sweep.values: kind = cross needs p values")
+        if cfg.n and cfg.sweep_eps_n % cfg.n:
+            errors.append(
+                f"sweep.eps_n: {cfg.sweep_eps_n} is not a multiple of grid.n "
+                f"= {cfg.n}; the cross-model distance needs nested grids")
     if cfg.sweep_kind in ("eps", "cross"):
+        eps_key = "eps_values" if cfg.sweep_kind == "cross" else "values"
         eps_list = cfg.sweep_eps_values if cfg.sweep_kind == "cross" \
             else cfg.sweep_values
+        if not eps_list:
+            errors.append(f"sweep.{eps_key}: kind = {cfg.sweep_kind} needs "
+                          "eps values")
         n_eps = cfg.sweep_eps_n or cfg.n
         if eps_list and n_eps and min(eps_list) < 10.0 / n_eps:
             errors.append(

@@ -127,13 +127,6 @@ def _consistency_tol(traj, tol_c):
     return tol_c * (traj.grid.dx + dt_typ)
 
 
-def cauchy_stress(state, params, g):
-    """sigma = viscous_flux(du/dx) - a rho^gamma, cell-centered."""
-    from .powerlaw1d import cauchy_stress_field
-
-    return cauchy_stress_field(state, params, g)
-
-
 def check_stress_max_principle(traj, params, tol_c=5.0, paper_initial=True):
     """Stress maximum principle: max_x sigma(t) <= max_x sigma(0) <= mu.
 
@@ -141,14 +134,10 @@ def check_stress_max_principle(traj, params, tol_c=5.0, paper_initial=True):
     max-principle initial data (|du0/dx| <= 1, rho0 >= c1 > 0) the bound is mu itself; otherwise the
     initial stress maximum is used.
     """
-    from .errors import PreconditionSkipped
-
-    try:
-        if params.p < 1.0 + params.gamma:
-            raise PreconditionSkipped(
-                f"p = {params.p} < 1 + gamma = {1.0 + params.gamma}")
-    except PreconditionSkipped as e:
-        return CheckReport.skip("stress_max_principle", str(e))
+    if not params.max_principle_precondition:
+        return CheckReport.skip(
+            "stress_max_principle",
+            f"p = {params.p} < 1 + gamma = {1.0 + params.gamma}")
 
     tol = _consistency_tol(traj, tol_c)
     sigma0 = traj.records[0].sigma_max
@@ -224,15 +213,6 @@ def hoff_value(traj):
     """Y(T) = int_0^T int rho |udot|^2 + (mu/p) int |du/dx|^p (T)."""
     r = traj.records[-1]
     return r.hoff_cum + r.lpnorm_term
-
-
-def hoff_functional(traj, params=None):
-    """Reports Y(T) for one run (informational; band check is sweep-level)."""
-    y = hoff_value(traj)
-    return CheckReport.build(
-        "hoff_functional", bound=float("inf"), measured=y, tolerance=0.0,
-        context={"Y": y, "hoff_cum": traj.records[-1].hoff_cum,
-                 "lpnorm_term": traj.records[-1].lpnorm_term})
 
 
 def check_hoff_uniformity(y_values, params_values, factor=2.0):

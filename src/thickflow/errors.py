@@ -42,14 +42,6 @@ class SolverDivergence(ThickflowError):
         self.trace = trace or []
 
 
-class PreconditionSkipped(ThickflowError):
-    """A check's mathematical precondition does not hold.
-
-    Checks catch this internally and report the check as skipped
-    (distinct from failed) rather than raising to the caller.
-    """
-
-
 class StepFailure(ThickflowError):
     """A time step failed after retries; carries the failing time."""
 

@@ -141,3 +141,40 @@ def sym_grad_norm(D):
 def div_2d(u, g):
     """Central-difference divergence of a vector field."""
     return ddx_2d(u[0], g, axis=0) + ddx_2d(u[1], g, axis=1)
+
+
+class PlaneWaves:
+    """The cos and sin of plane waves, sampled once on a set of points.
+
+    A wave is (k,) in 1D, with phase (2 pi k) x, or (kx, ky) in 2D, with
+    phase 2 pi (kx X + ky Y). series() is the one Fourier-series
+    evaluator of the test functions (banks) and of the initial data
+    (config).
+    """
+
+    def __init__(self, waves, *coords):
+        self.shape = np.shape(coords[0])
+        self.trig = {}
+        for wave in waves:
+            if not any(wave):
+                # the zero wave, a series' mean: cos 0 = 1 and sin 0 = 0
+                self.trig[wave] = np.ones(self.shape), np.zeros(self.shape)
+                continue
+            if len(wave) == 1:
+                phase = (2.0 * np.pi * wave[0]) * coords[0]
+            else:
+                phase = 2.0 * np.pi * (wave[0] * coords[0] + wave[1] * coords[1])
+            self.trig[wave] = np.cos(phase), np.sin(phase)
+
+    def series(self, coeffs, d=None):
+        """sum of c cos + s sin over tuples (*wave, c, s), in their order;
+        with d given, its derivative along axis d."""
+        out = np.zeros(self.shape)
+        for *wave, c, s in coeffs:
+            cos, sin = self.trig[tuple(wave)]
+            if d is None:
+                out += c * cos + s * sin
+            else:
+                w = 2.0 * np.pi * wave[d]
+                out += w * (-c * sin + s * cos)
+        return out

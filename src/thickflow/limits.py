@@ -1,10 +1,11 @@
 """Parameter sweeps toward the maximum-shear-rate limit.
 
-Runs the p -> infinity (power-law) or eps -> 0 (singular viscosity)
-families on shared initial data, measures convergence toward the
-constrained limit system, extracts the Lagrange multiplier proxy
-pi = |tau| and its complementarity defect, and evaluates the
-variational inequalities on seeded test banks.
+Given the runs of the p -> infinity (power-law) or eps -> 0 (singular
+viscosity) family on shared initial data, which `thickflow sweep`
+makes, measures convergence toward the constrained limit system,
+extracts the Lagrange multiplier proxy pi = |tau| and its
+complementarity defect, and evaluates the variational inequalities on
+seeded test banks.
 
 The finest-parameter run stands in for the limit object (the limit has
 no closed form), so all distances are Cauchy-style. Snapshots are
@@ -19,6 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .config import MODELS
 from .grids import ddx_periodic, div_2d, integrate, sym_grad_2d, sym_grad_norm
 
 
@@ -102,16 +104,9 @@ def _multiplier_defect(traj, snapshot):
     """Complementarity defect int pi max(0, 1 - shear) of one snapshot,
     with pi = |tau| the multiplier proxy, for any of the three models."""
     g = traj.grid
-    if snapshot.rho.ndim == 1:
-        dudx = ddx_periodic(snapshot.u, g)
-        if traj.model == "powerlaw1d":
-            from .powerlaw1d import viscous_flux
-
-            tau = viscous_flux(dudx, traj.params)
-        else:
-            from .singular1d import singular_flux
-
-            tau = singular_flux(dudx, traj.params.eps)
+    model_1d = MODELS[traj.model][1]
+    if model_1d is not None:
+        tau = model_1d(traj.params, g).flux(ddx_periodic(snapshot.u, g))
         _, resid = lagrange_multiplier(snapshot.u, tau, g)
         return resid
     from .semistationary2d import _weight
@@ -214,63 +209,6 @@ def assemble_sweep_report(kind, values, trajectories, gamma,
         rep.pairwise_u.append(_l2_time_mean(trajectories[va], trajectories[vb]))
         rep.pairwise_entropy.append(
             _entropy_gap_time_mean(trajectories[va], trajectories[vb], gamma))
-    return rep
-
-
-def run_sweep(config, values=None):
-    """Execute a parameter sweep from a parsed config; returns the
-    SweepReport (no file IO; the CLI persists artifacts).
-
-    Per-value runs share initial data, grid and tolerance settings. For
-    kind == "cross" the power-law family runs on the config grid, the
-    singular family on the (finer) eps grid, and the report carries the
-    cross-model limit distance between the two finest runs.
-    """
-    from .grids import Grid1D
-    from .powerlaw1d import run as run_p
-    from .singular1d import run_singular
-
-    kind = config.sweep_kind or "p"
-    gamma = config.params["gamma"]
-    times = config.snapshot_schedule()
-
-    def run_family(model, vals, g):
-        rho0, u0 = config.rho0.eval(g.x), config.u0.eval(g.x)
-        out = {}
-        for v in vals:
-            if model == "powerlaw1d":
-                params = config.build_params(model, p=float(v))
-                out[float(v)] = run_p(params, g, rho0, u0, config.T, times)
-            else:
-                params = config.build_params(model, eps=float(v))
-                out[float(v)] = run_singular(params, g, rho0, u0, config.T,
-                                             times)
-        return out
-
-    if kind == "p":
-        vals = values if values is not None else config.sweep_values
-        trajs = run_family("powerlaw1d", vals, config.grid())
-        return assemble_sweep_report("p", list(trajs), trajs, gamma,
-                                     etas=config.eta)
-    if kind == "eps":
-        vals = values if values is not None else config.sweep_values
-        g = Grid1D(config.sweep_eps_n) if config.sweep_eps_n else config.grid()
-        trajs = run_family("singular1d", vals, g)
-        return assemble_sweep_report("eps", list(trajs), trajs, gamma,
-                                     etas=config.eta)
-    # cross: both families, plus the cross-model limit distance
-    p_vals = values if values is not None else config.sweep_values
-    trajs_p = run_family("powerlaw1d", p_vals, config.grid())
-    g_eps = Grid1D(config.sweep_eps_n) if config.sweep_eps_n else config.grid()
-    trajs_e = run_family("singular1d", config.sweep_eps_values, g_eps)
-    rep = assemble_sweep_report("p", list(trajs_p), trajs_p, gamma,
-                                etas=config.eta)
-    rep.kind = "cross"
-    p_fine = max(trajs_p)
-    e_fine = min(trajs_e)
-    rep.cross_distance = cross_model_distance(trajs_p[p_fine],
-                                              trajs_e[e_fine])
-    rep.context["eps_values"] = sorted(trajs_e, reverse=True)
     return rep
 
 

@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import FluxOverflow, VacuumError
 from .grids import integrate
-from .stepper1d import (advance, barotropic_llf_update, face_shear,
+from .stepper1d import (Model1D, advance, barotropic_llf_update, face_shear,
                         implicit_shear_solve, material_derivative)
 from .trajectory import State1D
 
@@ -86,7 +86,7 @@ def viscous_flux_derivative(s, params):
     return float(out[0]) if np.ndim(s) == 0 else out
 
 
-class PowerLawModel:
+class PowerLawModel(Model1D):
     """Adapter wiring PowerLawParams into the shared 1D stepper."""
 
     name = "powerlaw1d"
@@ -95,11 +95,7 @@ class PowerLawModel:
         if params.delta == 0 and params.p > 2:
             raise ValueError("delta > 0 required for p > 2 (Newton needs a "
                              "nondegenerate Jacobian at zero shear)")
-        self.params = params
-        self.g = g
-        self.a = params.a
-        self.gamma = params.gamma
-        self.cfl = params.cfl
+        super().__init__(params, g)
 
     def flux(self, s):
         return viscous_flux(s, self.params)
@@ -149,33 +145,21 @@ class PowerLawModel:
         }
         return new_state, inc
 
+    @classmethod
+    def run(cls, params, g, rho0, u0, T, snapshot_times=None, forcing=None):
+        """Integrate and return the Trajectory with full diagnostics."""
+        return advance(cls(params, g), g, rho0, u0, T, snapshot_times,
+                       forcing=forcing)
 
-def step(state, params, dt, g, forcing=None):
-    """Advance one step; returns the new state (module-level convenience)."""
-    model = PowerLawModel(params, g)
-    new_state, _ = model.step(state, dt, forcing=forcing)
-    return new_state
 
-
-def implicit_viscous_solve(u_prev, rho, dt, params, g, rhs=None):
-    """Implicit solve of rho (u - u_prev)/dt - d/dx flux(du/dx) = rhs."""
+def implicit_viscous_solve(u_prev, rho, dt, params, g):
+    """Implicit solve of rho (u - u_prev)/dt - d/dx flux(du/dx) = 0."""
     model = PowerLawModel(params, g)
     u, _ = implicit_shear_solve(u_prev, u_prev, rho, dt, g,
                                 model.flux, model.dflux,
                                 params.newton_tol, params.newton_max_iter,
-                                potential=model.potential, rhs=rhs)
+                                potential=model.potential)
     return u
 
 
-def run(params, g, rho0, u0, T, snapshot_times=None, forcing=None):
-    """Integrate and return the Trajectory with full diagnostics."""
-    model = PowerLawModel(params, g)
-    return advance(model, g, rho0, u0, T, snapshot_times, forcing=forcing)
-
-
-def cauchy_stress_field(state, params, g):
-    """Cell-centered sigma = flux(du/dx) - a rho^gamma (snapshot CSV field)."""
-    from .grids import ddx_periodic
-
-    dudx = ddx_periodic(state.u, g)
-    return viscous_flux(dudx, params) - params.a * state.rho**params.gamma
+run = PowerLawModel.run

@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import ConstraintViolation, VacuumError
 from .grids import integrate
-from .stepper1d import (advance, barotropic_llf_update, face_shear,
+from .stepper1d import (Model1D, advance, barotropic_llf_update, face_shear,
                         implicit_shear_solve, material_derivative)
 from .trajectory import State1D
 
@@ -67,17 +67,10 @@ def singular_flux_derivative(s, eps):
     return float(out[0]) if np.ndim(s) == 0 else out
 
 
-class SingularModel:
+class SingularModel(Model1D):
     """Adapter wiring SingularParams into the shared 1D stepper."""
 
     name = "singular1d"
-
-    def __init__(self, params, g):
-        self.params = params
-        self.g = g
-        self.a = params.a
-        self.gamma = params.gamma
-        self.cfl = params.cfl
 
     def flux(self, s):
         return singular_flux(s, self.params.eps)
@@ -138,25 +131,14 @@ class SingularModel:
         }
         return new_state, inc
 
-
-def step_singular(state, params, dt, g, forcing=None):
-    model = SingularModel(params, g)
-    new_state, _ = model.step(state, dt, forcing=forcing)
-    return new_state
-
-
-def run_singular(params, g, rho0, u0, T, snapshot_times=None, forcing=None):
-    """Integrate; records carry the singular dissipation and the uniform
-    quantity eps int 1/sqrt(1 - s^2) in dissipation_cum / aux_cum."""
-    model = SingularModel(params, g)
-    if np.max(np.abs(face_shear(np.asarray(u0, dtype=float), g))) >= 1.0:
-        raise ConstraintViolation("initial data must satisfy |du/dx| < 1")
-    return advance(model, g, rho0, u0, T, snapshot_times, forcing=forcing)
+    @classmethod
+    def run(cls, params, g, rho0, u0, T, snapshot_times=None, forcing=None):
+        """Integrate; records carry the singular dissipation and the uniform
+        quantity eps int 1/sqrt(1 - s^2) in dissipation_cum / aux_cum."""
+        model = cls(params, g)
+        if np.max(np.abs(face_shear(np.asarray(u0, dtype=float), g))) >= 1.0:
+            raise ConstraintViolation("initial data must satisfy |du/dx| < 1")
+        return advance(model, g, rho0, u0, T, snapshot_times, forcing=forcing)
 
 
-def cauchy_stress_field(state, params, g):
-    """Cell-centered sigma = eps s/sqrt(1-s^2) - a rho^gamma."""
-    from .grids import ddx_periodic
-
-    dudx = ddx_periodic(state.u, g)
-    return singular_flux(dudx, params.eps) - params.a * state.rho**params.gamma
+run_singular = SingularModel.run

@@ -12,7 +12,7 @@ Splitting per step (first order in time):
      same convective coefficients, so kinetic energy is nonincreasing
      under the CFL restriction (joint convexity of m^2/rho).
 
-  2. implicit solve of rho (u - u*)/dt - d/dx flux(du/dx) = rhs by
+  2. implicit solve of rho (u - u*)/dt - d/dx flux(du/dx) = 0 by
      damped Newton with a cyclic-tridiagonal Jacobian. The face shear
      s_{i+1/2} = (u_{i+1} - u_i)/dx is the scheme's native shear; the
      divergence form telescopes, so momentum is conserved up to the
@@ -112,14 +112,13 @@ def solve_cyclic_tridiag(lower, diag, upper, rhs):
 
 
 def implicit_shear_solve(u_init, u_star, rho, dt, g, flux, dflux,
-                         tol, max_iter, potential=None, ftb_theta=None,
-                         rhs=None):
-    """Damped Newton for rho (u - u*)/dt - d/dx flux(s(u)) = rhs.
+                         tol, max_iter, potential=None, ftb_theta=None):
+    """Damped Newton for rho (u - u*)/dt - d/dx flux(s(u)) = 0.
 
     The residual is the gradient of the convex merit functional
 
-        Phi(u) = sum rho (u - u*)^2 / (2 dt) dx + sum Psi(s(u)) dx
-                 - sum rhs u dx,      Psi' = flux,
+        Phi(u) = sum rho (u - u*)^2 / (2 dt) dx + sum Psi(s(u)) dx,
+                 Psi' = flux,
 
     so the Newton direction (SPD cyclic-tridiagonal Jacobian) is a
     descent direction for Phi and the Armijo backtracking on Phi makes
@@ -141,18 +140,17 @@ def implicit_shear_solve(u_init, u_star, rho, dt, g, flux, dflux,
     """
     dx = g.dx
     w = rho / dt
-    b = np.zeros_like(u_star) if rhs is None else rhs
 
     def evaluate(u):
         """Residual, its scaled norm, and the merit value in one pass."""
         s = (np.roll(u, -1) - u) / dx
         f = flux(s)
-        r = w * (u - u_star) - (f - np.roll(f, 1)) / dx - b
+        r = w * (u - u_star) - (f - np.roll(f, 1)) / dx
         rn = float(np.max(np.abs(r) / w))
         phi = None
         if potential is not None:
-            phi = float(np.sum(0.5 * w * (u - u_star) ** 2
-                               + potential(s) - b * u) * dx)
+            phi = float(np.sum(0.5 * w * (u - u_star) ** 2 + potential(s))
+                        * dx)
         return r, rn, phi
 
     u = u_init.copy()
@@ -227,6 +225,23 @@ def implicit_shear_solve(u_init, u_star, rho, dt, g, flux, dflux,
     raise NewtonDivergence(
         f"residual {rnorm:.3e} > tol {tol:.1e} after {max_iter} iterations",
         last_residual=rnorm, damping_history=damping_history)
+
+
+class Model1D:
+    """Part shared by the 1D models, which add flux, dflux, potential,
+    dissipation_density, lp_term, step and run."""
+
+    def __init__(self, params, g):
+        self.params = params
+        self.g = g
+        self.a = params.a
+        self.gamma = params.gamma
+        self.cfl = params.cfl
+
+    def stress(self, state):
+        """Cell-centered Cauchy stress flux(du/dx) - a rho^gamma."""
+        dudx = ddx_periodic(state.u, self.g)
+        return self.flux(dudx) - self.a * state.rho**self.gamma
 
 
 def snapshot_schedule_with_final(T, snapshot_times):

@@ -76,19 +76,6 @@ class Trajectory:
     snapshots: list = field(default_factory=list)
     records: list = field(default_factory=list)
 
-    @property
-    def times(self):
-        return [s.t for s in self.snapshots]
-
-    def snapshot_at(self, t, tol=1e-9):
-        for s in self.snapshots:
-            if abs(s.t - t) <= tol:
-                return s
-        raise KeyError(f"no snapshot at t = {t}")
-
-    def initial_energy(self):
-        return self.records[0].energy
-
 
 _CHUNK = 1024  # snapshot rows converted to Python floats at a time
 

@@ -1,12 +1,18 @@
+import glob
 import json
+import math
 import os
 import time
 
+import numpy as np
 import pytest
 
 from thickflow.cli import main
-from thickflow.config import parse_config
+from thickflow.config import load_config, parse_config
 from thickflow.errors import ParseError, ValidationError
+
+CONFIGS = sorted(glob.glob(os.path.join(os.path.dirname(__file__), "..",
+                                        "configs", "*.cfg")))
 
 MINIMAL = """
 [model]
@@ -117,6 +123,79 @@ T = 0.05
             parse_config(bad)
 
 
+@pytest.mark.parametrize("sweep, message", [
+    ("kind = eps", "sweep.values: kind = eps"),
+    ("kind = cross\nvalues = 4, 8\neps_values = 0.5\neps_n = 96",
+     "sweep.eps_n: 96"),
+    ("kind = cross\neps_values = 0.5", "sweep.values: kind = cross"),
+    ("kind = cross\nvalues = 4, 8", "sweep.eps_values: kind = cross"),
+    ("kind = p\nvalues = 4, 8.0000001, 8.0000002", "sweep.values: two of"),
+], ids=["eps_without_values", "cross_grids_not_nested",
+        "cross_without_values", "cross_without_eps_values",
+        "labels_collide"])
+def test_sweep_config_rejected_before_any_run(tmp_path, sweep, message):
+    text = SMALL_RUN + "\n[sweep]\n" + sweep + "\n"
+    with pytest.raises(ValidationError, match=message):
+        parse_config(text)
+    cfgp = tmp_path / "bad.cfg"
+    cfgp.write_text(text)
+    out = tmp_path / "sw"
+    assert main(["sweep", str(cfgp), "--output", str(out), "--quiet"]) == 2
+    assert not out.exists()
+
+
+class _FourierField1D:
+    """The former config.FourierField1D, kept as the reference."""
+
+    def __init__(self, mean, modes):
+        self.mean, self.modes = mean, modes
+
+    def eval(self, x):
+        x = np.asarray(x)
+        out = np.full_like(x, self.mean, dtype=float)
+        for k, c, s in self.modes:
+            w = 2.0 * np.pi * k
+            out += c * np.cos(w * x) + s * np.sin(w * x)
+        return out
+
+    def eval_dx(self, x):
+        x = np.asarray(x)
+        out = np.zeros_like(x, dtype=float)
+        for k, c, s in self.modes:
+            w = 2.0 * np.pi * k
+            out += w * (-c * np.sin(w * x) + s * np.cos(w * x))
+        return out
+
+
+def _fourier_field_2d(mean, modes, X, Y):
+    """The former config.FourierField2D.eval, kept as the reference."""
+    out = np.full_like(X, mean, dtype=float)
+    for kx, ky, c, s in modes:
+        phase = 2.0 * np.pi * (kx * X + ky * Y)
+        out += c * np.cos(phase) + s * np.sin(phase)
+    return out
+
+
+@pytest.mark.parametrize("path", CONFIGS, ids=os.path.basename)
+def test_fourier_field_equals_per_mode_loops(path):
+    cfg = load_config(path)
+    g = cfg.grid()
+    m = 8 * max(cfg.n, cfg.nx, cfg.ny)
+    if cfg.is_2d:
+        dense = np.meshgrid(np.arange(m) / m, np.arange(m) / m,
+                            indexing="ij")
+        for X, Y in (g.meshgrid(), dense):
+            assert np.array_equal(
+                cfg.rho0.eval(X, Y),
+                _fourier_field_2d(cfg.rho0.mean, cfg.rho0.modes, X, Y))
+        return
+    for x in (g.x, np.arange(m) / m):
+        for field in (cfg.rho0, cfg.u0):
+            ref = _FourierField1D(field.mean, field.modes)
+            assert np.array_equal(field.eval(x), ref.eval(x))
+            assert np.array_equal(field.eval_dx(x), ref.eval_dx(x))
+
+
 class TestCLI:
     def test_run_exit_0_and_artifacts(self, tmp_path):
         cfgp = tmp_path / "run.cfg"
@@ -141,7 +220,7 @@ class TestCLI:
         from thickflow import powerlaw1d
 
         solve_s = {}
-        run = powerlaw1d.run
+        run = powerlaw1d.PowerLawModel.run
 
         def timed_run(params, *args):
             t0 = time.perf_counter()
@@ -149,7 +228,7 @@ class TestCLI:
             solve_s[params.p] = time.perf_counter() - t0
             return traj
 
-        monkeypatch.setattr(powerlaw1d, "run", timed_run)
+        monkeypatch.setattr(powerlaw1d.PowerLawModel, "run", timed_run)
         cfgp = tmp_path / "run.cfg"
         cfgp.write_text(SMALL_RUN)
         out = tmp_path / "out"
@@ -307,8 +386,43 @@ values = 0.1, 0.05
     rep = json.loads((out / "sweep_report.json").read_text())
     # eps sweeps sort toward the limit: finest (smallest) value last
     assert rep["param_values"] == [0.1, 0.05]
-    assert (out / "eps_0.1" / "checks.json").exists()
     assert (out / "eps_0.05" / "diag.csv").exists()
+    for label in ("eps_0.1", "eps_0.05"):
+        _assert_member(out / label, "singular1d", "barrier_invariant",
+                       "stress_max_principle")
+
+
+def _assert_member(member, model, present, absent):
+    """A sweep member's checks.json has check present, not check absent,
+    and its manifest names model."""
+    checks = {r["check"]
+              for r in json.loads((member / "checks.json").read_text())}
+    assert present in checks and absent not in checks
+    assert json.loads((member / "manifest.json").read_text())["model"] == model
+
+
+def test_cross_sweep_cli_path(tmp_path):
+    cfg = SMALL_RUN + """
+[sweep]
+kind = cross
+values = 4, 8
+eps_values = 0.5, 0.2
+eps_n = 128
+"""
+    cfgp = tmp_path / "cross.cfg"
+    cfgp.write_text(cfg)
+    out = tmp_path / "sw"
+    assert main(["sweep", str(cfgp), "--output", str(out), "--quiet"]) == 0
+    for label in ("p_4", "p_8"):
+        _assert_member(out / label, "powerlaw1d", "stress_max_principle",
+                       "barrier_invariant")
+    for label in ("eps_0.5", "eps_0.2"):
+        _assert_member(out / label, "singular1d", "barrier_invariant",
+                       "stress_max_principle")
+    rep = json.loads((out / "sweep_report.json").read_text())
+    assert rep["param_values"] == [4.0, 8.0]
+    assert rep["context"]["eps_values"] == [0.5, 0.2]
+    assert math.isfinite(rep["cross_distance"])
 
 
 def test_sweep_jobs_flag_matches_sequential(tmp_path):

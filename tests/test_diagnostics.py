@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from thickflow.diagnostics import (CheckReport, cauchy_stress,
-                                   check_conservation, check_density_bounds,
+from thickflow.diagnostics import (CheckReport, check_conservation,
+                                   check_density_bounds,
                                    check_energy_inequality,
                                    check_hoff_uniformity,
                                    check_stress_max_principle,
@@ -13,7 +13,7 @@ from thickflow.diagnostics import (CheckReport, cauchy_stress,
                                    load_reports, momentum_residual_l2,
                                    write_reports)
 from thickflow.grids import Grid1D
-from thickflow.powerlaw1d import PowerLawParams, run
+from thickflow.powerlaw1d import PowerLawModel, PowerLawParams, run
 from thickflow.trajectory import State1D
 
 
@@ -58,7 +58,7 @@ class TestCauchyStress:
         g = Grid1D(32)
         pr = params(a=1.0)
         s = State1D(np.ones(g.n), np.full(g.n, 0.7), 0.0)
-        sigma = cauchy_stress(s, pr, g)
+        sigma = PowerLawModel(pr, g).stress(s)
         assert np.max(np.abs(sigma + 1.0)) < 1e-14
 
     def test_half_shear_arithmetic(self):
@@ -66,7 +66,7 @@ class TestCauchyStress:
         g = Grid1D(64)
         pr = params(p=4.0)
         s = State1D(np.ones(g.n), 0.5 * g.x, 0.0)  # du/dx = 0.5 away from seam
-        sigma = cauchy_stress(s, pr, g)
+        sigma = PowerLawModel(pr, g).stress(s)
         interior = sigma[2:g.n - 2]
         assert np.max(np.abs(interior - (-0.875))) < 1e-12
 

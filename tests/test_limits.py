@@ -2,9 +2,13 @@ import numpy as np
 import pytest
 
 from thickflow.banks import SplitMix64, velocity_bank_1d, velocity_bank_2d
-from thickflow.grids import Grid1D
+from thickflow.grids import Grid1D, ddx_periodic
 from thickflow.limits import (constraint_violation_measure, entropy_gap,
-                              lagrange_multiplier, restrict_block_average)
+                              lagrange_multiplier, restrict_block_average,
+                              trajectory_complementarity)
+from thickflow.powerlaw1d import PowerLawModel, PowerLawParams, viscous_flux
+from thickflow.singular1d import SingularModel, SingularParams, singular_flux
+from thickflow.trajectory import State1D, Trajectory
 
 
 class TestViolationMeasure:
@@ -53,6 +57,27 @@ class TestLagrangeMultiplier:
         pi, _ = lagrange_multiplier(rng.normal(size=g.n),
                                     rng.normal(size=g.n), g)
         assert np.all(pi >= 0.0)
+
+
+@pytest.mark.parametrize("name", ["powerlaw1d", "singular1d"])
+def test_model_stress_and_defect_equal_closed_forms(name):
+    g = Grid1D(96)
+    rng = np.random.default_rng(12)
+    rho = 1.0 + 0.5 * rng.random(g.n)
+    u = rng.standard_normal(g.n)
+    u *= 0.9 / np.max(np.abs(ddx_periodic(u, g)))  # |du/dx| <= 0.9
+    dudx = ddx_periodic(u, g)
+    if name == "powerlaw1d":
+        pr = PowerLawParams(p=8.0, mu=1.3, a=2.0, gamma=1.4)
+        model, tau = PowerLawModel(pr, g), viscous_flux(dudx, pr)
+    else:
+        pr = SingularParams(eps=0.05, a=2.0, gamma=1.4)
+        model, tau = SingularModel(pr, g), singular_flux(dudx, pr.eps)
+    state = State1D(rho, u, 0.1)
+    assert np.array_equal(model.stress(state), tau - pr.a * rho**pr.gamma)
+    traj = Trajectory(name, g, pr, [state], [])
+    assert trajectory_complementarity(traj) == \
+        lagrange_multiplier(u, tau, g)[1]
 
 
 class TestEntropyGap:

@@ -5,8 +5,9 @@ import scipy.sparse.linalg as spla
 
 from thickflow.errors import FluxOverflow, NewtonDivergence
 from thickflow.grids import Grid1D, integrate
-from thickflow.powerlaw1d import (PowerLawParams, implicit_viscous_solve, run,
-                                  step, viscous_flux, viscous_flux_derivative)
+from thickflow.powerlaw1d import (PowerLawModel, PowerLawParams,
+                                  implicit_viscous_solve, run, viscous_flux,
+                                  viscous_flux_derivative)
 from thickflow.stepper1d import implicit_shear_solve
 from thickflow.trajectory import State1D
 
@@ -111,7 +112,7 @@ class TestStep:
         g = Grid1D(32)
         pr = params(p=8.0)
         s0 = State1D(np.ones(g.n), np.zeros(g.n), 0.0)
-        s1 = step(s0, pr, 1e-3, g)
+        s1 = PowerLawModel(pr, g).step(s0, 1e-3)[0]
         assert np.array_equal(s1.rho, s0.rho)
         assert np.array_equal(s1.u, s0.u)
 
@@ -120,7 +121,7 @@ class TestStep:
         pr = params(p=8.0)
         c = 0.37
         s0 = State1D(np.ones(g.n), np.full(g.n, c), 0.0)
-        s1 = step(s0, pr, 1e-3, g)
+        s1 = PowerLawModel(pr, g).step(s0, 1e-3)[0]
         assert np.max(np.abs(s1.rho - 1.0)) < 1e-14
         assert np.max(np.abs(s1.u - c)) < 1e-14
 

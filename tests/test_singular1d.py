@@ -3,8 +3,8 @@ import pytest
 
 from thickflow.errors import ConstraintViolation
 from thickflow.grids import Grid1D
-from thickflow.singular1d import (SingularParams, run_singular, singular_flux,
-                                  singular_flux_derivative, step_singular)
+from thickflow.singular1d import (SingularModel, SingularParams, run_singular,
+                                  singular_flux, singular_flux_derivative)
 from thickflow.trajectory import State1D
 
 
@@ -59,7 +59,7 @@ class TestStepAndRun:
     def test_rest_state_fixed_point(self):
         g = Grid1D(32)
         s0 = State1D(np.ones(g.n), np.zeros(g.n), 0.0)
-        s1 = step_singular(s0, params(), 1e-3, g)
+        s1 = SingularModel(params(), g).step(s0, 1e-3)[0]
         assert np.array_equal(s1.rho, s0.rho)
         assert np.array_equal(s1.u, s0.u)
 
