@@ -48,7 +48,7 @@ def _launch(cfg, model, params, g):
 
 
 def _run_model(cfg):
-    return _launch(cfg, cfg.model, cfg.build_params(), cfg.grid())
+    return _launch(cfg, cfg.model, cfg.run_params, cfg.grid())
 
 
 def _run_model_with(cfg, model, params, g):
@@ -93,7 +93,7 @@ def _transport_checks(cfg, traj):
         dts = [r.dt for r in traj.records if r.dt > 0]
         tol = 2.0 * cfg.tol_c * (traj.grid.dx + max(dts))
         worst_c = max(continuity_residual(traj, phi) for phi in bank)
-        worst_r = max(renormalized_residual(traj, cfg.params["gamma"], phi)
+        worst_r = max(renormalized_residual(traj, traj.params.gamma, phi)
                       for phi in bank)
         reports.append(CheckReport.build("continuity_weak_residual", 0.0,
                                          worst_c, tol))
@@ -101,7 +101,7 @@ def _transport_checks(cfg, traj):
                                          worst_r, tol))
         if cfg.s_list:
             reports.append(time_mean_continuity(
-                traj, cfg.params["gamma"], cfg.s_list))
+                traj, traj.params.gamma, cfg.s_list))
     except ValueError as e:
         reports.append(CheckReport.skip("transport_checks", str(e)))
     return reports
@@ -171,38 +171,28 @@ def _write_run_artifacts(cfg, traj, outdir, quiet, run_s):
     return reports
 
 
-def cmd_run(args):
+def _load(path):
+    """The config at path, or None after reporting its config error."""
     try:
-        cfg = load_config(args.config)
+        return load_config(path)
     except (ParseError, ValidationError) as e:
         print(f"config error: {e}", file=sys.stderr)
+
+
+def cmd_run(args):
+    cfg = _load(args.config)
+    if cfg is None:
         return 2
     outdir = args.output or cfg.output_dir or "out"
     return run_experiment(cfg, outdir, quiet=args.quiet)
 
 
 def _sweep_runs(cfg, outdir, quiet):
-    """Run the sweep members one after another, writing each member's
-    artifacts; returns {"p": {p: traj}, "eps": {eps: traj}} for the
-    families the sweep has. Every member's params are built before the
-    first run, so that a bad value fails before any run."""
-    from .grids import Grid1D
-
-    members = []
-    if cfg.sweep_kind in ("p", "cross"):
-        for p in map(float, cfg.sweep_values or [cfg.params["p"]]):
-            members.append(("p", p, "powerlaw1d",
-                            cfg.build_params("powerlaw1d", p=p), cfg.grid()))
-    if cfg.sweep_kind in ("eps", "cross"):
-        eps_list = cfg.sweep_eps_values if cfg.sweep_kind == "cross" \
-            else cfg.sweep_values
-        g_eps = Grid1D(cfg.sweep_eps_n) if cfg.sweep_eps_n else cfg.grid()
-        for e in map(float, eps_list):
-            members.append(("eps", e, "singular1d",
-                            cfg.build_params("singular1d", eps=e), g_eps))
-
+    """Run the sweep members of cfg, built when it was loaded, one after
+    another, writing each member's artifacts; returns {"p": {p: traj},
+    "eps": {eps: traj}} for the families the sweep has."""
     results = {}
-    for key, v, model, params, g in members:
+    for key, v, model, params, g in cfg.sweep_members:
         label = f"{key}_{v:g}"
         _say(quiet, f"[sweep] running {label} (n = {g.n}) ...")
         traj, run_s = _timed(_run_model_with, cfg, model, params, g)
@@ -218,10 +208,8 @@ def cmd_sweep(args):
                          variational_residual_1d)
     from .banks import velocity_bank_1d
 
-    try:
-        cfg = load_config(args.config)
-    except (ParseError, ValidationError) as e:
-        print(f"config error: {e}", file=sys.stderr)
+    cfg = _load(args.config)
+    if cfg is None:
         return 2
     if not cfg.sweep_kind:
         print("config error: [sweep] section with kind = p|eps|cross required",
@@ -235,7 +223,7 @@ def cmd_sweep(args):
         print(f"solver failure: {type(e).__name__}: {e}", file=sys.stderr)
         return 3
 
-    gamma = cfg.params["gamma"]
+    gamma = cfg.run_params.gamma
     reports = []
     kind = "eps" if cfg.sweep_kind == "eps" else "p"
     trajs = results[kind]
@@ -291,10 +279,8 @@ def cmd_verify(args):
 def cmd_banks(args):
     from .banks import scalar_bank_1d, velocity_bank_1d, velocity_bank_2d
 
-    try:
-        cfg = load_config(args.config)
-    except (ParseError, ValidationError) as e:
-        print(f"config error: {e}", file=sys.stderr)
+    cfg = _load(args.config)
+    if cfg is None:
         return 2
     out = {
         "seed": cfg.seed,

@@ -8,17 +8,19 @@ fields flat quadruples (kx, ky, cos_amp, sin_amp) for plane waves
 cos(2 pi (kx x + ky y)) etc., which keeps runs reproducible across
 implementations.
 
-Validation collects every error (not just the first): positivity of
-the implied initial density is checked by dense sampling at 8x grid
+Validation collects every error (not just the first). The [params]
+defaults and ranges are those of the params classes in MODELS, checked
+by building the params of the run and of every sweep member; positivity
+of the implied initial density is checked by dense sampling at 8x grid
 resolution, and |du0/dx| <= 1 is enforced when paper_initial_conditions
-is set.
+is set. Every other default is that of its Config field.
 """
 
 from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .errors import ParseError, ValidationError
+from .errors import ParseError, ValidationError, is_number
 from .grids import Grid1D, Grid2D, PlaneWaves
 from .powerlaw1d import PowerLawModel, PowerLawParams
 from .semistationary2d import Stokes2DParams
@@ -34,20 +36,9 @@ MODELS = {
 _SECTIONS = ("model", "grid", "params", "initial", "time", "sweep",
              "checks", "output")
 
-_PARAM_KEYS = {"p", "mu", "a", "gamma", "delta", "eps", "cfl",
-               "newton_tol", "newton_max_iter", "theta"}
-
-DEFAULTS = {
-    "params": {"p": 8.0, "mu": 1.0, "a": 1.0, "gamma": 2.0, "delta": 1e-8,
-               "eps": 1e-2, "cfl": 0.4, "newton_tol": None,
-               "newton_max_iter": None, "theta": 0.95},
-    "initial": {"rho_mean": 1.0, "u_mean": 0.0,
-                "paper_initial_conditions": False, "seed": 1},
-    "time": {"snapshots": 32},
-    "checks": {"tol_c": 5.0, "eta": [0.01, 0.05, 0.1],
-               "energy_tol": 1e-6, "bank_size": 20, "bank_modes": 3,
-               "s_list": []},
-}
+# every key some model's params class has: a cross sweep builds the
+# params of both 1D models from one [params] section
+_PARAM_KEYS = {f.name for cls, _ in MODELS.values() for f in fields(cls)}
 
 
 def _parse_scalar(text):
@@ -108,7 +99,7 @@ class FourierField:
     """mean + sum of plane waves: modes are (k, cos, sin) triples in 1D and
     (kx, ky, cos, sin) quadruples in 2D; the mean is the leading zero wave."""
 
-    mean: float = 1.0
+    mean: float
     modes: list = field(default_factory=list)
 
     def _series(self, coords, d=None):
@@ -126,37 +117,16 @@ class FourierField:
         return self._series((x,), d=0)
 
 
-def _triples(flat, where, errors):
-    if flat is None:
-        return []
-    if isinstance(flat, (int, float)):
-        flat = [flat]
-    if len(flat) % 3:
-        errors.append(f"{where}: expected flat (k, cos, sin) triples")
-        return []
-    return [tuple(flat[i:i + 3]) for i in range(0, len(flat), 3)]
-
-
-def _quads(flat, where, errors):
-    if flat is None:
-        return []
-    if isinstance(flat, (int, float)):
-        flat = [flat]
-    if len(flat) % 4:
-        errors.append(f"{where}: expected flat (kx, ky, cos, sin) quadruples")
-        return []
-    return [tuple(flat[i:i + 4]) for i in range(0, len(flat), 4)]
-
-
 @dataclass
 class Config:
     model: str
     n: int = 0
     nx: int = 0
     ny: int = 0
-    params: dict = field(default_factory=dict)
-    rho0: object = None
-    u0: object = None          # 1D only
+    params: dict = field(default_factory=dict)   # the [params] keys given
+    run_params: object = None                    # params of model, built
+    rho0: FourierField = field(default_factory=lambda: FourierField(1.0))
+    u0: FourierField = field(default_factory=lambda: FourierField(0.0))  # 1D
     paper_initial_conditions: bool = False
     seed: int = 1
     T: float = 0.0
@@ -166,6 +136,8 @@ class Config:
     sweep_values: list = field(default_factory=list)
     sweep_eps_values: list = field(default_factory=list)
     sweep_eps_n: int = 0
+    # (swept key, value, model, params, grid) of each sweep member, built
+    sweep_members: list = field(default_factory=list)
     tol_c: float = 5.0
     eta: list = field(default_factory=lambda: [0.01, 0.05, 0.1])
     s_list: list = field(default_factory=list)
@@ -191,10 +163,12 @@ class Config:
         return [(k + 0.5) * self.T / n for k in range(n)]
 
     def build_params(self, model=None, **overrides):
+        """Params of model (default: the config's) from the [params] keys
+        its class has, with overrides; the class supplies the rest."""
         cls = MODELS[model or self.model][0]
         src = dict(self.params, **overrides)
         return cls(**{f.name: src[f.name] for f in fields(cls)
-                      if src.get(f.name) is not None})
+                      if f.name in src})
 
     def initial_fields(self, g):
         if self.is_2d:
@@ -216,124 +190,146 @@ class Config:
         return float(np.min(vals)), float(np.max(vals))
 
     def initial_shear_max(self, oversample=8):
-        if self.is_2d or self.u0 is None:
+        if self.is_2d:
             return 0.0
         m = oversample * self.n
         return float(np.max(np.abs(self.u0.eval_dx(np.arange(m) / m))))
 
 
+# [section] -> keys read into the Config field named key, or section_key
+# where that exists, like the field's default
+_READ = {"time": ("T", "snapshots", "snapshot_times"),
+         "initial": ("paper_initial_conditions", "seed"),
+         "sweep": ("kind", "values", "eps_values", "eps_n"),
+         "checks": ("tol_c", "eta", "s_list", "energy_tol", "bank_size",
+                    "bank_modes"),
+         "output": ("dir",)}
+
+
 def parse_config(text):
     """Parse and validate; returns Config or raises ParseError /
-    ValidationError (the latter lists all problems at once)."""
+    ValidationError (the latter lists all problems at once). Validation
+    builds the run's params (and 1D model) into run_params and those of
+    every sweep member into sweep_members."""
     raw = parse_raw(text)
     errors = []
 
     model = raw.get("model", {}).get("kind")
     if model not in MODELS:
-        errors.append(f"model.kind: expected powerlaw1d | singular1d | "
-                      f"semistationary2d, got {model!r}")
-        raise ValidationError(errors)
+        raise ValidationError(f"model.kind: expected powerlaw1d | singular1d "
+                              f"| semistationary2d, got {model!r}")
 
     cfg = Config(model=model, raw_text=text)
-    gsec = raw.get("grid", {})
+
+    def read(where, default):
+        """The file's section.key cast like default (a list of numbers for
+        a list); default if the key is absent or the value is bad."""
+        section, key = where.split(".")
+        value = raw.get(section, {}).get(key, default)
+        try:
+            if not isinstance(default, list):
+                return type(default)(value)
+            value = value if isinstance(value, list) else [value]
+            if all(map(is_number, value)):
+                return value
+        except (TypeError, ValueError):
+            pass
+        kind = "numbers" if isinstance(default, list) else type(default).__name__
+        errors.append(f"{where}: expected {kind}, got {value!r}")
+        return default
+
     if cfg.is_2d:
-        cfg.nx = int(gsec.get("nx", gsec.get("n", 0)))
-        cfg.ny = int(gsec.get("ny", cfg.nx))
-        if cfg.nx < 8 or cfg.ny < 8:
-            errors.append("grid.nx/ny: need at least 8 cells")
+        cfg.nx = read("grid.nx", read("grid.n", cfg.nx))
+        cfg.ny = read("grid.ny", cfg.nx)
     else:
-        cfg.n = int(gsec.get("n", 0))
-        if cfg.n < 8:
-            errors.append("grid.n: need at least 8 cells")
-
-    psec = dict(DEFAULTS["params"])
-    for k, v in raw.get("params", {}).items():
-        if k not in _PARAM_KEYS:
-            errors.append(f"params.{k}: unknown parameter")
-        else:
-            psec[k] = v
-    cfg.params = psec
-    if psec["gamma"] is not None and psec["gamma"] <= 1:
-        errors.append("params.gamma: gamma must exceed 1")
-    if psec["p"] is not None and model != "singular1d" and psec["p"] < 2:
-        errors.append("params.p: exponent must be >= 2")
-    if psec["eps"] is not None and model == "singular1d" and psec["eps"] <= 0:
-        errors.append("params.eps: viscosity scale must be positive")
-    if not 0 < psec["cfl"] <= 1:
-        errors.append("params.cfl: must lie in (0, 1]")
-
-    isec = dict(DEFAULTS["initial"])
-    isec.update(raw.get("initial", {}))
-    cfg.paper_initial_conditions = bool(isec["paper_initial_conditions"])
-    cfg.seed = int(isec["seed"])
-    if cfg.is_2d:
-        cfg.rho0 = FourierField(float(isec.get("rho_mean", 1.0)),
-                                _quads(isec.get("rho_modes"),
-                                       "initial.rho_modes", errors))
-    else:
-        cfg.rho0 = FourierField(float(isec.get("rho_mean", 1.0)),
-                                _triples(isec.get("rho_modes"),
-                                         "initial.rho_modes", errors))
-        cfg.u0 = FourierField(float(isec.get("u_mean", 0.0)),
-                              _triples(isec.get("u_modes"),
-                                       "initial.u_modes", errors))
-
-    tsec = raw.get("time", {})
-    cfg.T = float(tsec.get("T", 0.0))
+        cfg.n = read("grid.n", cfg.n)
+    grid = None
+    try:
+        grid = cfg.grid()
+    except ValueError as e:
+        errors.append(f"grid.{'nx/ny' if cfg.is_2d else 'n'}: {e}")
+    for section, keys in _READ.items():
+        for key in keys:
+            attr = f"{section}_{key}" if hasattr(cfg, f"{section}_{key}") else key
+            setattr(cfg, attr, read(f"{section}.{key}", getattr(cfg, attr)))
     if cfg.T < 0:
         errors.append("time.T: final time must be >= 0")
-    cfg.snapshots = int(tsec.get("snapshots", DEFAULTS["time"]["snapshots"]))
-    st = tsec.get("snapshot_times", [])
-    cfg.snapshot_times = list(st) if isinstance(st, list) else [st]
 
-    ssec = raw.get("sweep", {})
-    cfg.sweep_kind = ssec.get("kind", "")
-    vals = ssec.get("values", [])
-    cfg.sweep_values = list(vals) if isinstance(vals, list) else [vals]
-    ev = ssec.get("eps_values", [])
-    cfg.sweep_eps_values = list(ev) if isinstance(ev, list) else [ev]
-    cfg.sweep_eps_n = int(ssec.get("eps_n", 0))
-    if cfg.sweep_kind and cfg.sweep_kind not in ("p", "eps", "cross"):
-        errors.append(f"sweep.kind: expected p | eps | cross, got "
-                      f"{cfg.sweep_kind!r}")
-    for key, vals in (("values", cfg.sweep_values),
-                      ("eps_values", cfg.sweep_eps_values)):
-        labels = [f"{v:g}" for v in vals if isinstance(v, (int, float))]
-        if len(set(labels)) < len(labels):
+    width = 4 if cfg.is_2d else 3
+    for name in ("rho",) if cfg.is_2d else ("rho", "u"):
+        where, f = f"initial.{name}_modes", getattr(cfg, name + "0")
+        flat = read(where, f.modes)
+        if len(flat) % width:
+            errors.append(f"{where}: expected flat " + (
+                "(kx, ky, cos, sin) quadruples" if cfg.is_2d
+                else "(k, cos, sin) triples"))
+            flat = []
+        setattr(cfg, name + "0", FourierField(
+            read(f"initial.{name}_mean", f.mean),
+            [tuple(flat[i:i + width]) for i in range(0, len(flat), width)]))
+
+    cfg.params = raw.get("params", {})
+    errors.extend(f"params.{k}: unknown parameter" for k in cfg.params
+                  if k not in _PARAM_KEYS)
+    reported = set()
+
+    def build(model, g, prefix, **overrides):
+        """model's params, checked by building them and, in 1D, the model
+        on g; None after recording the failures not reported yet."""
+        try:
+            params = cfg.build_params(model, **overrides)
+            if MODELS[model][1] is not None and g is not None:
+                MODELS[model][1](params, g)
+            return params
+        except ValidationError as e:
+            errors.extend(prefix + m for m in e.errors if m not in reported)
+            reported.update(e.errors)
+
+    cfg.run_params = build(model, grid, "params.")
+
+    kind = "" if cfg.is_2d else cfg.sweep_kind
+    if cfg.sweep_kind and (cfg.is_2d or kind not in ("p", "eps", "cross")):
+        errors.append(f"sweep.kind: expected p | eps | cross of a 1D model, "
+                      f"got {cfg.sweep_kind!r} of {model}")
+    for key in ("values", "eps_values"):
+        vals = getattr(cfg, "sweep_" + key)
+        if len({f"{v:g}" for v in vals}) < len(vals):
             errors.append(f"sweep.{key}: two of {vals} would share one member "
                           "directory (members are named with %g)")
-    if cfg.sweep_kind == "cross":
-        if not cfg.sweep_values:
+    families = []   # (swept key, list key, model, grid, values)
+    if kind in ("p", "cross"):
+        if kind == "cross" and not cfg.sweep_values:
             errors.append("sweep.values: kind = cross needs p values")
-        if cfg.n and cfg.sweep_eps_n % cfg.n:
+        # a p sweep without values has one member, at the config's p
+        families.append(("p", "values", "powerlaw1d", grid,
+                         cfg.sweep_values or [None]))
+    if kind in ("eps", "cross"):
+        eps_key = "eps_values" if kind == "cross" else "values"
+        eps_list = getattr(cfg, "sweep_" + eps_key)
+        try:
+            g_eps = Grid1D(cfg.sweep_eps_n) if cfg.sweep_eps_n else grid
+        except ValueError as e:
+            errors.append(f"sweep.eps_n: {e}")
+            g_eps = None
+        if kind == "cross" and cfg.n and cfg.sweep_eps_n % cfg.n:
             errors.append(
                 f"sweep.eps_n: {cfg.sweep_eps_n} is not a multiple of grid.n "
                 f"= {cfg.n}; the cross-model distance needs nested grids")
-    if cfg.sweep_kind in ("eps", "cross"):
-        eps_key = "eps_values" if cfg.sweep_kind == "cross" else "values"
-        eps_list = cfg.sweep_eps_values if cfg.sweep_kind == "cross" \
-            else cfg.sweep_values
         if not eps_list:
-            errors.append(f"sweep.{eps_key}: kind = {cfg.sweep_kind} needs "
-                          "eps values")
-        n_eps = cfg.sweep_eps_n or cfg.n
-        if eps_list and n_eps and min(eps_list) < 10.0 / n_eps:
+            errors.append(f"sweep.{eps_key}: kind = {kind} needs eps values")
+        elif g_eps is not None and min(eps_list) < 10.0 / g_eps.n:
             errors.append(
                 f"sweep: eps_min = {min(eps_list)} under-resolves the "
-                f"constraint layer; need eps >= 10 dx = {10.0 / n_eps:.3g}")
-
-    csec = dict(DEFAULTS["checks"])
-    csec.update(raw.get("checks", {}))
-    cfg.tol_c = float(csec["tol_c"])
-    eta = csec["eta"]
-    cfg.eta = list(eta) if isinstance(eta, list) else [eta]
-    sl = csec["s_list"]
-    cfg.s_list = list(sl) if isinstance(sl, list) else [sl]
-    cfg.energy_tol = float(csec["energy_tol"])
-    cfg.bank_size = int(csec["bank_size"])
-    cfg.bank_modes = int(csec["bank_modes"])
-
-    cfg.output_dir = raw.get("output", {}).get("dir", "")
+                f"constraint layer; need eps >= 10 dx = {10.0 / g_eps.n:.3g}")
+        families.append(("eps", eps_key, "singular1d", g_eps, eps_list))
+    for key, list_key, member_model, g, values in families:
+        for v in values:
+            params = build(member_model, g,
+                           f"sweep.{list_key}: member {key} = {v}: ",
+                           **({} if v is None else {key: float(v)}))
+            if params is not None and g is not None:
+                cfg.sweep_members.append(
+                    (key, float(getattr(params, key)), member_model, params, g))
 
     # initial-data validation by dense sampling (only when grid is sane)
     if not errors or all(e.startswith(("params", "sweep", "time")) for e in errors):

@@ -241,16 +241,19 @@ def check_barrier_invariant(traj):
         context={"records": len(traj.records)})
 
 
-def momentum_residual_l2(traj, params):
-    """L2 norm of d/dx sigma - rho udot at snapshot midpoints.
+def momentum_residual_l2(traj):
+    """L2 norm of d/dx sigma - rho udot at snapshot midpoints, sigma the
+    stress of the trajectory's 1D model.
 
     udot is formed by snapshot differencing, so the residual carries
     O(dx + dt + dt_snap) consistency error.
     """
+    from .config import MODELS
     from .grids import ddx_periodic
-    from .powerlaw1d import viscous_flux
+    from .trajectory import State1D
 
     g = traj.grid
+    stress = MODELS[traj.model][1](traj.params, g).stress
     worst = 0.0
     snaps = traj.snapshots
     for k in range(len(snaps) - 1):
@@ -261,8 +264,7 @@ def momentum_residual_l2(traj, params):
         u_mid = 0.5 * (s0.u + s1.u)
         rho_mid = 0.5 * (s0.rho + s1.rho)
         udot = (s1.u - s0.u) / dt + u_mid * ddx_periodic(u_mid, g)
-        dudx = ddx_periodic(u_mid, g)
-        sigma = viscous_flux(dudx, params) - params.a * rho_mid**params.gamma
+        sigma = stress(State1D(rho_mid, u_mid, s0.t + 0.5 * dt))
         resid = ddx_periodic(sigma, g) - rho_mid * udot
         worst = max(worst, float(np.sqrt(integrate(resid**2, g))))
     return worst

@@ -1,4 +1,8 @@
-"""Exception types shared across the solvers and the CLI harness."""
+"""Exception types shared across the solvers and the CLI harness, and
+the checked base of the run-parameter classes."""
+
+import numbers
+from dataclasses import fields
 
 
 class ThickflowError(Exception):
@@ -55,11 +59,34 @@ class ParseError(ThickflowError):
     """Config text could not be parsed; message carries line numbers."""
 
 
-class ValidationError(ThickflowError):
-    """Config parsed but failed validation; carries all field errors."""
+class ValidationError(ThickflowError, ValueError):
+    """Config or parameters failed validation; carries all field errors."""
 
     def __init__(self, errors):
         if isinstance(errors, str):
             errors = [errors]
         self.errors = list(errors)
         super().__init__("; ".join(self.errors))
+
+
+def is_number(value, kind=float):
+    """True for an int, or for any real number if kind is float; no bool."""
+    return not isinstance(value, bool) and isinstance(
+        value, numbers.Integral if kind is int else numbers.Real)
+
+
+class Params:
+    """Base of the run-parameter dataclasses, the one place of their
+    defaults (the field defaults) and ranges (rules(), a list of (field,
+    holds, message)). Building one raises one ValidationError that lists,
+    as "field: message", every field that is not a number of its type or,
+    if all are, every rule that fails."""
+
+    def __post_init__(self):
+        errors = [f"{f.name}: expected a number, got {getattr(self, f.name)!r}"
+                  for f in fields(self)
+                  if not is_number(getattr(self, f.name), f.type)]
+        errors = errors or [f"{name}: {message}"
+                            for name, holds, message in self.rules() if not holds]
+        if errors:
+            raise ValidationError(errors)

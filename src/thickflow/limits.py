@@ -31,7 +31,7 @@ def constraint_violation_measure(shear_mag, eta):
     return float(np.mean(np.asarray(shear_mag) > 1.0 + eta))
 
 
-def trajectory_violation_measure(traj, eta, params=None):
+def trajectory_violation_measure(traj, eta):
     """Space-time fraction over the snapshot set (t = 0 excluded)."""
     g = traj.grid
     vals = []
@@ -65,15 +65,15 @@ def entropy_gap(rho_coarse, rho_ref, gamma, g):
     return integrate(rp**gamma - r**gamma - gamma * r ** (gamma - 1.0) * (rp - r), g)
 
 
-def _l2_time_mean(traj_a, traj_b, attr="u"):
-    """sqrt of the snapshot-mean squared L2 distance of a field."""
+def _l2_time_mean(traj_a, traj_b):
+    """sqrt of the snapshot-mean squared L2 distance of the velocity."""
     g = traj_a.grid
     total = 0.0
     count = 0
     for sa, sb in zip(traj_a.snapshots, traj_b.snapshots):
         if sa.t == 0.0:
             continue
-        da = getattr(sa, attr) - getattr(sb, attr)
+        da = sa.u - sb.u
         sq = da**2 if da.ndim <= 2 else np.sum(da**2, axis=0)
         total += integrate(sq, g)
         count += 1

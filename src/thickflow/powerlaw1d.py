@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import FluxOverflow, VacuumError
+from .errors import FluxOverflow, Params, ValidationError, VacuumError
 from .grids import integrate
 from .stepper1d import (Model1D, advance, barotropic_llf_update, face_shear,
                         implicit_shear_solve, material_derivative)
@@ -25,7 +25,7 @@ _LOG_CLAMP = np.log(1e300)
 
 
 @dataclass
-class PowerLawParams:
+class PowerLawParams(Params):
     p: float = 8.0
     mu: float = 1.0
     a: float = 1.0
@@ -35,17 +35,15 @@ class PowerLawParams:
     newton_tol: float = 1e-12
     newton_max_iter: int = 100
 
-    def __post_init__(self):
-        if self.p < 2:
-            raise ValueError("power-law exponent p must be >= 2")
-        if self.gamma <= 1:
-            raise ValueError("adiabatic exponent gamma must exceed 1")
-        if self.mu <= 0 or self.a <= 0:
-            raise ValueError("mu and a must be positive")
-        if self.delta < 0:
-            raise ValueError("flux regularization delta must be >= 0")
-        if not 0 < self.cfl <= 1:
-            raise ValueError("cfl must lie in (0, 1]")
+    def rules(self):
+        return [
+            ("p", self.p >= 2, "power-law exponent p must be >= 2"),
+            ("mu", self.mu > 0, "viscosity mu must be positive"),
+            ("a", self.a > 0, "pressure constant a must be positive"),
+            ("gamma", self.gamma > 1, "adiabatic exponent gamma must exceed 1"),
+            ("delta", self.delta >= 0, "flux regularization delta must be >= 0"),
+            ("cfl", 0 < self.cfl <= 1, "cfl must lie in (0, 1]"),
+        ]
 
     @property
     def max_principle_precondition(self):
@@ -93,8 +91,8 @@ class PowerLawModel(Model1D):
 
     def __init__(self, params, g):
         if params.delta == 0 and params.p > 2:
-            raise ValueError("delta > 0 required for p > 2 (Newton needs a "
-                             "nondegenerate Jacobian at zero shear)")
+            raise ValidationError("delta: delta > 0 required for p > 2 (Newton "
+                                  "needs a nondegenerate Jacobian at zero shear)")
         super().__init__(params, g)
 
     def flux(self, s):

@@ -22,13 +22,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import SolverDivergence, VacuumError
+from .errors import Params, SolverDivergence, VacuumError
 from .grids import ddx_2d, div_2d, integrate, sym_grad_2d
 from .trajectory import DiagnosticsRecord, State2D, Trajectory
 
 
 @dataclass
-class Stokes2DParams:
+class Stokes2DParams(Params):
     p: float = 8.0
     a: float = 1.0
     gamma: float = 2.0
@@ -37,13 +37,12 @@ class Stokes2DParams:
     newton_tol: float = 1e-6      # L2 norm of grad J at convergence
     newton_max_iter: int = 8000
 
-    def __post_init__(self):
-        if self.p < 2:
-            raise ValueError("power-law exponent p must be >= 2")
-        if self.gamma <= 1:
-            raise ValueError("adiabatic exponent gamma must exceed 1")
-        if not 0 < self.cfl <= 1:
-            raise ValueError("cfl must lie in (0, 1]")
+    def rules(self):
+        return [
+            ("p", self.p >= 2, "power-law exponent p must be >= 2"),
+            ("gamma", self.gamma > 1, "adiabatic exponent gamma must exceed 1"),
+            ("cfl", 0 < self.cfl <= 1, "cfl must lie in (0, 1]"),
+        ]
 
 
 def _weight(D, p, delta):

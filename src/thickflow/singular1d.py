@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConstraintViolation, VacuumError
+from .errors import ConstraintViolation, Params, VacuumError
 from .grids import integrate
 from .stepper1d import (Model1D, advance, barotropic_llf_update, face_shear,
                         implicit_shear_solve, material_derivative)
@@ -28,7 +28,7 @@ from .trajectory import State1D
 
 
 @dataclass
-class SingularParams:
+class SingularParams(Params):
     eps: float = 1e-2
     a: float = 1.0
     gamma: float = 2.0
@@ -37,15 +37,14 @@ class SingularParams:
     newton_max_iter: int = 800
     theta: float = 0.95
 
-    def __post_init__(self):
-        if self.eps <= 0:
-            raise ValueError("viscosity scale eps must be positive")
-        if self.gamma <= 1:
-            raise ValueError("adiabatic exponent gamma must exceed 1")
-        if not 0 < self.theta < 1:
-            raise ValueError("fraction-to-boundary factor theta must be in (0, 1)")
-        if not 0 < self.cfl <= 1:
-            raise ValueError("cfl must lie in (0, 1]")
+    def rules(self):
+        return [
+            ("eps", self.eps > 0, "viscosity scale eps must be positive"),
+            ("gamma", self.gamma > 1, "adiabatic exponent gamma must exceed 1"),
+            ("theta", 0 < self.theta < 1,
+             "fraction-to-boundary factor theta must be in (0, 1)"),
+            ("cfl", 0 < self.cfl <= 1, "cfl must lie in (0, 1]"),
+        ]
 
 
 def singular_flux(s, eps):

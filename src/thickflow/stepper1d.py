@@ -112,13 +112,13 @@ def solve_cyclic_tridiag(lower, diag, upper, rhs):
 
 
 def implicit_shear_solve(u_init, u_star, rho, dt, g, flux, dflux,
-                         tol, max_iter, potential=None, ftb_theta=None):
+                         tol, max_iter, potential, ftb_theta=None):
     """Damped Newton for rho (u - u*)/dt - d/dx flux(s(u)) = 0.
 
     The residual is the gradient of the convex merit functional
 
         Phi(u) = sum rho (u - u*)^2 / (2 dt) dx + sum Psi(s(u)) dx,
-                 Psi' = flux,
+                 Psi' = flux, Psi = potential,
 
     so the Newton direction (SPD cyclic-tridiagonal Jacobian) is a
     descent direction for Phi and the Armijo backtracking on Phi makes
@@ -147,10 +147,7 @@ def implicit_shear_solve(u_init, u_star, rho, dt, g, flux, dflux,
         f = flux(s)
         r = w * (u - u_star) - (f - np.roll(f, 1)) / dx
         rn = float(np.max(np.abs(r) / w))
-        phi = None
-        if potential is not None:
-            phi = float(np.sum(0.5 * w * (u - u_star) ** 2 + potential(s))
-                        * dx)
+        phi = float(np.sum(0.5 * w * (u - u_star) ** 2 + potential(s)) * dx)
         return r, rn, phi
 
     u = u_init.copy()
@@ -191,7 +188,6 @@ def implicit_shear_solve(u_init, u_star, rho, dt, g, flux, dflux,
             alpha = min(1.0, cap)
 
         slope = float(np.sum(r * delta) * dx)  # < 0: descent for Phi
-        accepted = False
         for _ in range(60):
             try:
                 u_new = u + alpha * delta
@@ -199,21 +195,15 @@ def implicit_shear_solve(u_init, u_star, rho, dt, g, flux, dflux,
             except FluxOverflow:
                 alpha *= 0.5
                 continue
-            if phi is not None:
-                ok = np.isfinite(phi_new) and np.isfinite(rn_new) \
-                    and phi_new <= phi + 1e-4 * alpha * slope
-            else:
-                ok = np.isfinite(rn_new) and rn_new <= (1.0 - 1e-4 * alpha) * rnorm
-            if ok:
-                accepted = True
+            if np.isfinite(phi_new) and np.isfinite(rn_new) \
+                    and phi_new <= phi + 1e-4 * alpha * slope:
                 break
             alpha *= 0.5
-        if not accepted:
+        else:
             raise NewtonDivergence(
                 f"no merit decrease at residual {rnorm:.3e}",
                 last_residual=rnorm, damping_history=damping_history)
-        u, r, rnorm = u_new, r_new, rn_new
-        phi = phi_new
+        u, r, rnorm, phi = u_new, r_new, rn_new, phi_new
         res_history.append(rnorm)
         damping_history.append(alpha)
         if alpha * float(np.max(np.abs(delta))) <= 1e-15 * u_scale:

@@ -2,6 +2,7 @@ import glob
 import json
 import math
 import os
+import re
 import time
 
 import numpy as np
@@ -50,8 +51,8 @@ class TestParser:
         cfg = parse_config(MINIMAL)
         assert cfg.model == "powerlaw1d"
         assert cfg.n == 64 and cfg.T == 0.05
-        assert cfg.params["gamma"] == 2.0
-        assert cfg.params["delta"] == 1e-8
+        assert cfg.build_params().gamma == 2.0
+        assert cfg.build_params().delta == 1e-8
         assert cfg.tol_c == 5.0
         assert len(cfg.snapshot_schedule()) == 32
 
@@ -123,18 +124,43 @@ T = 0.05
             parse_config(bad)
 
 
-@pytest.mark.parametrize("sweep, message", [
-    ("kind = eps", "sweep.values: kind = eps"),
-    ("kind = cross\nvalues = 4, 8\neps_values = 0.5\neps_n = 96",
+REJECTED = [
+    ("[sweep]\nkind = eps", "sweep.values: kind = eps"),
+    ("[sweep]\nkind = cross\nvalues = 4, 8\neps_values = 0.5\neps_n = 96",
      "sweep.eps_n: 96"),
-    ("kind = cross\neps_values = 0.5", "sweep.values: kind = cross"),
-    ("kind = cross\nvalues = 4, 8", "sweep.eps_values: kind = cross"),
-    ("kind = p\nvalues = 4, 8.0000001, 8.0000002", "sweep.values: two of"),
-], ids=["eps_without_values", "cross_grids_not_nested",
-        "cross_without_values", "cross_without_eps_values",
-        "labels_collide"])
+    ("[sweep]\nkind = cross\neps_values = 0.5", "sweep.values: kind = cross"),
+    ("[sweep]\nkind = cross\nvalues = 4, 8", "sweep.eps_values: kind = cross"),
+    ("[sweep]\nkind = p\nvalues = 4, 8.0000001, 8.0000002",
+     "sweep.values: two of"),
+    ("[params]\nmu = -1", "params.mu: viscosity mu must be positive"),
+    ("[params]\na = 0", "params.a: pressure constant a must be positive"),
+    ("[params]\ndelta = 0", r"params.delta: delta > 0 required for p > 2"),
+    ("[model]\nkind = singular1d\n[params]\ntheta = 1.5",
+     r"params.theta: fraction-to-boundary factor theta must be in \(0, 1\)"),
+    ("[params]\np = abc", "params.p: expected a number, got 'abc'"),
+    ("[sweep]\nkind = p\nvalues = 4, 1",
+     "sweep.values: member p = 1: p: power-law exponent p must be >= 2"),
+    ("[sweep]\nkind = p\nvalues = 4, eight",
+     r"sweep.values: expected numbers, got \[4, 'eight'\]"),
+    ("[sweep]\nkind = cross\nvalues = 1, 8\neps_values = 0.5\neps_n = 128",
+     "sweep.values: member p = 1: p: power-law exponent p must be >= 2"),
+    ("[model]\nkind = semistationary2d\n[initial]\nrho_modes = 1, 0, 0.3, 0"
+     "\n[sweep]\nkind = p\nvalues = 4, 8",
+     r"sweep.kind: expected p \| eps \| cross of a 1D model, got 'p' of "
+     "semistationary2d"),
+]
+REJECTED_IDS = ["eps_without_values", "cross_grids_not_nested",
+                "cross_without_values", "cross_without_eps_values",
+                "labels_collide", "mu_negative", "a_zero", "delta_zero",
+                "theta_above_1", "p_not_a_number", "sweep_p_below_2",
+                "sweep_value_not_a_number", "cross_p_below_2", "sweep_2d"]
+
+
+@pytest.mark.parametrize("sweep, message", REJECTED, ids=REJECTED_IDS)
 def test_sweep_config_rejected_before_any_run(tmp_path, sweep, message):
-    text = SMALL_RUN + "\n[sweep]\n" + sweep + "\n"
+    # a repeated [section] header adds to the section: sweep overrides or
+    # extends SMALL_RUN
+    text = SMALL_RUN + "\n" + sweep + "\n"
     with pytest.raises(ValidationError, match=message):
         parse_config(text)
     cfgp = tmp_path / "bad.cfg"
@@ -142,6 +168,26 @@ def test_sweep_config_rejected_before_any_run(tmp_path, sweep, message):
     out = tmp_path / "sw"
     assert main(["sweep", str(cfgp), "--output", str(out), "--quiet"]) == 2
     assert not out.exists()
+
+
+@pytest.mark.parametrize("sweep, message", REJECTED, ids=REJECTED_IDS)
+def test_run_config_rejected_before_any_run(tmp_path, capsys, sweep, message):
+    cfgp = tmp_path / "bad.cfg"
+    cfgp.write_text(SMALL_RUN + "\n" + sweep + "\n")
+    out = tmp_path / "run"
+    assert main(["run", str(cfgp), "--output", str(out), "--quiet"]) == 2
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ")
+    assert re.search(message, err)
+
+
+def test_all_rule_failures_of_one_params_class_reported():
+    from thickflow.powerlaw1d import PowerLawParams
+
+    with pytest.raises(ValueError) as exc:
+        PowerLawParams(p=1.0, gamma=0.5, cfl=7.0)
+    assert [e.split(":")[0] for e in exc.value.errors] == ["p", "gamma", "cfl"]
 
 
 class _FourierField1D:

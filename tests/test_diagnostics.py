@@ -151,8 +151,25 @@ def test_momentum_residual_consistency():
     T = 0.1
     snaps = [(k + 0.5) * T / 64 for k in range(64)]
     traj = run(pr, g, rho0, u0, T, snapshot_times=snaps)
-    resid = momentum_residual_l2(traj, pr)
+    resid = momentum_residual_l2(traj)
     dts = [r.dt for r in traj.records if r.dt > 0]
     scale = g.dx + max(dts) + (T / 64)
     # frozen consistency constant from the first verified run
     assert resid <= 60.0 * scale
+
+
+def test_momentum_residual_singular():
+    # the residual takes the singular model's stress eps s / sqrt(1 - s^2)
+    # from the trajectory; same data and consistency bound as above
+    from thickflow.singular1d import SingularParams, run_singular
+
+    g = Grid1D(256)
+    pr = SingularParams(eps=0.1, a=2.0, theta=0.3)
+    rho0 = 1 + 0.3 * np.sin(2 * np.pi * g.x)
+    u0 = 0.5 * np.sin(2 * np.pi * g.x) / (2 * np.pi)
+    T = 0.1
+    snaps = [(k + 0.5) * T / 64 for k in range(64)]
+    traj = run_singular(pr, g, rho0, u0, T, snapshot_times=snaps)
+    resid = momentum_residual_l2(traj)
+    dts = [r.dt for r in traj.records if r.dt > 0]
+    assert resid <= 60.0 * (g.dx + max(dts) + (T / 64))

@@ -1,0 +1,83 @@
+"""The benchmark's tracer (perfbench/tracer.py) wraps thickflow functions
+and methods by name; a rename in src/ would silently drop its spans.
+This test runs the CLI under the tracer, in a fresh process so that the
+wrappers do not leak into other tests, and checks that the spans the
+per-layer metrics are computed from are recorded."""
+
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+
+ROOT = Path(__file__).resolve().parent.parent
+
+RUN_1D = """
+[model]
+kind = powerlaw1d
+[grid]
+n = 32
+[params]
+p = 8.0
+a = 2.0
+gamma = 2.0
+[initial]
+rho_modes = 1, 0.15, 0.25
+u_modes = 1, 0.0, 0.1
+paper_initial_conditions = true
+[time]
+T = 0.02
+snapshots = 4
+"""
+
+RUN_2D = """
+[model]
+kind = semistationary2d
+[grid]
+nx = 16
+ny = 16
+[params]
+p = 4.0
+gamma = 2.0
+cfl = 0.1
+[initial]
+rho_modes = 1, 0, 0.3, 0.0
+[time]
+T = 0.02
+snapshots = 4
+"""
+
+TRACED_RUNS = """
+import sys
+
+sys.path[:0] = sys.argv[1:3]
+from tracer import Tracer
+
+from thickflow import cli
+
+tracer = Tracer()
+tracer.install()
+for cfg, out in zip(sys.argv[3:5], sys.argv[5:7]):
+    assert cli.main(["run", cfg, "--output", out, "--quiet"]) == 0
+tracer.save(sys.argv[7])
+"""
+
+
+def test_tracer_records_the_layers_it_names(tmp_path):
+    cfgs = []
+    for name, text in (("run1d.cfg", RUN_1D), ("run2d.cfg", RUN_2D)):
+        cfgs.append(tmp_path / name)
+        cfgs[-1].write_text(text)
+    spans = tmp_path / "spans.npz"
+    subprocess.run(
+        [sys.executable, "-c", TRACED_RUNS, str(ROOT / "src"),
+         str(ROOT / "perfbench"), *map(str, cfgs), str(tmp_path / "o1"),
+         str(tmp_path / "o2"), str(spans)],
+        check=True, timeout=300)
+    with np.load(spans) as z:
+        names = set(z["name"].tolist())
+    assert {"cli.main", "cli.member", "stepper1d.newton",
+            "stepper1d.transport", "stepper1d.advance", "powerlaw1d.step",
+            "powerlaw1d.flux", "semistationary2d.solve",
+            "semistationary2d.functional",
+            "semistationary2d.gradient"} <= names
