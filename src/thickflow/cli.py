@@ -177,6 +177,9 @@ def _load(path):
         return load_config(path)
     except (ParseError, ValidationError) as e:
         print(f"config error: {e}", file=sys.stderr)
+    except OSError as e:
+        reason = (e.strerror or str(e)).lower()
+        print(f"config error: {path}: {reason}", file=sys.stderr)
 
 
 def cmd_run(args):

@@ -254,6 +254,10 @@ def parse_config(text):
             setattr(cfg, attr, read(f"{section}.{key}", getattr(cfg, attr)))
     if cfg.T < 0:
         errors.append("time.T: final time must be >= 0")
+    if not all(eta > 0 for eta in cfg.eta):
+        errors.append(f"checks.eta: every eta must be positive, got {cfg.eta}")
+    if cfg.bank_size < 1:
+        errors.append(f"checks.bank_size: must be >= 1, got {cfg.bank_size}")
 
     width = 4 if cfg.is_2d else 3
     for name in ("rho",) if cfg.is_2d else ("rho", "u"):
@@ -332,7 +336,7 @@ def parse_config(text):
                     (key, float(getattr(params, key)), member_model, params, g))
 
     # initial-data validation by dense sampling (only when grid is sane)
-    if not errors or all(e.startswith(("params", "sweep", "time")) for e in errors):
+    if all(e.startswith(("params", "sweep", "time", "checks")) for e in errors):
         c1, c2 = cfg.initial_density_range()
         if c1 <= 0:
             errors.append(f"initial.rho: Fourier sum dips to {c1:.4g} <= 0 "

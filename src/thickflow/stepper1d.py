@@ -25,17 +25,34 @@ they differ only in the shear flux, its derivative, and the Newton
 step-length safeguard (fraction-to-boundary for the barrier flux).
 """
 
+import functools
+
 import numpy as np
-from scipy.linalg import solve_banded
 
 from .errors import FluxOverflow, NewtonDivergence, StepFailure, VacuumError
 from .grids import ddx_periodic, integrate
 from .trajectory import DiagnosticsRecord, State1D, Trajectory
 
 
+def _ahead(a):
+    """a[i + 1] at entry i, periodic (np.roll(a, -1) by slices)."""
+    out = np.empty_like(a)
+    out[:-1] = a[1:]
+    out[-1] = a[0]
+    return out
+
+
+def _behind(a):
+    """a[i - 1] at entry i, periodic (np.roll(a, 1) by slices)."""
+    out = np.empty_like(a)
+    out[1:] = a[:-1]
+    out[0] = a[-1]
+    return out
+
+
 def face_shear(u, g):
     """Shear at face i+1/2 between cells i and i+1."""
-    return (np.roll(u, -1) - u) / g.dx
+    return ddx_periodic(u, g, "forward")
 
 
 def sound_speed(rho, a, gamma):
@@ -44,9 +61,8 @@ def sound_speed(rho, a, gamma):
 
 def max_signal_speed(rho, u, a, gamma):
     c = sound_speed(rho, a, gamma)
-    u_r = np.roll(u, -1)
-    uf = 0.5 * (u + u_r)
-    lam = np.abs(uf) + np.maximum(c, np.roll(c, -1))
+    uf = 0.5 * (u + _ahead(u))
+    lam = np.abs(uf) + np.maximum(c, _ahead(c))
     return float(np.max(lam))
 
 
@@ -61,16 +77,16 @@ def barotropic_llf_update(rho, u, a, gamma, dt, g):
     p = a * rho**gamma
     c = sound_speed(rho, a, gamma)
 
-    rho_r = np.roll(rho, -1)
-    m_r = np.roll(m, -1)
-    uf = 0.5 * (u + np.roll(u, -1))
-    lam = np.abs(uf) + np.maximum(c, np.roll(c, -1))
+    rho_r = _ahead(rho)
+    m_r = _ahead(m)
+    uf = 0.5 * (u + _ahead(u))
+    lam = np.abs(uf) + np.maximum(c, _ahead(c))
 
     f_rho = uf * 0.5 * (rho + rho_r) - 0.5 * lam * (rho_r - rho)
-    f_m = uf * 0.5 * (m + m_r) + 0.5 * (p + np.roll(p, -1)) - 0.5 * lam * (m_r - m)
+    f_m = uf * 0.5 * (m + m_r) + 0.5 * (p + _ahead(p)) - 0.5 * lam * (m_r - m)
 
-    d_rho = (f_rho - np.roll(f_rho, 1)) * (dt / g.dx)
-    d_m = (f_m - np.roll(f_m, 1)) * (dt / g.dx)
+    d_rho = (f_rho - _behind(f_rho)) * (dt / g.dx)
+    d_m = (f_m - _behind(f_m)) * (dt / g.dx)
     # flux differences telescope exactly; remove the O(eps) roundoff bias
     # so total mass and momentum are conserved to machine precision
     d_rho -= d_rho.mean()
@@ -78,37 +94,130 @@ def barotropic_llf_update(rho, u, a, gamma, dt, g):
     return rho - d_rho, m - d_m
 
 
+@functools.cache
+def _dgtsv():
+    """LAPACK dgtsv, which scipy.linalg.solve_banded((1, 1), ...) calls;
+    imported at the first 1D solve, so 2D runs never load scipy.linalg."""
+    from scipy.linalg.lapack import dgtsv
+    return dgtsv
+
+
+def _gtsv(dl, d, du, b):
+    """Solution of the tridiagonal system (dl, d, du) x = b, and the
+    diagonal of U of its elimination; the arguments are not modified."""
+    _, u_diag, _, x, info = _dgtsv()(dl, d, du, b)
+    if info != 0:
+        raise np.linalg.LinAlgError("singular matrix")
+    return x, u_diag
+
+
+# below this size both right-hand sides are solved in one dgtsv call: z
+# takes hundreds of rows to decay, so its subnormal band, if any, is short
+_END_BLOCKS_MIN_N = 2048
+# z's ends must decay below this size relative to z[0] and z[-1]
+_Z_TINY = 1e-290
+
+
+def _decay_length(ratios, chunk=64):
+    """Rows, in whole chunks, until the running product of ratios drops
+    below 1e-300, or None if it does not. (One log per chunk: the log of
+    every ratio costs more than a dgtsv row.)"""
+    k = ratios.size // chunk
+    with np.errstate(divide="ignore"):
+        logs = np.cumsum(np.log(ratios[:k * chunk].reshape(k, chunk)
+                                .prod(axis=1)))
+    below = np.flatnonzero(logs < np.log(1e-300))
+    return int(below[0] + 1) * chunk if below.size else None
+
+
+def _z_end_blocks(dl, d, du, u_diag, gamma, alpha):
+    """(z, skipped): the solution of (dl, d, du) z = gamma e_0 +
+    alpha e_(n-1) computed at its two ends only, with zeros between, and
+    the size of z where the blocks end; None if z does not decay below
+    _Z_TINY of its ends there.
+
+    Without row interchanges the elimination has |dl / u_diag| < 1, so z
+    decays geometrically from both ends into a band of subnormal
+    numbers, which are slow to compute with. The leading block solves
+    the first rows alone; the trailing block restarts the elimination
+    from the diagonal of U at its first row. The entries left out, and
+    the changes the cut makes inside the blocks, are within a few orders
+    of magnitude of skipped; z[0] and z[-1] come out to the bit.
+    """
+    n = d.size
+    fact = np.abs(dl / u_diag[:-1])
+    if not fact.max() < 1.0:   # rows may have been interchanged
+        return None
+    h = n // 2
+    m1 = _decay_length(fact[:h])
+    m2 = _decay_length(np.abs(du[h:] / u_diag[h:-1])[::-1])
+    if m1 is None or m2 is None or m1 + m2 >= n:
+        return None
+    z = np.zeros(n)
+    e = np.zeros(m1)
+    e[0] = gamma
+    z[:m1], _ = _gtsv(dl[:m1 - 1], d[:m1], du[:m1 - 1], e)
+    d_tail = d[n - m2:].copy()
+    d_tail[0] = u_diag[n - m2]
+    e = np.zeros(m2)
+    e[-1] = alpha
+    z[n - m2:], _ = _gtsv(dl[n - m2:], d_tail, du[n - m2:], e)
+    skipped = max(abs(z[m1 - 1]), abs(z[n - m2]))
+    if skipped > _Z_TINY * min(abs(z[0]), abs(z[-1])):
+        return None
+    return z, skipped
+
+
+def _correction(y, z, beta, gamma):
+    """c of the Sherman-Morrison update x = y - c z."""
+    vy = y[0] + beta / gamma * y[-1]
+    vz = z[0] + beta / gamma * z[-1]
+    return vy / (1.0 + vz)
+
+
 def solve_cyclic_tridiag(lower, diag, upper, rhs):
     """Solve a periodic tridiagonal system by Sherman-Morrison.
 
     Row i couples (i-1, i, i+1) with wraparound; lower[i] multiplies
-    x[i-1], upper[i] multiplies x[i+1].
+    x[i-1], upper[i] multiplies x[i+1]. LAPACK dgtsv solves the modified
+    system for the right-hand side, y, and for the column z of the
+    rank-one correction (Numerical Recipes, 2nd ed., section 2.7). On
+    large grids z is computed at its two ends only, where y - c z then
+    has the same bits as with all of z.
     """
     n = diag.size
     beta = lower[0]       # A[0, n-1]
     alpha = upper[-1]     # A[n-1, 0]
     gamma = -diag[0]
 
-    ab = np.empty((3, n))
-    ab[0, 0] = 0.0
-    ab[0, 1:] = upper[:-1]
-    ab[1, :] = diag
-    ab[1, 0] -= gamma
-    ab[1, -1] -= alpha * beta / gamma
-    ab[2, :-1] = lower[1:]
-    ab[2, -1] = 0.0
+    d = diag.copy()
+    d[0] -= gamma
+    d[-1] -= alpha * beta / gamma
+    dl, du = lower[1:], upper[:-1]
 
-    b = np.zeros((n, 2))
-    b[:, 0] = rhs
-    b[0, 1] = gamma
-    b[-1, 1] = alpha
-    sol = solve_banded((1, 1), ab, b, overwrite_ab=True, overwrite_b=True,
-                       check_finite=False)
-    y, z = sol[:, 0], sol[:, 1]
+    if n < _END_BLOCKS_MIN_N:
+        b = np.zeros((n, 2), order="F")
+        b[:, 0] = rhs
+        b[0, 1] = gamma
+        b[-1, 1] = alpha
+        sol, _ = _gtsv(dl, d, du, b)
+        y, z = sol[:, 0], sol[:, 1]
+        return y - z * _correction(y, z, beta, gamma)
 
-    vy = y[0] + beta / gamma * y[-1]
-    vz = z[0] + beta / gamma * z[-1]
-    return y - z * (vy / (1.0 + vz))
+    y, u_diag = _gtsv(dl, d, du, rhs)
+    ends = _z_end_blocks(dl, d, du, u_diag, gamma, alpha)
+    if ends is not None:
+        z, skipped = ends
+        c = _correction(y, z, beta, gamma)
+        # c times what was left out of z must lie far below half an ulp of
+        # every entry of y, so that y - c z rounds as with all of z
+        if skipped * abs(c) < 1e-60 * float(np.min(np.abs(y))):
+            return y - z * c
+    b = np.zeros(n)
+    b[0] = gamma
+    b[-1] = alpha
+    z, _ = _gtsv(dl, d, du, b)
+    return y - z * _correction(y, z, beta, gamma)
 
 
 def implicit_shear_solve(u_init, u_star, rho, dt, g, flux, dflux,
@@ -142,16 +251,17 @@ def implicit_shear_solve(u_init, u_star, rho, dt, g, flux, dflux,
     w = rho / dt
 
     def evaluate(u):
-        """Residual, its scaled norm, and the merit value in one pass."""
-        s = (np.roll(u, -1) - u) / dx
+        """Face shear, residual, its scaled norm, and the merit value in
+        one pass."""
+        s = face_shear(u, g)
         f = flux(s)
-        r = w * (u - u_star) - (f - np.roll(f, 1)) / dx
+        r = w * (u - u_star) - ddx_periodic(f, g, "backward")
         rn = float(np.max(np.abs(r) / w))
         phi = float(np.sum(0.5 * w * (u - u_star) ** 2 + potential(s)) * dx)
-        return r, rn, phi
+        return s, r, rn, phi
 
     u = u_init.copy()
-    r, rnorm, phi = evaluate(u)
+    s, r, rnorm, phi = evaluate(u)
     res_history = [rnorm]
     damping_history = []
 
@@ -160,11 +270,11 @@ def implicit_shear_solve(u_init, u_star, rho, dt, g, flux, dflux,
         if rnorm < tol:
             return u, {"residuals": res_history, "damping": damping_history,
                        "iterations": len(res_history) - 1}
-        s = face_shear(u, g)
         fp = dflux(s)
-        diag = w + (fp + np.roll(fp, 1)) / dx**2
+        fp_behind = _behind(fp)
+        diag = w + (fp + fp_behind) / dx**2
         upper = -fp / dx**2
-        lower = -np.roll(fp, 1) / dx**2
+        lower = -fp_behind / dx**2
         delta = solve_cyclic_tridiag(lower, diag, upper, -r)
         if float(np.max(np.abs(delta))) <= 1e-15 * u_scale:
             # update below floating-point representability: near the shear
@@ -191,7 +301,7 @@ def implicit_shear_solve(u_init, u_star, rho, dt, g, flux, dflux,
         for _ in range(60):
             try:
                 u_new = u + alpha * delta
-                r_new, rn_new, phi_new = evaluate(u_new)
+                s_new, r_new, rn_new, phi_new = evaluate(u_new)
             except FluxOverflow:
                 alpha *= 0.5
                 continue
@@ -203,7 +313,7 @@ def implicit_shear_solve(u_init, u_star, rho, dt, g, flux, dflux,
             raise NewtonDivergence(
                 f"no merit decrease at residual {rnorm:.3e}",
                 last_residual=rnorm, damping_history=damping_history)
-        u, r, rnorm, phi = u_new, r_new, rn_new, phi_new
+        u, s, r, rnorm, phi = u_new, s_new, r_new, rn_new, phi_new
         res_history.append(rnorm)
         damping_history.append(alpha)
         if alpha * float(np.max(np.abs(delta))) <= 1e-15 * u_scale:
@@ -290,10 +400,11 @@ def advance(model, g, rho0, u0, T, snapshot_times=None, forcing=None):
 def _make_record(model, g, state, dt, acc):
     rho, u = state.rho, state.u
     s = face_shear(u, g)
-    sigma_face = model.flux(s) - 0.5 * model.a * (rho**model.gamma
-                                                  + np.roll(rho, -1)**model.gamma)
+    p = rho**model.gamma
+    p_ahead = _ahead(rho)**model.gamma   # not _ahead(p): the same pow per entry
+    sigma_face = model.flux(s) - 0.5 * model.a * (p + p_ahead)
     energy = integrate(0.5 * rho * u**2, g) \
-        + model.a / (model.gamma - 1.0) * integrate(rho**model.gamma, g)
+        + model.a / (model.gamma - 1.0) * integrate(p, g)
     return DiagnosticsRecord(
         t=state.t,
         dt=dt,

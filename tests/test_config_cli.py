@@ -148,12 +148,17 @@ REJECTED = [
      "\n[sweep]\nkind = p\nvalues = 4, 8",
      r"sweep.kind: expected p \| eps \| cross of a 1D model, got 'p' of "
      "semistationary2d"),
+    ("[sweep]\nkind = p\nvalues = 4, 8\n[checks]\neta = 0.0, 0.05",
+     r"checks.eta: every eta must be positive, got \[0.0, 0.05\]"),
+    ("[sweep]\nkind = p\nvalues = 4, 8\n[checks]\nbank_size = 0",
+     "checks.bank_size: must be >= 1, got 0"),
 ]
 REJECTED_IDS = ["eps_without_values", "cross_grids_not_nested",
                 "cross_without_values", "cross_without_eps_values",
                 "labels_collide", "mu_negative", "a_zero", "delta_zero",
                 "theta_above_1", "p_not_a_number", "sweep_p_below_2",
-                "sweep_value_not_a_number", "cross_p_below_2", "sweep_2d"]
+                "sweep_value_not_a_number", "cross_p_below_2", "sweep_2d",
+                "eta_zero", "bank_size_zero"]
 
 
 @pytest.mark.parametrize("sweep, message", REJECTED, ids=REJECTED_IDS)
@@ -180,6 +185,16 @@ def test_run_config_rejected_before_any_run(tmp_path, capsys, sweep, message):
     err = capsys.readouterr().err
     assert err.startswith("config error: ")
     assert re.search(message, err)
+
+
+@pytest.mark.parametrize("command", ["run", "sweep", "banks"])
+def test_missing_config_file_is_a_config_error(tmp_path, capsys, command):
+    out = tmp_path / "out"
+    path = tmp_path / "absent.cfg"
+    assert main([command, str(path), "--output", str(out)]) == 2
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert err == f"config error: {path}: no such file or directory\n"
 
 
 def test_all_rule_failures_of_one_params_class_reported():

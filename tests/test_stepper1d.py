@@ -1,0 +1,290 @@
+"""The 1D stepper's kernels against the forms they replaced: the cyclic
+tridiagonal solve against scipy.linalg.solve_banded, and the slice
+shifts against np.roll. Each must reproduce its reference bit for bit."""
+
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+from scipy.linalg import solve_banded
+from test_tracer_names import RUN_2D
+
+from thickflow import stepper1d
+from thickflow.grids import Grid1D
+from thickflow.powerlaw1d import PowerLawModel, PowerLawParams
+from thickflow.singular1d import SingularModel, SingularParams
+from thickflow.stepper1d import (barotropic_llf_update, face_shear,
+                                 implicit_shear_solve, max_signal_speed,
+                                 solve_cyclic_tridiag)
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def solve_banded_reference(lower, diag, upper, rhs):
+    """The former solve_cyclic_tridiag: Sherman-Morrison with both
+    right-hand sides in one solve_banded call."""
+    n = diag.size
+    beta, alpha, gamma = lower[0], upper[-1], -diag[0]
+    ab = np.empty((3, n))
+    ab[0, 0] = 0.0
+    ab[0, 1:] = upper[:-1]
+    ab[1, :] = diag
+    ab[1, 0] -= gamma
+    ab[1, -1] -= alpha * beta / gamma
+    ab[2, :-1] = lower[1:]
+    ab[2, -1] = 0.0
+    b = np.zeros((n, 2))
+    b[:, 0] = rhs
+    b[0, 1] = gamma
+    b[-1, 1] = alpha
+    sol = solve_banded((1, 1), ab, b, overwrite_ab=True, overwrite_b=True,
+                       check_finite=False)
+    y, z = sol[:, 0], sol[:, 1]
+    vy = y[0] + beta / gamma * y[-1]
+    vz = z[0] + beta / gamma * z[-1]
+    return y - z * (vy / (1.0 + vz))
+
+
+def jacobian_like(n, seed, coupling=1.0):
+    """A Newton Jacobian of the implicit step: diagonal w + (fp +
+    fp_behind), off-diagonals -fp, with coupling scaling fp against w."""
+    rng = np.random.default_rng(seed)
+    w = rng.uniform(0.5, 2.0, n)
+    fp = coupling * rng.uniform(0.5, 2.0, n)
+    fp_behind = np.roll(fp, 1)
+    return -fp_behind, w + fp + fp_behind, -fp, rng.normal(size=n)
+
+
+def dense(lower, diag, upper):
+    n = diag.size
+    a = np.diag(diag)
+    for i in range(n):
+        a[i, (i - 1) % n] += lower[i]
+        a[i, (i + 1) % n] += upper[i]
+    return a
+
+
+def gtsv_sizes(monkeypatch):
+    """Record the size of every system handed to dgtsv."""
+    sizes = []
+    solve = stepper1d._gtsv
+
+    def recorded(dl, d, du, b):
+        sizes.append(d.size)
+        return solve(dl, d, du, b)
+
+    monkeypatch.setattr(stepper1d, "_gtsv", recorded)
+    return sizes
+
+
+@pytest.mark.parametrize("n", [3, 4, 17, 256])
+def test_cyclic_tridiag_equals_solve_banded(n):
+    for seed in range(5):
+        rng = np.random.default_rng(seed)
+        lower, upper = rng.normal(size=n), rng.normal(size=n)
+        diag = np.abs(lower) + np.abs(upper) + rng.uniform(0.1, 2.0, n)
+        diag *= rng.choice([-1.0, 1.0], n)
+        rhs = rng.normal(size=n)
+        args = (lower, diag, upper, rhs)
+        copies = [a.copy() for a in args]
+        x = solve_cyclic_tridiag(*args)
+        assert np.array_equal(x, solve_banded_reference(*copies))
+        for a, c in zip(args, copies):
+            assert np.array_equal(a, c)   # inputs left as they were
+
+
+@pytest.mark.parametrize("n", [3, 4, 17])
+def test_cyclic_tridiag_residual(n):
+    lower, diag, upper, rhs = jacobian_like(n, seed=n)
+    x = solve_cyclic_tridiag(lower, diag, upper, rhs)
+    expected = np.linalg.solve(dense(lower, diag, upper), rhs)
+    assert np.allclose(x, expected, rtol=1e-12, atol=1e-14)
+
+
+def test_cyclic_tridiag_end_blocks(monkeypatch):
+    # z decays by about 0.4 per row: from row ~800 on it is subnormal,
+    # so z is solved at its ends only, and x keeps every bit
+    n = 10240
+    system = jacobian_like(n, seed=1)
+    sizes = gtsv_sizes(monkeypatch)
+    x = solve_cyclic_tridiag(*system)
+    assert sizes[0] == n and len(sizes) == 3
+    assert all(m < n // 2 for m in sizes[1:])
+    assert np.array_equal(x, solve_banded_reference(*system))
+
+
+def pivoting(n, seed):
+    """A Jacobian with one row that dgtsv must interchange."""
+    lower, diag, upper, rhs = jacobian_like(n, seed)
+    diag[n // 2] = 0.1
+    return lower, diag, upper, rhs
+
+
+@pytest.mark.parametrize("system", [
+    jacobian_like(4096, seed=2, coupling=1e4),   # z decays too slowly
+    pivoting(4096, seed=5),                      # rows interchanged
+], ids=["strong_coupling", "row_interchange"])
+def test_cyclic_tridiag_full_solve(monkeypatch, system):
+    sizes = gtsv_sizes(monkeypatch)
+    x = solve_cyclic_tridiag(*system)
+    assert sizes == [4096, 4096]
+    assert np.array_equal(x, solve_banded_reference(*system))
+
+
+def test_cyclic_tridiag_full_solve_when_y_vanishes_mid_grid(monkeypatch):
+    # a right-hand side at the ends only: y underflows mid-grid, where
+    # the left-out entries of z could change its bits
+    n = 10240
+    lower, diag, upper, _ = jacobian_like(n, seed=3)
+    rhs = np.zeros(n)
+    rhs[:8] = rhs[-8:] = 1.0
+    sizes = gtsv_sizes(monkeypatch)
+    x = solve_cyclic_tridiag(lower, diag, upper, rhs)
+    assert len(sizes) == 4 and sizes[0] == sizes[-1] == n   # tried, refused
+    assert np.array_equal(x, solve_banded_reference(lower, diag, upper, rhs))
+
+
+@pytest.mark.parametrize("n", [8, 4096])
+def test_cyclic_tridiag_zero_pivot_raises(n):
+    lower, diag, upper, rhs = jacobian_like(n, seed=4)
+    k = n // 2   # an isolated zero row: the matrix is singular
+    diag[k] = lower[k] = upper[k] = upper[k - 1] = lower[k + 1] = 0.0
+    with pytest.raises(np.linalg.LinAlgError):
+        solve_banded_reference(lower, diag, upper, rhs)
+    with pytest.raises(np.linalg.LinAlgError):
+        solve_cyclic_tridiag(lower, diag, upper, rhs)
+
+
+def newton_reference(u_init, u_star, rho, dt, g, flux, dflux, tol, max_iter,
+                     potential, ftb_theta=None):
+    """The former implicit_shear_solve's iteration: np.roll shifts, a
+    second face shear for the Jacobian and the solve_banded solve (its
+    attainable-floor exits and overflow handling, which the cases below
+    do not reach, left out)."""
+    dx, w = g.dx, rho / dt
+
+    def evaluate(u):
+        s = (np.roll(u, -1) - u) / dx
+        f = flux(s)
+        r = w * (u - u_star) - (f - np.roll(f, 1)) / dx
+        phi = float(np.sum(0.5 * w * (u - u_star) ** 2 + potential(s)) * dx)
+        return r, float(np.max(np.abs(r) / w)), phi
+
+    u = u_init.copy()
+    r, rnorm, phi = evaluate(u)
+    residuals, damping = [rnorm], []
+    while rnorm >= tol and len(damping) < max_iter:
+        s = (np.roll(u, -1) - u) / dx
+        fp = dflux(s)
+        delta = solve_banded_reference(
+            -np.roll(fp, 1) / dx**2, w + (fp + np.roll(fp, 1)) / dx**2,
+            -fp / dx**2, -r)
+        alpha = 1.0
+        if ftb_theta is not None:
+            bound = (1.0 - ftb_theta) + ftb_theta * float(np.max(np.abs(s)))
+            ds = (np.roll(delta, -1) - delta) / dx
+            caps = np.concatenate([(bound - s[ds > 0]) / ds[ds > 0],
+                                   (-bound - s[ds < 0]) / ds[ds < 0]])
+            alpha = min(1.0, float(np.min(caps, initial=np.inf)))
+        slope = float(np.sum(r * delta) * dx)
+        while True:
+            r_new, rn_new, phi_new = evaluate(u + alpha * delta)
+            if phi_new <= phi + 1e-4 * alpha * slope:
+                break
+            alpha *= 0.5
+        u = u + alpha * delta
+        r, rnorm, phi = r_new, rn_new, phi_new
+        residuals.append(rnorm)
+        damping.append(alpha)
+    return u, residuals, damping
+
+
+@pytest.mark.parametrize("model", ["powerlaw1d", "singular1d"])
+def test_newton_solve_equals_reference(model):
+    # the damped, and for the barrier flux capped, Newton iterates of
+    # implicit_shear_solve must be those of the former solve, bit for bit
+    g = Grid1D(64)
+    rho = 1.0 + 0.3 * np.sin(2 * np.pi * g.x)
+    u = 0.1 * np.sin(2 * np.pi * g.x) + 0.02 * np.cos(6 * np.pi * g.x)
+    if model == "powerlaw1d":
+        m, theta = PowerLawModel(PowerLawParams(p=8.0), g), None
+    else:
+        m, theta = SingularModel(SingularParams(eps=1e-2), g), 0.95
+    args = (u, 1.5 * u, rho, 1e-2, g, m.flux, m.dflux, 1e-12, 100,
+            m.potential, theta)
+    u_new, info = implicit_shear_solve(*args)
+    u_ref, residuals, damping = newton_reference(*args)
+    assert info["residuals"] == residuals and info["damping"] == damping
+    assert any(a < 1.0 for a in damping)   # the damped path is taken
+    assert np.array_equal(u_new, u_ref)
+
+
+def _fields(n, seed):
+    rng = np.random.default_rng(seed)
+    return rng.uniform(0.5, 2.0, n), rng.normal(size=n)
+
+
+def test_face_shear_equals_roll_form():
+    g = Grid1D(37)
+    u = _fields(g.n, 1)[1]
+    assert np.array_equal(face_shear(u, g), (np.roll(u, -1) - u) / g.dx)
+
+
+def test_max_signal_speed_equals_roll_form():
+    rho, u = _fields(41, 2)
+    for a, gamma in ((1.0, 2.0), (2.0, 1.4)):
+        c = np.sqrt(a * gamma * rho ** (gamma - 1.0))
+        uf = 0.5 * (u + np.roll(u, -1))
+        lam = np.abs(uf) + np.maximum(c, np.roll(c, -1))
+        assert max_signal_speed(rho, u, a, gamma) == float(np.max(lam))
+
+
+def test_barotropic_llf_update_equals_roll_form():
+    g = Grid1D(43)
+    rho, u = _fields(g.n, 3)
+    for a, gamma, dt in ((1.0, 2.0, 1e-3), (8.0, 1.4, 3e-4)):
+        m = rho * u
+        p = a * rho**gamma
+        c = np.sqrt(a * gamma * rho ** (gamma - 1.0))
+        rho_r, m_r = np.roll(rho, -1), np.roll(m, -1)
+        uf = 0.5 * (u + np.roll(u, -1))
+        lam = np.abs(uf) + np.maximum(c, np.roll(c, -1))
+        f_rho = uf * 0.5 * (rho + rho_r) - 0.5 * lam * (rho_r - rho)
+        f_m = uf * 0.5 * (m + m_r) + 0.5 * (p + np.roll(p, -1)) \
+            - 0.5 * lam * (m_r - m)
+        d_rho = (f_rho - np.roll(f_rho, 1)) * (dt / g.dx)
+        d_m = (f_m - np.roll(f_m, 1)) * (dt / g.dx)
+        d_rho -= d_rho.mean()
+        d_m -= d_m.mean()
+        rho1, m1 = barotropic_llf_update(rho, u, a, gamma, dt, g)
+        assert np.array_equal(rho1, rho - d_rho)
+        assert np.array_equal(m1, m - d_m)
+
+
+IMPORTS = """
+import sys
+
+sys.path.insert(0, sys.argv[1])
+import numpy as np
+
+import thickflow
+from thickflow import cli, powerlaw1d, semistationary2d, singular1d
+from thickflow.stepper1d import solve_cyclic_tridiag
+
+assert cli.main(["run", sys.argv[2], "--output", sys.argv[3], "--quiet"]) == 0
+print("scipy.linalg" in sys.modules)
+solve_cyclic_tridiag(-np.ones(8), np.full(8, 4.0), -np.ones(8), np.ones(8))
+print("scipy.linalg" in sys.modules)
+"""
+
+
+def test_scipy_linalg_loaded_by_the_first_1d_solve_only(tmp_path):
+    cfg = tmp_path / "run2d.cfg"
+    cfg.write_text(RUN_2D)
+    out = subprocess.run(
+        [sys.executable, "-c", IMPORTS, str(ROOT / "src"), str(cfg),
+         str(tmp_path / "out")],
+        capture_output=True, text=True, check=True, timeout=300).stdout.split()
+    assert out == ["False", "True"]
