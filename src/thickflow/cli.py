@@ -119,9 +119,11 @@ def run_experiment(cfg, output_dir, quiet=True):
         print(f"solver failure: {type(e).__name__}: {e}", file=sys.stderr)
         return 3
     reports = _write_run_artifacts(cfg, traj, output_dir, quiet, run_s)
-    if any((not r.passed) and (not r.skipped) for r in reports):
-        return 4
-    return 0
+    return 4 if _any_failed(reports) else 0
+
+
+def _any_failed(reports):
+    return any((not r.passed) and (not r.skipped) for r in reports)
 
 
 def _timed(fn, *args):
@@ -193,16 +195,19 @@ def cmd_run(args):
 def _sweep_runs(cfg, outdir, quiet):
     """Run the sweep members of cfg, built when it was loaded, one after
     another, writing each member's artifacts; returns {"p": {p: traj},
-    "eps": {eps: traj}} for the families the sweep has."""
+    "eps": {eps: traj}} for the families the sweep has, and whether a
+    member's checks failed."""
     results = {}
+    member_failed = False
     for key, v, model, params, g in cfg.sweep_members:
         label = f"{key}_{v:g}"
         _say(quiet, f"[sweep] running {label} (n = {g.n}) ...")
         traj, run_s = _timed(_run_model_with, cfg, model, params, g)
-        _write_run_artifacts(cfg, traj, os.path.join(outdir, label), quiet,
-                             run_s)
+        reports = _write_run_artifacts(cfg, traj, os.path.join(outdir, label),
+                                       quiet, run_s)
+        member_failed |= _any_failed(reports)
         results.setdefault(key, {})[v] = traj
-    return results
+    return results, member_failed
 
 
 def cmd_sweep(args):
@@ -221,7 +226,7 @@ def cmd_sweep(args):
     outdir = args.output or cfg.output_dir or "out"
     os.makedirs(outdir, exist_ok=True)
     try:
-        results = _sweep_runs(cfg, outdir, args.quiet)
+        results, member_failed = _sweep_runs(cfg, outdir, args.quiet)
     except _SOLVER_ERRORS as e:
         print(f"solver failure: {type(e).__name__}: {e}", file=sys.stderr)
         return 3
@@ -249,9 +254,7 @@ def cmd_sweep(args):
     if reports:
         dg.write_reports(reports, os.path.join(outdir, "checks.json"))
         _say(args.quiet, dg.format_report_table(reports))
-    if any((not r.passed) and (not r.skipped) for r in reports):
-        return 4
-    return 0
+    return 4 if member_failed or _any_failed(reports) else 0
 
 
 def cmd_verify(args):

@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import FluxOverflow, Params, ValidationError, VacuumError
 from .grids import integrate
-from .stepper1d import (Model1D, advance, barotropic_llf_update, face_shear,
+from .stepper1d import (Model1D, advance, barotropic_llf_update,
                         implicit_shear_solve, material_derivative)
 from .trajectory import State1D
 
@@ -53,35 +53,43 @@ class PowerLawParams(Params):
 
 def viscous_flux(s, params):
     """mu (s^2 + delta^2)^((p-2)/2) s; exactly mu |s|^(p-2) s for delta=0."""
-    s_arr = np.atleast_1d(np.asarray(s, dtype=float))
+    if np.ndim(s) == 0:
+        return float(viscous_flux(np.array([s], dtype=float), params)[0])
+    s = np.asarray(s, dtype=float)
     p, mu, delta = params.p, params.mu, params.delta
-    t = s_arr * s_arr + delta * delta
+    t = s * s + delta * delta
     with np.errstate(divide="ignore", invalid="ignore"):
-        logmag = np.log(mu) + 0.5 * (p - 2.0) * np.log(t) + np.log(np.abs(s_arr))
-    logmag = np.where((t == 0.0) | (s_arr == 0.0), -np.inf, logmag)
-    if np.any(logmag > _LOG_CLAMP):
+        logmag = np.log(mu) + 0.5 * (p - 2.0) * np.log(t) + np.log(np.abs(s))
+    if delta * delta == 0.0:
+        # only here can t vanish; otherwise log|s| = -inf at s = 0 already
+        # gives the zero flux
+        logmag = np.where((t == 0.0) | (s == 0.0), -np.inf, logmag)
+    if logmag.max() > _LOG_CLAMP:
         raise FluxOverflow(f"viscous flux exceeds 1e300 at shear "
-                           f"{float(np.max(np.abs(s_arr))):.6g} (p = {p})")
-    out = np.sign(s_arr) * np.exp(logmag)
-    return float(out[0]) if np.ndim(s) == 0 else out
+                           f"{float(np.max(np.abs(s))):.6g} (p = {p})")
+    return np.sign(s) * np.exp(logmag)
 
 
 def viscous_flux_derivative(s, params):
     """d/ds of the regularized flux: mu t^((p-4)/2) ((p-1) s^2 + delta^2)."""
-    s_arr = np.atleast_1d(np.asarray(s, dtype=float))
+    if np.ndim(s) == 0:
+        return float(viscous_flux_derivative(np.array([s], dtype=float),
+                                             params)[0])
+    s = np.asarray(s, dtype=float)
     p, mu, delta = params.p, params.mu, params.delta
-    t = s_arr * s_arr + delta * delta
-    num = (p - 1.0) * s_arr * s_arr + delta * delta
+    t = s * s + delta * delta
+    num = (p - 1.0) * s * s + delta * delta
     with np.errstate(divide="ignore", invalid="ignore"):
         logmag = np.log(mu) + 0.5 * (p - 4.0) * np.log(t) + np.log(num)
-    degenerate = t == 0.0
-    logmag = np.where(degenerate, -np.inf, logmag)
-    if np.any(logmag > _LOG_CLAMP):
+    t_can_vanish = delta * delta == 0.0
+    if t_can_vanish:
+        logmag = np.where(t == 0.0, -np.inf, logmag)
+    if logmag.max() > _LOG_CLAMP:
         raise FluxOverflow("flux derivative exceeds 1e300")
     out = np.exp(logmag)
-    if p == 2.0:
-        out = np.where(degenerate, mu, out)
-    return float(out[0]) if np.ndim(s) == 0 else out
+    if p == 2.0 and t_can_vanish:
+        out = np.where(t == 0.0, mu, out)
+    return out
 
 
 class PowerLawModel(Model1D):
@@ -112,13 +120,11 @@ class PowerLawModel(Model1D):
         with np.errstate(divide="ignore", over="ignore"):
             return pr.mu / pr.p * np.exp(0.5 * pr.p * np.log(np.maximum(t, 1e-320)))
 
-    def dissipation_density(self, s):
-        """Scheme-exact dissipation integrand mu (s^2+d^2)^((p-2)/2) s^2."""
-        return viscous_flux(s, self.params) * s
-
-    def lp_term(self, s, g):
+    def lp_term(self, s, f, g):
+        """(1/p) int (s^2+d^2)^((p-2)/2) s^2 from the face shear s and its
+        flux f."""
         pr = self.params
-        return pr.mu / pr.p * integrate(self.dissipation_density(s) / pr.mu, g)
+        return pr.mu / pr.p * integrate(f * s / pr.mu, g)
 
     def step(self, state, dt, forcing=None):
         g, pr = self.g, self.params
@@ -131,17 +137,17 @@ class PowerLawModel(Model1D):
             raise VacuumError(f"density reached {float(np.min(rho1)):.3e} "
                               f"after transport at t = {state.t:.6g}")
         u_star = m1 / rho1
-        u_new, _ = implicit_shear_solve(
+        u_new, info = implicit_shear_solve(
             u_star, u_star, rho1, dt, g, self.flux, self.dflux,
             pr.newton_tol, pr.newton_max_iter, potential=self.potential)
         new_state = State1D(rho1, u_new, state.t + dt)
-        s = face_shear(u_new, g)
         udot = material_derivative(u_new, state.u, dt, g)
         inc = {
-            "dissipation": dt * integrate(self.dissipation_density(s), g),
+            # scheme-exact dissipation integrand mu (s^2+d^2)^((p-2)/2) s^2
+            "dissipation": dt * integrate(info["flux"] * info["shear"], g),
             "hoff": dt * integrate(rho1 * udot**2, g),
         }
-        return new_state, inc
+        return new_state, inc, info
 
     @classmethod
     def run(cls, params, g, rho0, u0, T, snapshot_times=None, forcing=None):

@@ -87,10 +87,7 @@ class SingularModel(Model1D):
         out[inside] = -eps * np.sqrt(t[inside])
         return out
 
-    def dissipation_density(self, s):
-        return singular_flux(s, self.params.eps) * s
-
-    def lp_term(self, s, g):
+    def lp_term(self, s, f, g):
         # no L^p norm term for the singular model
         return 0.0
 
@@ -114,21 +111,21 @@ class SingularModel(Model1D):
             u_init = u_star
         else:
             u_init = state.u
-        u_new, _ = implicit_shear_solve(
+        u_new, info = implicit_shear_solve(
             u_init, u_star, rho1, dt, g, self.flux, self.dflux,
             pr.newton_tol, pr.newton_max_iter, potential=self.potential,
             ftb_theta=pr.theta)
-        s = face_shear(u_new, g)
+        s = info["shear"]
         if np.max(np.abs(s)) >= 1.0:
             raise ConstraintViolation("scheme bug: accepted state at the barrier")
         new_state = State1D(rho1, u_new, state.t + dt)
         udot = material_derivative(u_new, state.u, dt, g)
         inc = {
-            "dissipation": dt * integrate(self.dissipation_density(s), g),
+            "dissipation": dt * integrate(info["flux"] * s, g),
             "hoff": dt * integrate(rho1 * udot**2, g),
             "aux": dt * pr.eps * integrate(1.0 / np.sqrt(1.0 - s * s), g),
         }
-        return new_state, inc
+        return new_state, inc, info
 
     @classmethod
     def run(cls, params, g, rho0, u0, T, snapshot_times=None, forcing=None):

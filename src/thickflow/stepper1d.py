@@ -26,6 +26,9 @@ step-length safeguard (fraction-to-boundary for the barrier flux).
 """
 
 import functools
+import importlib.machinery
+import importlib.util
+import os
 
 import numpy as np
 
@@ -96,10 +99,26 @@ def barotropic_llf_update(rho, u, a, gamma, dt, g):
 
 @functools.cache
 def _dgtsv():
-    """LAPACK dgtsv, which scipy.linalg.solve_banded((1, 1), ...) calls;
-    imported at the first 1D solve, so 2D runs never load scipy.linalg."""
-    from scipy.linalg.lapack import dgtsv
-    return dgtsv
+    """LAPACK dgtsv, which scipy.linalg.solve_banded((1, 1), ...) calls.
+
+    It is loaded from scipy's f2py extension scipy/linalg/_flapack by
+    file, so scipy/linalg/__init__.py, whose imports take about 0.3 s,
+    never runs. CPython keeps one copy of such a single-phase extension
+    module, so this is the very function scipy.linalg.lapack.dgtsv
+    names, whichever of the two is loaded first.
+    """
+    linalg = os.path.join(
+        importlib.util.find_spec("scipy").submodule_search_locations[0],
+        "linalg")
+    finder = importlib.machinery.FileFinder(
+        linalg, (importlib.machinery.ExtensionFileLoader,
+                 importlib.machinery.EXTENSION_SUFFIXES))
+    spec = finder.find_spec("scipy.linalg._flapack")
+    if spec is None:
+        raise ImportError(f"no LAPACK extension _flapack in {linalg}")
+    flapack = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(flapack)
+    return flapack.dgtsv
 
 
 def _gtsv(dl, d, du, b):
@@ -245,31 +264,38 @@ def implicit_shear_solve(u_init, u_star, rho, dt, g, flux, dflux,
     helps) and bounds the per-step momentum-conservation error by
     tol * total mass.
 
-    Returns (u, info) with info carrying residual and damping history.
+    Returns (u, info): info carries the residual and damping history,
+    and the face shear and flux of u, for the caller's records.
     """
     dx = g.dx
     w = rho / dt
+    half_w = 0.5 * w
 
     def evaluate(u):
-        """Face shear, residual, its scaled norm, and the merit value in
-        one pass."""
+        """Face shear, flux, residual, its scaled norm, and the merit
+        value in one pass."""
         s = face_shear(u, g)
         f = flux(s)
-        r = w * (u - u_star) - ddx_periodic(f, g, "backward")
-        rn = float(np.max(np.abs(r) / w))
-        phi = float(np.sum(0.5 * w * (u - u_star) ** 2 + potential(s)) * dx)
-        return s, r, rn, phi
+        du = u - u_star
+        r = w * du - ddx_periodic(f, g, "backward")
+        rn = float((np.abs(r) / w).max())
+        phi = float((half_w * du**2 + potential(s)).sum() * dx)
+        return s, f, r, rn, phi
+
+    def result(**exit_kind):
+        return u, {"residuals": res_history, "damping": damping_history,
+                   "iterations": len(res_history) - 1, "shear": s,
+                   "flux": f, **exit_kind}
 
     u = u_init.copy()
-    s, r, rnorm, phi = evaluate(u)
+    s, f, r, rnorm, phi = evaluate(u)
     res_history = [rnorm]
     damping_history = []
 
     u_scale = max(1.0, float(np.max(np.abs(u))))
     for _ in range(max_iter):
         if rnorm < tol:
-            return u, {"residuals": res_history, "damping": damping_history,
-                       "iterations": len(res_history) - 1}
+            return result()
         fp = dflux(s)
         fp_behind = _behind(fp)
         diag = w + (fp + fp_behind) / dx**2
@@ -280,8 +306,7 @@ def implicit_shear_solve(u_init, u_star, rho, dt, g, flux, dflux,
             # update below floating-point representability: near the shear
             # barrier one ulp of u can move the scaled residual above tol,
             # so this is convergence to the attainable floor
-            return u, {"residuals": res_history, "damping": damping_history,
-                       "iterations": len(res_history) - 1, "at_floor": True}
+            return result(at_floor=True)
 
         alpha = 1.0
         if ftb_theta is not None:
@@ -301,7 +326,7 @@ def implicit_shear_solve(u_init, u_star, rho, dt, g, flux, dflux,
         for _ in range(60):
             try:
                 u_new = u + alpha * delta
-                s_new, r_new, rn_new, phi_new = evaluate(u_new)
+                s_new, f_new, r_new, rn_new, phi_new = evaluate(u_new)
             except FluxOverflow:
                 alpha *= 0.5
                 continue
@@ -313,14 +338,13 @@ def implicit_shear_solve(u_init, u_star, rho, dt, g, flux, dflux,
             raise NewtonDivergence(
                 f"no merit decrease at residual {rnorm:.3e}",
                 last_residual=rnorm, damping_history=damping_history)
-        u, s, r, rnorm, phi = u_new, s_new, r_new, rn_new, phi_new
+        u, s, f, r, rnorm, phi = u_new, s_new, f_new, r_new, rn_new, phi_new
         res_history.append(rnorm)
         damping_history.append(alpha)
         if alpha * float(np.max(np.abs(delta))) <= 1e-15 * u_scale:
             # accepted increment below representability (barrier-capped
             # steps can shrink to sub-ulp size): attainable floor reached
-            return u, {"residuals": res_history, "damping": damping_history,
-                       "iterations": len(res_history) - 1, "at_floor": True}
+            return result(at_floor=True)
 
     raise NewtonDivergence(
         f"residual {rnorm:.3e} > tol {tol:.1e} after {max_iter} iterations",
@@ -329,7 +353,8 @@ def implicit_shear_solve(u_init, u_star, rho, dt, g, flux, dflux,
 
 class Model1D:
     """Part shared by the 1D models, which add flux, dflux, potential,
-    dissipation_density, lp_term, step and run."""
+    lp_term, step and run. step returns the new state, the increments of
+    the cumulative records, and the info of its Newton solve."""
 
     def __init__(self, params, g):
         self.params = params
@@ -366,7 +391,9 @@ def advance(model, g, rho0, u0, T, snapshot_times=None, forcing=None):
     state = State1D(rho, u, 0.0)
     traj = Trajectory(model.name, g, model.params, [state.copy()], [])
     acc = {"dissipation": 0.0, "hoff": 0.0, "aux": 0.0}
-    traj.records.append(_make_record(model, g, state, 0.0, acc))
+    s = face_shear(u, g)
+    traj.records.append(_make_record(model, g, state, 0.0, acc, s,
+                                     model.flux(s)))
 
     targets = snapshot_schedule_with_final(T, snapshot_times)
     t = 0.0
@@ -377,7 +404,7 @@ def advance(model, g, rho0, u0, T, snapshot_times=None, forcing=None):
         last_err = None
         for _ in range(11):
             try:
-                new_state, inc = model.step(state, dt, forcing=forcing)
+                new_state, inc, info = model.step(state, dt, forcing=forcing)
                 break
             except (NewtonDivergence, VacuumError, FluxOverflow) as err:
                 last_err = err
@@ -390,19 +417,21 @@ def advance(model, g, rho0, u0, T, snapshot_times=None, forcing=None):
         acc["dissipation"] += inc["dissipation"]
         acc["hoff"] += inc["hoff"]
         acc["aux"] += inc.get("aux", 0.0)
-        traj.records.append(_make_record(model, g, state, dt, acc))
+        traj.records.append(_make_record(model, g, state, dt, acc,
+                                         info["shear"], info["flux"]))
         if ti < len(targets) and abs(t - targets[ti]) <= 1e-12 * max(1.0, T):
             traj.snapshots.append(state.copy())
             ti += 1
     return traj
 
 
-def _make_record(model, g, state, dt, acc):
+def _make_record(model, g, state, dt, acc, s, f):
+    """The diagnostics record of state, whose face shear is s and face
+    flux f."""
     rho, u = state.rho, state.u
-    s = face_shear(u, g)
     p = rho**model.gamma
     p_ahead = _ahead(rho)**model.gamma   # not _ahead(p): the same pow per entry
-    sigma_face = model.flux(s) - 0.5 * model.a * (p + p_ahead)
+    sigma_face = f - 0.5 * model.a * (p + p_ahead)
     energy = integrate(0.5 * rho * u**2, g) \
         + model.a / (model.gamma - 1.0) * integrate(p, g)
     return DiagnosticsRecord(
@@ -417,7 +446,7 @@ def _make_record(model, g, state, dt, acc):
         dudx_maxabs=float(np.max(np.abs(s))),
         sigma_max=float(np.max(sigma_face)),
         hoff_cum=acc["hoff"],
-        lpnorm_term=model.lp_term(s, g),
+        lpnorm_term=model.lp_term(s, f, g),
         aux_cum=acc["aux"],
     )
 

@@ -387,6 +387,30 @@ class TestCLI:
         # verify aggregates the nested check reports
         assert main(["verify", str(out), "--quiet"]) == 0
 
+    def test_sweep_exit_4_when_a_member_check_fails(self, tmp_path,
+                                                     monkeypatch):
+        from thickflow import cli
+        from thickflow.diagnostics import CheckReport
+
+        checks = cli._standard_checks
+
+        def failing_checks(cfg, traj, params):
+            return checks(cfg, traj, params) + [
+                CheckReport.build("injected", 1.0, 5.0, 1e-3)]
+
+        monkeypatch.setattr(cli, "_standard_checks", failing_checks)
+        cfgp = tmp_path / "sweep.cfg"
+        cfgp.write_text(SMALL_RUN + "\n[sweep]\nkind = p\nvalues = 4, 8\n")
+        out = tmp_path / "sw"
+        assert main(["sweep", str(cfgp), "--output", str(out), "--quiet"]) == 4
+        # every member still ran and the sweep report was written
+        assert (out / "p_4" / "diag.csv").exists()
+        assert (out / "p_8" / "diag.csv").exists()
+        assert (out / "sweep_report.json").exists()
+        assert main(["verify", str(out), "--quiet"]) == 4
+        assert main(["run", str(cfgp), "--output", str(tmp_path / "run"),
+                     "--quiet"]) == 4
+
     def test_2d_run_csv_schema(self, tmp_path):
         cfg = """
 [model]

@@ -54,6 +54,77 @@ class TestViscousFlux:
         assert abs(viscous_flux(0.7, pr1) - viscous_flux(0.7, pr0)) < 1e-14
 
 
+_LOG_CLAMP = np.log(1e300)
+
+
+def former_flux(s, params):
+    """viscous_flux as it was: both masks always applied, np.any for
+    the overflow test, every input through np.atleast_1d."""
+    s_arr = np.atleast_1d(np.asarray(s, dtype=float))
+    p, mu, delta = params.p, params.mu, params.delta
+    t = s_arr * s_arr + delta * delta
+    with np.errstate(divide="ignore", invalid="ignore"):
+        logmag = np.log(mu) + 0.5 * (p - 2.0) * np.log(t) + np.log(np.abs(s_arr))
+    logmag = np.where((t == 0.0) | (s_arr == 0.0), -np.inf, logmag)
+    if np.any(logmag > _LOG_CLAMP):
+        raise FluxOverflow("viscous flux exceeds 1e300")
+    out = np.sign(s_arr) * np.exp(logmag)
+    return float(out[0]) if np.ndim(s) == 0 else out
+
+
+def former_flux_derivative(s, params):
+    s_arr = np.atleast_1d(np.asarray(s, dtype=float))
+    p, mu, delta = params.p, params.mu, params.delta
+    t = s_arr * s_arr + delta * delta
+    num = (p - 1.0) * s_arr * s_arr + delta * delta
+    with np.errstate(divide="ignore", invalid="ignore"):
+        logmag = np.log(mu) + 0.5 * (p - 4.0) * np.log(t) + np.log(num)
+    degenerate = t == 0.0
+    logmag = np.where(degenerate, -np.inf, logmag)
+    if np.any(logmag > _LOG_CLAMP):
+        raise FluxOverflow("flux derivative exceeds 1e300")
+    out = np.exp(logmag)
+    if p == 2.0:
+        out = np.where(degenerate, mu, out)
+    return float(out[0]) if np.ndim(s) == 0 else out
+
+
+# delta = 1e-170 squares to 0, so t vanishes with it as with delta = 0
+@pytest.mark.parametrize("p, mu, delta", [
+    (2.0, 1.0, 0.0), (2.0, 0.7, 1e-170), (2.0, 1.0, 1e-8), (3.5, 1.3, 0.0),
+    (4.0, 1.0, 1e-8), (8.0, 2.0, 1e-3), (64.0, 1.0, 1e-8), (64.0, 0.5, 0.0)])
+def test_flux_kernels_equal_former_expressions(p, mu, delta):
+    pr = PowerLawParams(p=p, mu=mu, delta=delta)
+    rng = np.random.default_rng(int(p * 10) + int(delta > 0))
+    s = np.concatenate([rng.normal(scale=0.6, size=257),
+                        [0.0, -0.0, 1e-300, -1e-300, 1e-160, 5e-324, 1.0]])
+    for new, old in ((viscous_flux, former_flux),
+                     (viscous_flux_derivative, former_flux_derivative)):
+        assert np.array_equal(new(s, pr), old(s, pr))
+        for x in (0.0, 1e-300, -0.3, 1.2):
+            y = new(x, pr)
+            assert type(y) is float
+            assert np.array_equal(y, old(x, pr))
+        assert np.array_equal(new(s.reshape(8, 33), pr),
+                              old(s.reshape(8, 33), pr))
+        assert np.array_equal(new(list(s[:5]), pr), old(list(s[:5]), pr))
+
+
+@pytest.mark.parametrize("kernel", [viscous_flux, viscous_flux_derivative])
+def test_flux_kernels_raise_overflow_where_former_did(kernel):
+    pr = PowerLawParams(p=64.0)
+    former = former_flux if kernel is viscous_flux else former_flux_derivative
+    s = np.linspace(-1.0, 1.0, 257)
+    s[100] = 5e4    # 63 (5e4)^62 < 1e300 < (1e5)^62
+    assert np.array_equal(kernel(s, pr), former(s, pr))
+    s[100] = 1e5
+    for x in (s, 1e5, -1e5):
+        with pytest.raises(FluxOverflow):
+            former(x, pr)
+        with pytest.raises(FluxOverflow):
+            kernel(x, pr)
+
+
 class TestImplicitSolve:
     def test_zero_rhs_zero_prev(self):
         g = Grid1D(32)

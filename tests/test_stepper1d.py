@@ -1,17 +1,23 @@
 """The 1D stepper's kernels against the forms they replaced: the cyclic
 tridiagonal solve against scipy.linalg.solve_banded, and the slice
-shifts against np.roll. Each must reproduce its reference bit for bit."""
+shifts against np.roll. Each must reproduce its reference bit for bit.
+Also the loading of LAPACK dgtsv and the failure paths of advance and
+of the Newton line search."""
 
+import importlib.util
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from scipy.linalg import solve_banded
-from test_tracer_names import RUN_2D
+from test_tracer_names import RUN_1D, RUN_2D
 
-from thickflow import stepper1d
+from thickflow import powerlaw1d, stepper1d
+from thickflow.diagnostics import check_conservation
+from thickflow.errors import FluxOverflow, NewtonDivergence, StepFailure
 from thickflow.grids import Grid1D
 from thickflow.powerlaw1d import PowerLawModel, PowerLawParams
 from thickflow.singular1d import SingularModel, SingularParams
@@ -219,6 +225,10 @@ def test_newton_solve_equals_reference(model):
     assert info["residuals"] == residuals and info["damping"] == damping
     assert any(a < 1.0 for a in damping)   # the damped path is taken
     assert np.array_equal(u_new, u_ref)
+    # the accepted shear and flux, which the step's records reuse
+    s_ref = (np.roll(u_ref, -1) - u_ref) / g.dx
+    assert np.array_equal(info["shear"], s_ref)
+    assert np.array_equal(info["flux"], m.flux(s_ref))
 
 
 def _fields(n, seed):
@@ -263,28 +273,135 @@ def test_barotropic_llf_update_equals_roll_form():
         assert np.array_equal(m1, m - d_m)
 
 
-IMPORTS = """
+NO_SCIPY_LINALG = """
 import sys
 
 sys.path.insert(0, sys.argv[1])
 import numpy as np
 
-import thickflow
-from thickflow import cli, powerlaw1d, semistationary2d, singular1d
+from thickflow import cli
 from thickflow.stepper1d import solve_cyclic_tridiag
 
-assert cli.main(["run", sys.argv[2], "--output", sys.argv[3], "--quiet"]) == 0
-print("scipy.linalg" in sys.modules)
+for cfg, out in zip(sys.argv[2:4], sys.argv[4:6]):
+    assert cli.main(["run", cfg, "--output", out, "--quiet"]) == 0
+    print("scipy.linalg" in sys.modules)
 solve_cyclic_tridiag(-np.ones(8), np.full(8, 4.0), -np.ones(8), np.ones(8))
 print("scipy.linalg" in sys.modules)
 """
 
 
-def test_scipy_linalg_loaded_by_the_first_1d_solve_only(tmp_path):
-    cfg = tmp_path / "run2d.cfg"
-    cfg.write_text(RUN_2D)
+def test_scipy_linalg_never_loaded(tmp_path):
+    # a 2D run, a 1D run (whose Newton solves call dgtsv) and a direct
+    # solve: dgtsv comes from scipy's LAPACK extension alone
+    cfgs = []
+    for name, text in (("run2d.cfg", RUN_2D), ("run1d.cfg", RUN_1D)):
+        cfgs.append(tmp_path / name)
+        cfgs[-1].write_text(text)
     out = subprocess.run(
-        [sys.executable, "-c", IMPORTS, str(ROOT / "src"), str(cfg),
-         str(tmp_path / "out")],
+        [sys.executable, "-c", NO_SCIPY_LINALG, str(ROOT / "src"),
+         *map(str, cfgs), str(tmp_path / "o2"), str(tmp_path / "o1")],
         capture_output=True, text=True, check=True, timeout=300).stdout.split()
-    assert out == ["False", "True"]
+    assert out == ["False", "False", "False"]
+
+
+SAME_DGTSV = """
+import sys
+
+sys.path.insert(0, sys.argv[1])
+from thickflow import stepper1d
+
+if sys.argv[2] == "scipy_first":
+    from scipy.linalg.lapack import dgtsv
+mine = stepper1d._dgtsv()
+from scipy.linalg.lapack import dgtsv
+print(mine is dgtsv)
+"""
+
+
+@pytest.mark.parametrize("order", ["scipy_first", "scipy_after"])
+def test_dgtsv_is_scipy_linalg_lapack_dgtsv(order):
+    out = subprocess.run(
+        [sys.executable, "-c", SAME_DGTSV, str(ROOT / "src"), order],
+        capture_output=True, text=True, check=True, timeout=120).stdout.split()
+    assert out == ["True"]
+
+
+def test_missing_lapack_extension_raises_import_error(monkeypatch, tmp_path):
+    scipy_dir = SimpleNamespace(submodule_search_locations=[str(tmp_path)])
+    monkeypatch.setattr(importlib.util, "find_spec", lambda name: scipy_dir)
+    with pytest.raises(ImportError, match=str(tmp_path / "linalg")):
+        stepper1d._dgtsv.__wrapped__()
+
+
+def _powerlaw_run(T=0.02):
+    g = Grid1D(64)
+    rho0 = 1.0 + 0.3 * np.sin(2 * np.pi * g.x)
+    u0 = 0.1 * np.sin(2 * np.pi * g.x) + 0.02 * np.cos(6 * np.pi * g.x)
+    return PowerLawModel.run(PowerLawParams(p=8.0, a=2.0), g, rho0, u0, T)
+
+
+def test_dt_halving_retry_conserves_mass_and_momentum(monkeypatch):
+    # the Newton solves of the second step's first two tries fail after
+    # their transport half-steps; the third try, at dt / 4, is kept
+    solve = powerlaw1d.implicit_shear_solve
+    calls = []
+
+    def failing_solve(u_init, u_star, rho, dt, *args, **kwargs):
+        calls.append(dt)
+        if len(calls) in (2, 3):
+            raise NewtonDivergence("injected", last_residual=1.0)
+        return solve(u_init, u_star, rho, dt, *args, **kwargs)
+
+    monkeypatch.setattr(powerlaw1d, "implicit_shear_solve", failing_solve)
+    traj = _powerlaw_run()
+    assert calls[2] == calls[1] / 2 == calls[3] * 2
+    assert traj.records[2].dt == calls[1] / 4
+    reports = check_conservation(traj)
+    assert [r.check for r in reports] == ["mass_conservation",
+                                          "momentum_conservation"]
+    assert all(r.passed for r in reports)
+
+
+def test_step_failure_carries_time_and_cause(monkeypatch):
+    step = PowerLawModel.step
+    tries = []
+
+    def failing_step(self, state, dt, forcing=None):
+        if len(tries) == 0 and state.t < 0.005:
+            return step(self, state, dt, forcing)
+        tries.append((state.t, dt, FluxOverflow(f"injected {len(tries)}")))
+        raise tries[-1][2]
+
+    monkeypatch.setattr(PowerLawModel, "step", failing_step)
+    with pytest.raises(StepFailure) as exc:
+        _powerlaw_run()
+    assert len(tries) == 11   # the first try and ten halvings
+    assert all(t == tries[0][0] > 0 for t, _, _ in tries)
+    assert [dt for _, dt, _ in tries] == [tries[0][1] / 2**k for k in range(11)]
+    assert exc.value.t == tries[0][0]
+    assert exc.value.cause is tries[-1][2]
+
+
+def test_flux_overflow_in_line_search_halves_the_step():
+    g = Grid1D(64)
+    m = PowerLawModel(PowerLawParams(p=8.0), g)
+    rho = 1.0 + 0.3 * np.sin(2 * np.pi * g.x)
+    u = 0.1 * np.sin(2 * np.pi * g.x)
+    calls = []
+
+    def overflowing_flux(s):
+        calls.append(1)
+        if len(calls) == 2:   # the first line-search evaluation
+            raise FluxOverflow("injected")
+        return m.flux(s)
+
+    args = (u, u, rho, 1e-2, g)
+    rest = (m.dflux, 1e-12, 100, m.potential)
+    _, ref = implicit_shear_solve(*args, m.flux, *rest)
+    u_new, info = implicit_shear_solve(*args, overflowing_flux, *rest)
+    assert ref["damping"][0] == 1.0
+    # Phi is convex: Armijo's test at alpha = 1 implies it at 1/2
+    assert info["damping"][0] == 0.5
+    assert info["residuals"][-1] < 1e-12
+    assert np.array_equal(info["shear"], face_shear(u_new, g))
+    assert np.array_equal(info["flux"], m.flux(info["shear"]))

@@ -30,6 +30,25 @@ T = 0.02
 snapshots = 4
 """
 
+RUN_SINGULAR = """
+[model]
+kind = singular1d
+[grid]
+n = 64
+[params]
+eps = 0.01
+a = 2.0
+gamma = 2.0
+theta = 0.5
+[initial]
+rho_modes = 1, 0.15, 0.25
+u_modes = 1, 0.0, 0.1
+paper_initial_conditions = true
+[time]
+T = 0.01
+snapshots = 2
+"""
+
 RUN_2D = """
 [model]
 kind = semistationary2d
@@ -57,27 +76,45 @@ from thickflow import cli
 
 tracer = Tracer()
 tracer.install()
-for cfg, out in zip(sys.argv[3:5], sys.argv[5:7]):
-    assert cli.main(["run", cfg, "--output", out, "--quiet"]) == 0
-tracer.save(sys.argv[7])
+for cfg in sys.argv[4:]:
+    assert cli.main(["run", cfg, "--output", cfg + ".out", "--quiet"]) == 0
+tracer.save(sys.argv[3])
 """
 
 
 def test_tracer_records_the_layers_it_names(tmp_path):
     cfgs = []
-    for name, text in (("run1d.cfg", RUN_1D), ("run2d.cfg", RUN_2D)):
+    for name, text in (("run1d.cfg", RUN_1D), ("run2d.cfg", RUN_2D),
+                       ("singular.cfg", RUN_SINGULAR)):
         cfgs.append(tmp_path / name)
         cfgs[-1].write_text(text)
     spans = tmp_path / "spans.npz"
     subprocess.run(
         [sys.executable, "-c", TRACED_RUNS, str(ROOT / "src"),
-         str(ROOT / "perfbench"), *map(str, cfgs), str(tmp_path / "o1"),
-         str(tmp_path / "o2"), str(spans)],
+         str(ROOT / "perfbench"), str(spans), *map(str, cfgs)],
         check=True, timeout=300)
     with np.load(spans) as z:
-        names = set(z["name"].tolist())
+        span_of = dict(zip(z["id"].tolist(),
+                           zip(z["name"].tolist(), z["parent"].tolist())))
+    names = {name for name, _ in span_of.values()}
     assert {"cli.main", "cli.member", "stepper1d.newton",
-            "stepper1d.transport", "stepper1d.advance", "powerlaw1d.step",
-            "powerlaw1d.flux", "semistationary2d.solve",
+            "stepper1d.transport", "stepper1d.advance", "stepper1d.tridiag",
+            "powerlaw1d.step", "powerlaw1d.flux", "singular1d.step",
+            "singular1d.flux", "semistationary2d.solve",
             "semistationary2d.functional",
             "semistationary2d.gradient"} <= names
+
+    def chain(sid):
+        """The names of span sid and of the spans it is nested in."""
+        out = []
+        while sid in span_of:
+            name, sid = span_of[sid]
+            out.append(name)
+        return out
+
+    # the singular-fine per-layer metrics read these spans of its run
+    singular = [c for c in map(chain, span_of) if "singular1d.step" in c]
+    assert ["stepper1d.tridiag", "stepper1d.newton", "singular1d.step"] \
+        in [c[:3] for c in singular]
+    assert ["singular1d.flux", "stepper1d.newton", "singular1d.step"] \
+        in [c[:3] for c in singular]
