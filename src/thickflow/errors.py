@@ -90,3 +90,14 @@ class Params:
                             for name, holds, message in self.rules() if not holds]
         if errors:
             raise ValidationError(errors)
+
+
+def newton_rules(params):
+    """The rules of the newton_tol and newton_max_iter fields, which
+    every solver's params class has."""
+    return [
+        ("newton_tol", params.newton_tol > 0,
+         "Newton tolerance newton_tol must be positive"),
+        ("newton_max_iter", params.newton_max_iter >= 1,
+         "Newton iteration budget newton_max_iter must be >= 1"),
+    ]

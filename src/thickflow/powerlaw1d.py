@@ -15,7 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import FluxOverflow, Params, ValidationError, VacuumError
+from .errors import (FluxOverflow, Params, ValidationError, VacuumError,
+                     newton_rules)
 from .grids import integrate
 from .stepper1d import (Model1D, advance, barotropic_llf_update,
                         implicit_shear_solve, material_derivative)
@@ -43,7 +44,7 @@ class PowerLawParams(Params):
             ("gamma", self.gamma > 1, "adiabatic exponent gamma must exceed 1"),
             ("delta", self.delta >= 0, "flux regularization delta must be >= 0"),
             ("cfl", 0 < self.cfl <= 1, "cfl must lie in (0, 1]"),
-        ]
+        ] + newton_rules(self)
 
     @property
     def max_principle_precondition(self):
@@ -51,15 +52,41 @@ class PowerLawParams(Params):
         return self.p >= 1.0 + self.gamma
 
 
+# log t and log|s| are -inf where t = s^2 + delta^2 or s vanish: the
+# callers of _log_terms, _flux and _flux_derivative ignore these
+# floating-point errors. As a decorator, np.errstate costs half of what
+# a with statement costs. The functions it decorates do not call one
+# another, so it is never entered twice at once (numpy 1 keeps the
+# state to restore on the instance).
+_IGNORE_LOG_ERRORS = np.errstate(divide="ignore", invalid="ignore")
+
+
+@_IGNORE_LOG_ERRORS
 def viscous_flux(s, params):
     """mu (s^2 + delta^2)^((p-2)/2) s; exactly mu |s|^(p-2) s for delta=0."""
-    if np.ndim(s) == 0:
-        return float(viscous_flux(np.array([s], dtype=float), params)[0])
-    s = np.asarray(s, dtype=float)
-    p, mu, delta = params.p, params.mu, params.delta
+    s_arr = np.atleast_1d(np.asarray(s, dtype=float))
+    out = _flux(s_arr, *_log_terms(s_arr, params.delta), np.log(params.mu),
+                params)
+    return float(out[0]) if np.ndim(s) == 0 else out
+
+
+@_IGNORE_LOG_ERRORS
+def viscous_flux_derivative(s, params):
+    """d/ds of the regularized flux: mu t^((p-4)/2) ((p-1) s^2 + delta^2)."""
+    s_arr = np.atleast_1d(np.asarray(s, dtype=float))
+    out = _flux_derivative(s_arr, *_log_terms(s_arr, params.delta),
+                           np.log(params.mu), params)
+    return float(out[0]) if np.ndim(s) == 0 else out
+
+
+def _log_terms(s, delta):
     t = s * s + delta * delta
-    with np.errstate(divide="ignore", invalid="ignore"):
-        logmag = np.log(mu) + 0.5 * (p - 2.0) * np.log(t) + np.log(np.abs(s))
+    return t, np.log(t)
+
+
+def _flux(s, t, log_t, log_mu, params):
+    p, delta = params.p, params.delta
+    logmag = log_mu + 0.5 * (p - 2.0) * log_t + np.log(np.abs(s))
     if delta * delta == 0.0:
         # only here can t vanish; otherwise log|s| = -inf at s = 0 already
         # gives the zero flux
@@ -70,17 +97,10 @@ def viscous_flux(s, params):
     return np.sign(s) * np.exp(logmag)
 
 
-def viscous_flux_derivative(s, params):
-    """d/ds of the regularized flux: mu t^((p-4)/2) ((p-1) s^2 + delta^2)."""
-    if np.ndim(s) == 0:
-        return float(viscous_flux_derivative(np.array([s], dtype=float),
-                                             params)[0])
-    s = np.asarray(s, dtype=float)
+def _flux_derivative(s, t, log_t, log_mu, params):
     p, mu, delta = params.p, params.mu, params.delta
-    t = s * s + delta * delta
     num = (p - 1.0) * s * s + delta * delta
-    with np.errstate(divide="ignore", invalid="ignore"):
-        logmag = np.log(mu) + 0.5 * (p - 4.0) * np.log(t) + np.log(num)
+    logmag = log_mu + 0.5 * (p - 4.0) * log_t + np.log(num)
     t_can_vanish = delta * delta == 0.0
     if t_can_vanish:
         logmag = np.where(t == 0.0, -np.inf, logmag)
@@ -93,7 +113,8 @@ def viscous_flux_derivative(s, params):
 
 
 class PowerLawModel(Model1D):
-    """Adapter wiring PowerLawParams into the shared 1D stepper."""
+    """Adapter wiring PowerLawParams into the shared 1D stepper. Its
+    shared intermediates are t = s^2 + delta^2 and log t."""
 
     name = "powerlaw1d"
 
@@ -102,13 +123,21 @@ class PowerLawModel(Model1D):
             raise ValidationError("delta: delta > 0 required for p > 2 (Newton "
                                   "needs a nondegenerate Jacobian at zero shear)")
         super().__init__(params, g)
+        self._log_mu = np.log(params.mu)
 
+    def _intermediates(self, s):
+        return _log_terms(s, self.params.delta)
+
+    @_IGNORE_LOG_ERRORS
     def flux(self, s):
-        return viscous_flux(s, self.params)
+        return _flux(s, *self._shared(s), self._log_mu, self.params)
 
+    @_IGNORE_LOG_ERRORS
     def dflux(self, s):
-        return viscous_flux_derivative(s, self.params)
+        return _flux_derivative(s, *self._shared(s), self._log_mu,
+                                self.params)
 
+    @np.errstate(divide="ignore", over="ignore")
     def potential(self, s):
         """Convex primitive of the flux: (mu/p) (s^2 + delta^2)^(p/2).
 
@@ -116,9 +145,11 @@ class PowerLawModel(Model1D):
         rejects them); no exception is raised here.
         """
         pr = self.params
-        t = s * s + pr.delta * pr.delta
-        with np.errstate(divide="ignore", over="ignore"):
-            return pr.mu / pr.p * np.exp(0.5 * pr.p * np.log(np.maximum(t, 1e-320)))
+        t, log_t = self._shared(s)
+        if pr.delta * pr.delta < 1e-320:
+            # t may lie below the floor; otherwise t >= delta^2 >= it
+            log_t = np.log(np.maximum(t, 1e-320))
+        return pr.mu / pr.p * np.exp(0.5 * pr.p * log_t)
 
     def lp_term(self, s, f, g):
         """(1/p) int (s^2+d^2)^((p-2)/2) s^2 from the face shear s and its

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import Params, SolverDivergence, VacuumError
+from .errors import Params, SolverDivergence, VacuumError, newton_rules
 from .grids import ddx_2d, div_2d, integrate, sym_grad_2d
 from .trajectory import DiagnosticsRecord, State2D, Trajectory
 
@@ -42,7 +42,7 @@ class Stokes2DParams(Params):
             ("p", self.p >= 2, "power-law exponent p must be >= 2"),
             ("gamma", self.gamma > 1, "adiabatic exponent gamma must exceed 1"),
             ("cfl", 0 < self.cfl <= 1, "cfl must lie in (0, 1]"),
-        ]
+        ] + newton_rules(self)
 
 
 def _weight(D, p, delta):

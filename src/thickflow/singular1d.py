@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConstraintViolation, Params, VacuumError
+from .errors import ConstraintViolation, Params, VacuumError, newton_rules
 from .grids import integrate
 from .stepper1d import (Model1D, advance, barotropic_llf_update, face_shear,
                         implicit_shear_solve, material_derivative)
@@ -44,48 +44,71 @@ class SingularParams(Params):
             ("theta", 0 < self.theta < 1,
              "fraction-to-boundary factor theta must be in (0, 1)"),
             ("cfl", 0 < self.cfl <= 1, "cfl must lie in (0, 1]"),
-        ]
+        ] + newton_rules(self)
 
 
 def singular_flux(s, eps):
     """eps s / sqrt(1 - s^2); odd, strictly monotone, blows up at |s| -> 1."""
     s_arr = np.atleast_1d(np.asarray(s, dtype=float))
-    if np.any(np.abs(s_arr) >= 1.0):
-        raise ConstraintViolation(
-            f"shear magnitude {float(np.max(np.abs(s_arr))):.6g} reached the "
-            "|du/dx| = 1 barrier")
-    out = eps * s_arr / np.sqrt(1.0 - s_arr * s_arr)
+    out = _flux(s_arr, _barrier_terms(s_arr), eps)
     return float(out[0]) if np.ndim(s) == 0 else out
 
 
 def singular_flux_derivative(s, eps):
     s_arr = np.atleast_1d(np.asarray(s, dtype=float))
-    if np.any(np.abs(s_arr) >= 1.0):
-        raise ConstraintViolation("shear at the barrier in flux derivative")
-    out = eps * (1.0 - s_arr * s_arr) ** -1.5
+    out = _flux_derivative(s_arr, _barrier_terms(s_arr), eps)
     return float(out[0]) if np.ndim(s) == 0 else out
 
 
+@np.errstate(invalid="ignore")
+def _barrier_terms(s):
+    """1 - s^2, its square root (nan where s is outside the barrier) and
+    max |s|."""
+    q = 1.0 - s * s
+    return q, np.sqrt(q), float(np.abs(s).max())
+
+
+def _outside(s, smax):
+    """True when some |s| >= 1; smax = max |s| is nan when s holds a nan."""
+    return not smax < 1.0 and bool(np.any(np.abs(s) >= 1.0))
+
+
+def _flux(s, terms, eps):
+    _, root, smax = terms
+    if _outside(s, smax):
+        raise ConstraintViolation(
+            f"shear magnitude {smax:.6g} reached the |du/dx| = 1 barrier")
+    return eps * s / root
+
+
+def _flux_derivative(s, terms, eps):
+    q, _, smax = terms
+    if _outside(s, smax):
+        raise ConstraintViolation("shear at the barrier in flux derivative")
+    return eps * q ** -1.5
+
+
 class SingularModel(Model1D):
-    """Adapter wiring SingularParams into the shared 1D stepper."""
+    """Adapter wiring SingularParams into the shared 1D stepper. Its
+    shared intermediates are 1 - s^2, its square root and max |s|."""
 
     name = "singular1d"
 
+    _intermediates = staticmethod(_barrier_terms)
+
     def flux(self, s):
-        return singular_flux(s, self.params.eps)
+        return _flux(s, self._shared(s), self.params.eps)
 
     def dflux(self, s):
-        return singular_flux_derivative(s, self.params.eps)
+        return _flux_derivative(s, self._shared(s), self.params.eps)
 
     def potential(self, s):
         """Convex primitive of the barrier flux: -eps sqrt(1 - s^2),
         +inf outside the feasible region (merit line search rejects)."""
-        eps = self.params.eps
-        t = 1.0 - s * s
-        out = np.full_like(s, np.inf)
-        inside = t > 0
-        out[inside] = -eps * np.sqrt(t[inside])
-        return out
+        q, root, smax = self._shared(s)
+        if smax < 1.0:
+            return -self.params.eps * root
+        return np.where(q > 0, -self.params.eps * root, np.inf)
 
     def lp_term(self, s, f, g):
         # no L^p norm term for the singular model

@@ -28,12 +28,13 @@ step-length safeguard (fraction-to-boundary for the barrier flux).
 import functools
 import importlib.machinery
 import importlib.util
+import math
 import os
 
 import numpy as np
 
 from .errors import FluxOverflow, NewtonDivergence, StepFailure, VacuumError
-from .grids import ddx_periodic, integrate
+from .grids import _wrap_diff, ddx_periodic, integrate
 from .trajectory import DiagnosticsRecord, State1D, Trajectory
 
 
@@ -121,10 +122,12 @@ def _dgtsv():
     return flapack.dgtsv
 
 
-def _gtsv(dl, d, du, b):
+def _gtsv(dl, d, du, b, overwrite=0):
     """Solution of the tridiagonal system (dl, d, du) x = b, and the
-    diagonal of U of its elimination; the arguments are not modified."""
-    _, u_diag, _, x, info = _dgtsv()(dl, d, du, b)
+    diagonal of U of its elimination. With overwrite=1 these results
+    may be written over d and b; with 0 no argument is modified."""
+    _, u_diag, _, x, info = _dgtsv()(dl, d, du, b, overwrite_d=overwrite,
+                                     overwrite_b=overwrite)
     if info != 0:
         raise np.linalg.LinAlgError("singular matrix")
     return x, u_diag
@@ -219,7 +222,7 @@ def solve_cyclic_tridiag(lower, diag, upper, rhs):
         b[:, 0] = rhs
         b[0, 1] = gamma
         b[-1, 1] = alpha
-        sol, _ = _gtsv(dl, d, du, b)
+        sol, _ = _gtsv(dl, d, du, b, overwrite=1)
         y, z = sol[:, 0], sol[:, 1]
         return y - z * _correction(y, z, beta, gamma)
 
@@ -271,13 +274,17 @@ def implicit_shear_solve(u_init, u_star, rho, dt, g, flux, dflux,
     w = rho / dt
     half_w = 0.5 * w
 
+    def diff(a, scheme):
+        """ddx_periodic(a, g, scheme) of a float array."""
+        return _wrap_diff(a, np.empty_like(a), scheme, dx)
+
     def evaluate(u):
         """Face shear, flux, residual, its scaled norm, and the merit
         value in one pass."""
-        s = face_shear(u, g)
+        s = diff(u, "forward")
         f = flux(s)
         du = u - u_star
-        r = w * du - ddx_periodic(f, g, "backward")
+        r = w * du - diff(f, "backward")
         rn = float((np.abs(r) / w).max())
         phi = float((half_w * du**2 + potential(s)).sum() * dx)
         return s, f, r, rn, phi
@@ -292,7 +299,7 @@ def implicit_shear_solve(u_init, u_star, rho, dt, g, flux, dflux,
     res_history = [rnorm]
     damping_history = []
 
-    u_scale = max(1.0, float(np.max(np.abs(u))))
+    u_scale = max(1.0, float(np.abs(u).max()))
     for _ in range(max_iter):
         if rnorm < tol:
             return result()
@@ -301,8 +308,17 @@ def implicit_shear_solve(u_init, u_star, rho, dt, g, flux, dflux,
         diag = w + (fp + fp_behind) / dx**2
         upper = -fp / dx**2
         lower = -fp_behind / dx**2
-        delta = solve_cyclic_tridiag(lower, diag, upper, -r)
-        if float(np.max(np.abs(delta))) <= 1e-15 * u_scale:
+        # a Jacobian too ill-conditioned to solve can give a non-finite
+        # direction (a Sherman-Morrison denominator that rounds to 0):
+        # it is caught below, not warned about
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            delta = solve_cyclic_tridiag(lower, diag, upper, -r)
+        delta_max = float(np.abs(delta).max())
+        if not math.isfinite(delta_max):
+            raise NewtonDivergence(
+                f"non-finite Newton direction at residual {rnorm:.3e}",
+                last_residual=rnorm, damping_history=damping_history)
+        if delta_max <= 1e-15 * u_scale:
             # update below floating-point representability: near the shear
             # barrier one ulp of u can move the scaled residual above tol,
             # so this is convergence to the attainable floor
@@ -310,19 +326,19 @@ def implicit_shear_solve(u_init, u_star, rho, dt, g, flux, dflux,
 
         alpha = 1.0
         if ftb_theta is not None:
-            mcur = float(np.max(np.abs(s)))
+            mcur = float(np.abs(s).max())
             bound = (1.0 - ftb_theta) + ftb_theta * mcur
-            ds = face_shear(delta, g)
+            ds = diff(delta, "forward")
             up = ds > 0
             dn = ds < 0
             cap = np.inf
-            if np.any(up):
-                cap = min(cap, float(np.min((bound - s[up]) / ds[up])))
-            if np.any(dn):
-                cap = min(cap, float(np.min((-bound - s[dn]) / ds[dn])))
+            if up.any():
+                cap = min(cap, float(((bound - s[up]) / ds[up]).min()))
+            if dn.any():
+                cap = min(cap, float(((-bound - s[dn]) / ds[dn]).min()))
             alpha = min(1.0, cap)
 
-        slope = float(np.sum(r * delta) * dx)  # < 0: descent for Phi
+        slope = float((r * delta).sum() * dx)  # < 0: descent for Phi
         for _ in range(60):
             try:
                 u_new = u + alpha * delta
@@ -330,7 +346,7 @@ def implicit_shear_solve(u_init, u_star, rho, dt, g, flux, dflux,
             except FluxOverflow:
                 alpha *= 0.5
                 continue
-            if np.isfinite(phi_new) and np.isfinite(rn_new) \
+            if math.isfinite(phi_new) and math.isfinite(rn_new) \
                     and phi_new <= phi + 1e-4 * alpha * slope:
                 break
             alpha *= 0.5
@@ -341,7 +357,7 @@ def implicit_shear_solve(u_init, u_star, rho, dt, g, flux, dflux,
         u, s, f, r, rnorm, phi = u_new, s_new, f_new, r_new, rn_new, phi_new
         res_history.append(rnorm)
         damping_history.append(alpha)
-        if alpha * float(np.max(np.abs(delta))) <= 1e-15 * u_scale:
+        if alpha * delta_max <= 1e-15 * u_scale:
             # accepted increment below representability (barrier-capped
             # steps can shrink to sub-ulp size): attainable floor reached
             return result(at_floor=True)
@@ -354,7 +370,15 @@ def implicit_shear_solve(u_init, u_star, rho, dt, g, flux, dflux,
 class Model1D:
     """Part shared by the 1D models, which add flux, dflux, potential,
     lp_term, step and run. step returns the new state, the increments of
-    the cumulative records, and the info of its Newton solve."""
+    the cumulative records, and the info of its Newton solve.
+
+    flux, dflux and potential of one shear array share intermediates,
+    which the model's _intermediates(s) computes (for the power law
+    s^2 + delta^2 and its log). _shared(s) keeps them for one array
+    only, the last one it saw, keyed by identity and holding a reference
+    to it: a caller must not change s in place between those calls.
+    Each method still makes its own checks and raises on a memo hit.
+    """
 
     def __init__(self, params, g):
         self.params = params
@@ -362,6 +386,14 @@ class Model1D:
         self.a = params.a
         self.gamma = params.gamma
         self.cfl = params.cfl
+        self._memo_s = self._memo = None
+
+    def _shared(self, s):
+        """The intermediates of shear s, computed once per array."""
+        if s is not self._memo_s:
+            self._memo = self._intermediates(s)
+            self._memo_s = s
+        return self._memo
 
     def stress(self, state):
         """Cell-centered Cauchy stress flux(du/dx) - a rho^gamma."""

@@ -152,13 +152,25 @@ REJECTED = [
      r"checks.eta: every eta must be positive, got \[0.0, 0.05\]"),
     ("[sweep]\nkind = p\nvalues = 4, 8\n[checks]\nbank_size = 0",
      "checks.bank_size: must be >= 1, got 0"),
+    ("[params]\nnewton_max_iter = 0",
+     "params.newton_max_iter: Newton iteration budget newton_max_iter must "
+     "be >= 1"),
+    ("[params]\nnewton_tol = 0",
+     "params.newton_tol: Newton tolerance newton_tol must be positive"),
+    ("[model]\nkind = singular1d\n[params]\nnewton_tol = -1e-12",
+     "params.newton_tol: Newton tolerance newton_tol must be positive"),
+    ("[model]\nkind = singular1d\n[params]\nnewton_max_iter = 0",
+     "params.newton_max_iter: Newton iteration budget newton_max_iter must "
+     "be >= 1"),
 ]
 REJECTED_IDS = ["eps_without_values", "cross_grids_not_nested",
                 "cross_without_values", "cross_without_eps_values",
                 "labels_collide", "mu_negative", "a_zero", "delta_zero",
                 "theta_above_1", "p_not_a_number", "sweep_p_below_2",
                 "sweep_value_not_a_number", "cross_p_below_2", "sweep_2d",
-                "eta_zero", "bank_size_zero"]
+                "eta_zero", "bank_size_zero", "newton_max_iter_zero",
+                "newton_tol_zero", "singular_newton_tol_negative",
+                "singular_newton_max_iter_zero"]
 
 
 @pytest.mark.parametrize("sweep, message", REJECTED, ids=REJECTED_IDS)
@@ -203,6 +215,22 @@ def test_all_rule_failures_of_one_params_class_reported():
     with pytest.raises(ValueError) as exc:
         PowerLawParams(p=1.0, gamma=0.5, cfl=7.0)
     assert [e.split(":")[0] for e in exc.value.errors] == ["p", "gamma", "cfl"]
+
+
+def test_2d_newton_budget_rejected_before_any_run(tmp_path, capsys):
+    cfgp = tmp_path / "bad.cfg"
+    cfgp.write_text("[model]\nkind = semistationary2d\n"
+                    "[grid]\nnx = 16\nny = 16\n"
+                    "[params]\nnewton_tol = 0\nnewton_max_iter = 0\n"
+                    "[initial]\nrho_modes = 1, 0, 0.3, 0.0\n"
+                    "[time]\nT = 0.02\n")
+    out = tmp_path / "run"
+    assert main(["run", str(cfgp), "--output", str(out), "--quiet"]) == 2
+    assert not out.exists()
+    assert capsys.readouterr().err == (
+        "config error: params.newton_tol: Newton tolerance newton_tol must be "
+        "positive; params.newton_max_iter: Newton iteration budget "
+        "newton_max_iter must be >= 1\n")
 
 
 class _FourierField1D:

@@ -1,12 +1,14 @@
 """The 1D stepper's kernels against the forms they replaced: the cyclic
 tridiagonal solve against scipy.linalg.solve_banded, and the slice
 shifts against np.roll. Each must reproduce its reference bit for bit.
-Also the loading of LAPACK dgtsv and the failure paths of advance and
-of the Newton line search."""
+Also the loading of LAPACK dgtsv, the failure paths of advance and of
+the Newton solve, and the fraction-to-boundary bound on its trial
+points."""
 
 import importlib.util
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -15,7 +17,7 @@ import pytest
 from scipy.linalg import solve_banded
 from test_tracer_names import RUN_1D, RUN_2D
 
-from thickflow import powerlaw1d, stepper1d
+from thickflow import cli, powerlaw1d, stepper1d
 from thickflow.diagnostics import check_conservation
 from thickflow.errors import FluxOverflow, NewtonDivergence, StepFailure
 from thickflow.grids import Grid1D
@@ -405,3 +407,90 @@ def test_flux_overflow_in_line_search_halves_the_step():
     assert info["residuals"][-1] < 1e-12
     assert np.array_equal(info["shear"], face_shear(u_new, g))
     assert np.array_equal(info["flux"], m.flux(info["shear"]))
+
+
+def test_fraction_to_boundary_keeps_every_trial_point_feasible():
+    # a capped singular solve that starts at max|s| = 0.999 and is pushed
+    # outward: each trial shear stays inside 1 - theta (1 - max|s_current|)
+    g, theta = Grid1D(64), 0.95
+    m = SingularModel(SingularParams(eps=1e-2, theta=theta), g)
+    rho = 1.0 + 0.3 * np.sin(2 * np.pi * g.x)
+    u = np.sin(2 * np.pi * g.x)
+    u *= 0.999 / np.abs(face_shear(u, g)).max()
+    events = []
+
+    def flux(s):
+        events.append(("flux", s.copy()))
+        return m.flux(s)
+
+    def dflux(s):
+        events.append(("dflux", s.copy()))
+        return m.dflux(s)
+
+    _, info = implicit_shear_solve(u, 1.5 * u, rho, 1e-2, g, flux, dflux,
+                                   1e-12, 800, m.potential, theta)
+    assert info["residuals"][-1] < 1e-12 or info.get("at_floor")
+    bound = None
+    on_bound = 0
+    trials = 0
+    for kind, s in events:
+        smax = float(np.abs(s).max())
+        if kind == "dflux":   # the current iterate of the next trials
+            bound = (1.0 - theta) + theta * smax
+        elif bound is not None:
+            trials += 1
+            assert smax < 1.0
+            # one rounding of u + alpha delta away from the bound at most
+            assert smax <= bound + 1e-14
+            on_bound += smax > bound - 1e-14
+    assert trials >= len(info["damping"]) > 0
+    assert on_bound > 0
+    # a capped step is damped by a factor that is no power of one half
+    assert any(a < 1.0 and np.log2(a) % 1.0 != 0.0 for a in info["damping"])
+
+
+NAN_DIRECTION = """
+[model]
+kind = powerlaw1d
+[grid]
+n = 32
+[params]
+p = 64
+a = 2.0
+gamma = 2.0
+[initial]
+rho_modes = 1, 0.15, 0.25
+u_modes = 1, 0.0, 2.0
+[time]
+T = 0.05
+snapshots = 8
+"""
+
+
+def test_non_finite_newton_direction_fails_fast(tmp_path, capsys,
+                                                monkeypatch):
+    # the Jacobian's diagonal spans 2e25..1e74 and the Sherman-Morrison
+    # denominator rounds to 0: every try stops at its first non-finite
+    # direction (the first or the second), without a line search on nan
+    # trial points
+    cfg = tmp_path / "nan.cfg"
+    cfg.write_text(NAN_DIRECTION)
+    calls = []
+    for name in ("step", "flux"):
+        method = getattr(PowerLawModel, name)
+
+        def counted(self, *args, _name=name, _method=method, **kwargs):
+            calls.append(_name)
+            return _method(self, *args, **kwargs)
+
+        monkeypatch.setattr(PowerLawModel, name, counted)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert cli.main(["run", str(cfg), "--output", str(tmp_path / "o"),
+                         "--quiet"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("solver failure: StepFailure: step failed at t = 0:"
+                          " non-finite Newton direction")
+    tries = "".join("s" if c == "step" else "f" for c in calls).split("s")
+    assert len(tries) == 12   # the initial record, then 11 tries
+    assert all(len(t) <= 2 for t in tries)
