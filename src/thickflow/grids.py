@@ -99,22 +99,21 @@ def ddx_2d(f, g, axis, scheme="central"):
 def _wrap_diff(a, d, scheme, h):
     """Periodic difference of a along its first axis, written into d.
 
-    Slice differences with the wrap-around entries written separately;
+    Slice differences with the wrap-around entries assigned separately;
     each entry is the same floating-point expression as the np.roll form.
     """
-    sub = np.subtract
     if scheme == "central":
-        sub(a[2:], a[:-2], out=d[1:-1])
-        sub(a[1:2], a[-1:], out=d[:1])
-        sub(a[:1], a[-2:-1], out=d[-1:])
+        np.subtract(a[2:], a[:-2], out=d[1:-1])
+        d[0] = a[1] - a[-1]
+        d[-1] = a[0] - a[-2]
         d /= 2.0 * h
     elif scheme == "forward":
-        sub(a[1:], a[:-1], out=d[:-1])
-        sub(a[:1], a[-1:], out=d[-1:])
+        np.subtract(a[1:], a[:-1], out=d[:-1])
+        d[-1] = a[0] - a[-1]
         d /= h
     elif scheme == "backward":
-        sub(a[1:], a[:-1], out=d[1:])
-        sub(a[:1], a[-1:], out=d[:1])
+        np.subtract(a[1:], a[:-1], out=d[1:])
+        d[0] = a[0] - a[-1]
         d /= h
     else:
         raise ValueError(f"unknown scheme {scheme!r}")

@@ -109,11 +109,11 @@ def _multiplier_defect(traj, snapshot):
         tau = model_1d(traj.params, g).flux(ddx_periodic(snapshot.u, g))
         _, resid = lagrange_multiplier(snapshot.u, tau, g)
         return resid
-    from .semistationary2d import _weight
+    from .semistationary2d import _strain, _weight
 
-    D = sym_grad_2d(snapshot.u, g)
+    D, log_t = _strain(snapshot.u, g, traj.params.delta)
     dn = sym_grad_norm(D)
-    pi = _weight(D, traj.params.p, traj.params.delta) * dn
+    pi = _weight(log_t, traj.params.p) * dn
     return integrate(pi * np.maximum(0.0, 1.0 - dn), g)
 
 

@@ -15,15 +15,19 @@ Minimization uses limited-memory BFGS with Armijo backtracking on J.
 Its initial inverse Hessian is the scaled inverse of the p = 2 operator
 w (|K|^2 I + K K^T)/2, inverted mode-by-mode in Fourier space; Newton
 is avoided because the Hessian degenerates wherever |Du| is small at
-large p.
+large p. Each iterate's strain Dv and log(|Dv|^2 + delta^2) are
+computed once and shared by J, grad J and the preconditioner scale, and
+P is applied to the two fields of an iteration with one batched pair
+of FFTs.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import Params, SolverDivergence, VacuumError, newton_rules
-from .grids import ddx_2d, div_2d, integrate, sym_grad_2d
+from .grids import ddx_2d, integrate, sym_grad_2d
 from .trajectory import DiagnosticsRecord, State2D, Trajectory
 
 
@@ -45,31 +49,56 @@ class Stokes2DParams(Params):
         ] + newton_rules(self)
 
 
-def _weight(D, p, delta):
-    """(|D|^2 + delta^2)^((p-2)/2), evaluated safely for large p."""
+def _strain(v, g, delta):
+    """Dv and log(|Dv|^2 + delta^2), the log floored at 1e-320."""
+    D = sym_grad_2d(v, g)
     t = D[0] ** 2 + D[1] ** 2 + 2.0 * D[2] ** 2 + delta * delta
-    with np.errstate(divide="ignore", over="ignore"):
-        return np.exp(0.5 * (p - 2.0) * np.log(np.maximum(t, 1e-320)))
+    return D, np.log(np.maximum(t, 1e-320))
 
 
-def functional(v, rho_gamma_a, g, p, delta):
+def _weight(log_t, p):
+    """(|D|^2 + delta^2)^((p-2)/2) from its log, safe for large p."""
+    with np.errstate(over="ignore"):
+        return np.exp(0.5 * (p - 2.0) * log_t)
+
+
+def _grad(f, g):
+    """Central-difference gradient of a scalar field, as two arrays."""
+    return ddx_2d(f, g, axis=0), ddx_2d(f, g, axis=1)
+
+
+def _shared(memo, compute, x, *args):
+    """compute(x, *args); with a solve's memo dict, once per array x.
+
+    An entry is reused while x is the same object, and holds x, so its
+    id is not recycled. It is therefore stale if x is changed in place,
+    which is why the solve owns the memo and no module state does.
+    """
+    if memo is None:
+        return compute(x, *args)
+    hit = memo.get(compute)
+    if hit is None or hit[0] is not x:
+        hit = memo[compute] = (x, compute(x, *args))
+    return hit[1]
+
+
+def functional(v, rho_gamma_a, g, p, delta, memo=None):
     """J(v); +inf is possible for wild iterates at large p."""
-    D = sym_grad_2d(v, g)
-    t = D[0] ** 2 + D[1] ** 2 + 2.0 * D[2] ** 2 + delta * delta
-    with np.errstate(divide="ignore", over="ignore"):
-        dens = np.exp(0.5 * p * np.log(np.maximum(t, 1e-320))) / p
-    return float(np.sum(dens - rho_gamma_a * div_2d(v, g)) * g.dx * g.dy)
+    D, log_t = _shared(memo, _strain, v, g, delta)
+    with np.errstate(over="ignore"):
+        dens = np.exp(0.5 * p * log_t) / p
+    # D[0] + D[1] is the central divergence, bit for bit
+    return float((dens - rho_gamma_a * (D[0] + D[1])).sum() * g.dx * g.dy)
 
 
-def functional_gradient(v, rho_gamma_a, g, p, delta):
+def functional_gradient(v, rho_gamma_a, g, p, delta, memo=None):
     """Discrete adjoint gradient of J: -div(W Dv) + grad(a rho^gamma)."""
-    D = sym_grad_2d(v, g)
-    W = _weight(D, p, delta)
+    D, log_t = _shared(memo, _strain, v, g, delta)
+    W = _weight(log_t, p)
     s11, s22, s12 = W * D[0], W * D[1], W * D[2]
-    g1 = -(ddx_2d(s11, g, axis=0) + ddx_2d(s12, g, axis=1)) \
-        + ddx_2d(rho_gamma_a, g, axis=0)
-    g2 = -(ddx_2d(s12, g, axis=0) + ddx_2d(s22, g, axis=1)) \
-        + ddx_2d(rho_gamma_a, g, axis=1)
+    r1, r2 = _shared(memo, _grad, rho_gamma_a, g)
+    g1 = -(ddx_2d(s11, g, axis=0) + ddx_2d(s12, g, axis=1)) + r1
+    g2 = -(ddx_2d(s12, g, axis=0) + ddx_2d(s22, g, axis=1)) + r2
     return np.stack([g1, g2])
 
 
@@ -100,12 +129,14 @@ class _FourierPreconditioner:
         self.i12 = np.where(null, 0.0, -a12 / det)
 
     def apply(self, r):
-        r1 = np.fft.rfft2(r[0])
-        r2 = np.fft.rfft2(r[1])
-        z1 = self.i11 * r1 + self.i12 * r2
-        z2 = self.i12 * r1 + self.i22 * r2
-        n = r[0].shape
-        return np.stack([np.fft.irfft2(z1, s=n), np.fft.irfft2(z2, s=n)])
+        """P r for vector fields r stacked as (..., 2, nx, ny), with one
+        forward and one inverse transform for the whole stack."""
+        R = np.fft.rfft2(r)
+        r1, r2 = R[..., 0, :, :], R[..., 1, :, :]
+        Z = np.empty_like(R)
+        Z[..., 0, :, :] = self.i11 * r1 + self.i12 * r2
+        Z[..., 1, :, :] = self.i12 * r1 + self.i22 * r2
+        return np.fft.irfft2(Z, s=r.shape[-2:])
 
 
 def solve_momentum(rho, params, g, u_init=None):
@@ -117,9 +148,14 @@ def solve_momentum(rho, params, g, u_init=None):
     P the Fourier p = 2 preconditioner and gamma_k = s'y / y'Py from the
     newest pair (Nocedal & Wright, Numerical Optimization, 2nd ed., eq.
     7.20, preconditioned); the clipped viscosity of P alone makes unit
-    steps far too long. Returns the minimizer; raises SolverDivergence
-    with the iteration trace if the gradient norm fails to reach
-    newton_tol.
+    steps far too long. P q and P y come from one batched call.
+
+    Each iterate's strain Dv and log(|Dv|^2 + delta^2) are computed
+    once: functional at a trial point leaves them in the solve's memo,
+    and functional_gradient and the preconditioner scale of the
+    accepted point read them there; grad(a rho^gamma) is computed once
+    per solve. Returns the minimizer; raises SolverDivergence with the
+    iteration trace if the gradient norm fails to reach newton_tol.
     """
     p, delta, a = params.p, params.delta, params.a
     rga = a * rho**params.gamma
@@ -127,19 +163,20 @@ def solve_momentum(rho, params, g, u_init=None):
     u -= u.mean(axis=(1, 2), keepdims=True)
 
     area = g.dx * g.dy
+    memo = {}  # shared by the calls on one iterate; see _shared
 
     def gnorm(grad):
-        return float(np.sqrt(np.sum(grad**2) * area))
+        return math.sqrt((grad * grad).sum() * area)
 
     def make_precond(v):
         # weight = typical effective viscosity of the iterate, clipped:
         # a cold start has W ~ delta^(p-2), which is a useless scale
-        D = sym_grad_2d(v, g)
-        w0 = float(np.median(_weight(D, p, delta)))
+        _, log_t = _shared(memo, _strain, v, g, delta)
+        w0 = float(np.median(_weight(log_t, p)))
         return _FourierPreconditioner(g, min(max(w0, 1e-3), 1e3))
 
-    J = functional(u, rga, g, p, delta)
-    grad = functional_gradient(u, rga, g, p, delta)
+    J = functional(u, rga, g, p, delta, memo)
+    grad = functional_gradient(u, rga, g, p, delta, memo)
     gn = gnorm(grad)
     precond = make_precond(u)
     memory = []  # (s, y, 1/<y, s>) pairs, most recent last
@@ -153,39 +190,42 @@ def solve_momentum(rho, params, g, u_init=None):
         q = grad.copy()
         alphas = []
         for s, y, irho in reversed(memory):
-            a_k = irho * float(np.sum(s * q))
+            a_k = irho * float((s * q).sum())
             alphas.append(a_k)
             q -= a_k * y
-        z = precond.apply(q)
         if memory:
             _, y, irho = memory[-1]
-            z /= irho * float(np.sum(y * precond.apply(y)))
+            z, Py = precond.apply(np.stack([q, y]))
+            z /= irho * float((y * Py).sum())
+        else:
+            z = precond.apply(q)
         for (s, y, irho), a_k in zip(memory, reversed(alphas)):
-            b_k = irho * float(np.sum(y * z))
+            b_k = irho * float((y * z).sum())
             z += (a_k - b_k) * s
         d = -z
-        slope = float(np.sum(grad * d) * area)
+        slope = float((grad * d).sum() * area)
         if slope >= 0:  # curvature info stale; restart
             memory.clear()
             precond = make_precond(u)
             d = -precond.apply(grad)
-            slope = float(np.sum(grad * d) * area)
+            slope = float((grad * d).sum() * area)
         alpha = 1.0
         for _ in range(80):
-            J_new = functional(u + alpha * d, rga, g, p, delta)
-            if np.isfinite(J_new) and J_new <= J + 1e-4 * alpha * slope:
+            u_new = u + alpha * d
+            J_new = functional(u_new, rga, g, p, delta, memo)
+            if math.isfinite(J_new) and J_new <= J + 1e-4 * alpha * slope:
                 break
             alpha *= 0.5
         else:
             raise SolverDivergence(
                 f"line search stalled at |grad J| = {gn:.3e}", trace=trace)
         step = alpha * d
-        u = u + step
+        u = u_new
         J = J_new
-        grad_new = functional_gradient(u, rga, g, p, delta)
+        grad_new = functional_gradient(u, rga, g, p, delta, memo)
         yk = grad_new - grad
-        ys = float(np.sum(yk * step))
-        if ys > 1e-14 * float(np.sqrt(np.sum(yk**2) * np.sum(step**2))):
+        ys = float((yk * step).sum())
+        if ys > 1e-14 * math.sqrt((yk * yk).sum() * (step * step).sum()):
             memory.append((step, yk, 1.0 / ys))
             if len(memory) > 12:
                 memory.pop(0)
@@ -226,10 +266,10 @@ def _record_2d(state, g, params, dt, acc):
     """Diagnostics of one state; leaves its dissipation rate
     int W |Du|^2 in acc["rate"] for the next step's accumulation."""
     rho, u = state.rho, state.u
-    D = sym_grad_2d(u, g)
+    D, log_t = _strain(u, g, params.delta)
     dsq = D[0] ** 2 + D[1] ** 2 + 2.0 * D[2] ** 2
     dn = np.sqrt(dsq)
-    W = _weight(D, params.p, params.delta)
+    W = _weight(log_t, params.p)
     acc["rate"] = integrate(W * dsq, g)
     sigma = W * dn - params.a * rho**params.gamma
     energy = params.a / (params.gamma - 1.0) * integrate(rho**params.gamma, g)
