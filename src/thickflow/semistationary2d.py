@@ -5,20 +5,26 @@ convex functional
 
     J(v) = (1/p) int (|Dv|^2 + delta^2)^(p/2) dx - a int rho^gamma div v dx
 
-over periodic mean-zero fields (the Euler-Lagrange equation is the
+over periodic velocity fields (the Euler-Lagrange equation is the
 momentum balance 0 = div(|Dv|^(p-2) Dv) - a grad rho^gamma), and the
 density is then advected by a conservative dimension-by-dimension
-upwind update. Velocity is determined only up to constants, so the
-mean-zero gauge makes the minimizer unique.
+upwind update. The central-difference strain cannot see the constant
+or, on an axis of even length, the Nyquist mode, so velocity is
+determined only up to these flat modes; the gauge that makes the
+minimizer unique is a zero mean over each parity class of cells
+(flat_mode_means). The system has no momentum invariant: int rho u
+drifts with the density.
 
 Minimization uses limited-memory BFGS with Armijo backtracking on J.
-Its initial inverse Hessian is the scaled inverse of the p = 2 operator
-w (|K|^2 I + K K^T)/2, inverted mode-by-mode in Fourier space; Newton
+Its initial inverse Hessian is H0 = s P1 s: P1 inverts the unit-weight
+p = 2 operator (|K|^2 I + K K^T)/2 mode-by-mode in Fourier space, and
+s = W^(-1/2) pointwise, the iterate's viscosity W = (|Dv|^2 +
+delta^2)^((p-2)/2) clipped to a factor BAND about its median; Newton
 is avoided because the Hessian degenerates wherever |Du| is small at
 large p. Each iterate's strain Dv and log(|Dv|^2 + delta^2) are
-computed once and shared by J, grad J and the preconditioner scale, and
-P is applied to the two fields of an iteration with one batched pair
-of FFTs.
+computed once and shared by J, grad J and the weight of H0, and H0 is
+applied to the two fields of an iteration with one batched pair of
+FFTs.
 """
 
 import math
@@ -29,6 +35,8 @@ import numpy as np
 from .errors import Params, SolverDivergence, VacuumError, newton_rules
 from .grids import ddx_2d, integrate, sym_grad_2d
 from .trajectory import DiagnosticsRecord, State2D, Trajectory
+
+BAND = 3.0  # the preconditioner weight is clipped to [w0/BAND, BAND w0]
 
 
 @dataclass
@@ -103,77 +111,121 @@ def functional_gradient(v, rho_gamma_a, g, p, delta, memo=None):
 
 
 class _FourierPreconditioner:
-    """Invert w (|K|^2 I + K K^T)/2 mode-by-mode.
+    """H0 q = s P1(s q), s = clip(W, w0/BAND, BAND w0)^(-1/2) pointwise.
 
-    K_j = sin(2 pi k_j h_j)/h_j is the central-difference symbol, so for
-    p = 2 and w = 1 this is the exact discrete momentum operator. The
+    P1 inverts the unit-weight p = 2 operator (|K|^2 I + K K^T)/2
+    mode-by-mode; K_j = sin(2 pi k_j h_j)/h_j is the central-difference
+    symbol, so P1 is the exact discrete p = 2 momentum inverse. The
     symbol vanishes on the zero mode and the pure Nyquist (checkerboard)
-    modes; those flat directions are projected out, which also stops
-    roundoff from leaking into them during the iteration.
+    modes, which J cannot see; P1 maps them to zero. The pointwise
+    scaling by the iterate's viscosity W is the cheapest form of the
+    weighted p = 2 preconditioner of Huang, Li & Liu (J. Sci. Comput. 32,
+    2007); w0 is the median of W clipped to [1e-3, 1e3], because a cold
+    start has W ~ delta^(p-2), which is a useless scale.
     """
 
-    def __init__(self, g, w):
+    def __init__(self, g, W):
         kx = np.fft.fftfreq(g.nx, d=g.dx)
         ky = np.fft.rfftfreq(g.ny, d=g.dy)
         Kx = (np.sin(2.0 * np.pi * kx * g.dx) / g.dx)[:, None]
         Ky = (np.sin(2.0 * np.pi * ky * g.dy) / g.dy)[None, :]
         k2 = Kx**2 + Ky**2
         null = k2 <= 1e-12 * float(np.max(k2))
-        a11 = 0.5 * w * (k2 + Kx**2)
-        a22 = 0.5 * w * (k2 + Ky**2)
-        a12 = 0.5 * w * (Kx * Ky)
-        det = a11 * a22 - a12**2   # = (w/2)^2 2 k2^2, zero only on null
+        a11 = 0.5 * (k2 + Kx**2)
+        a22 = 0.5 * (k2 + Ky**2)
+        a12 = 0.5 * (Kx * Ky)
+        det = a11 * a22 - a12**2   # = k2^2 / 2, zero only on null
         det[null] = 1.0
         self.i11 = np.where(null, 0.0, a22 / det)
         self.i22 = np.where(null, 0.0, a11 / det)
         self.i12 = np.where(null, 0.0, -a12 / det)
+        w0 = min(max(float(np.median(W)), 1e-3), 1e3)
+        self.s = np.clip(W, w0 / BAND, BAND * w0) ** -0.5
 
     def apply(self, r):
-        """P r for vector fields r stacked as (..., 2, nx, ny), with one
+        """H0 r for vector fields r stacked as (..., 2, nx, ny), with one
         forward and one inverse transform for the whole stack."""
-        R = np.fft.rfft2(r)
+        R = np.fft.rfft2(self.s * r)
         r1, r2 = R[..., 0, :, :], R[..., 1, :, :]
         Z = np.empty_like(R)
         Z[..., 0, :, :] = self.i11 * r1 + self.i12 * r2
         Z[..., 1, :, :] = self.i12 * r1 + self.i22 * r2
-        return np.fft.irfft2(Z, s=r.shape[-2:])
+        return self.s * np.fft.irfft2(Z, s=r.shape[-2:])
+
+
+def _parity_classes(u):
+    """u (c, nx, ny) viewed as (c, nx/sx, sx, ny/sy, sy), sx = 2 on an
+    even axis and 1 on an odd one: axes 2 and 4 index the class."""
+    c, nx, ny = u.shape
+    sx, sy = 2 - nx % 2, 2 - ny % 2
+    return u.reshape(c, nx // sx, sx, ny // sy, sy)
+
+
+def flat_mode_means(u):
+    """Per component, the mean of u over each parity class of cells.
+
+    On a periodic axis of even length the central difference cannot see
+    the constant or the Nyquist mode (-1)^i, so J cannot see the fields
+    that are constant on the classes (i mod 2, j mod 2): they are the
+    span of the flat modes. On an odd axis only the constant is flat,
+    and the class is the whole axis. The gauge of u is that these means
+    vanish.
+    """
+    return _parity_classes(u).mean(axis=(1, 3))
+
+
+def _remove_flat_modes(u):
+    """u less its flat modes: the orthogonal projection onto the gauge."""
+    v = _parity_classes(u)
+    return (v - v.mean(axis=(1, 3), keepdims=True)).reshape(u.shape)
+
+
+def _dot(a, b):
+    """<a, b> summed over all entries, by BLAS on the flat views."""
+    return float(np.dot(a.ravel(), b.ravel()))
 
 
 def solve_momentum(rho, params, g, u_init=None):
-    """Minimize J over mean-zero periodic velocity fields.
+    """Minimize J over periodic velocity fields in the flat-mode gauge.
 
     First-order method (the Hessian degenerates wherever |Du| is small
     at large p, so Newton is avoided): limited-memory BFGS with Armijo
-    backtracking on J. The two-loop recursion starts from H0 = gamma_k P,
-    P the Fourier p = 2 preconditioner and gamma_k = s'y / y'Py from the
-    newest pair (Nocedal & Wright, Numerical Optimization, 2nd ed., eq.
-    7.20, preconditioned); the clipped viscosity of P alone makes unit
-    steps far too long. P q and P y come from one batched call.
+    backtracking on J. The two-loop recursion starts from gamma_k H0,
+    H0 = s P1 s the viscosity-weighted Fourier p = 2 inverse (see
+    _FourierPreconditioner: s = W^(-1/2), W clipped to a factor BAND
+    about its median) and gamma_k = s'y / y'H0 y from the newest pair
+    (Nocedal & Wright, Numerical Optimization, 2nd ed., eq. 7.20,
+    preconditioned). H0 is built from the iterate's W at the start and
+    at each restart; H0 q and H0 y come from one batched call.
+
+    J and grad J cannot see the flat modes (the constant and, on even
+    axes, the Nyquist modes), and s P1 s does not keep them out of the
+    iterates, so they are removed once on entry and once on exit: the
+    minimizer returned has zero mean over each parity class of cells
+    (flat_mode_means), which makes it unique.
 
     Each iterate's strain Dv and log(|Dv|^2 + delta^2) are computed
     once: functional at a trial point leaves them in the solve's memo,
-    and functional_gradient and the preconditioner scale of the
-    accepted point read them there; grad(a rho^gamma) is computed once
-    per solve. Returns the minimizer; raises SolverDivergence with the
-    iteration trace if the gradient norm fails to reach newton_tol.
+    and functional_gradient and the weight of H0 at the accepted point
+    read them there; grad(a rho^gamma) is computed once per solve. Every
+    inner product is one BLAS dot. Returns the minimizer; raises
+    SolverDivergence with the iteration trace if the gradient norm fails
+    to reach newton_tol.
     """
     p, delta, a = params.p, params.delta, params.a
     rga = a * rho**params.gamma
-    u = np.zeros((2, g.nx, g.ny)) if u_init is None else u_init.copy()
-    u -= u.mean(axis=(1, 2), keepdims=True)
+    u = _remove_flat_modes(np.zeros((2, g.nx, g.ny)) if u_init is None
+                           else u_init)
 
     area = g.dx * g.dy
     memo = {}  # shared by the calls on one iterate; see _shared
 
     def gnorm(grad):
-        return math.sqrt((grad * grad).sum() * area)
+        return math.sqrt(_dot(grad, grad) * area)
 
     def make_precond(v):
-        # weight = typical effective viscosity of the iterate, clipped:
-        # a cold start has W ~ delta^(p-2), which is a useless scale
         _, log_t = _shared(memo, _strain, v, g, delta)
-        w0 = float(np.median(_weight(log_t, p)))
-        return _FourierPreconditioner(g, min(max(w0, 1e-3), 1e3))
+        return _FourierPreconditioner(g, _weight(log_t, p))
 
     J = functional(u, rga, g, p, delta, memo)
     grad = functional_gradient(u, rga, g, p, delta, memo)
@@ -184,31 +236,30 @@ def solve_momentum(rho, params, g, u_init=None):
 
     for it in range(params.newton_max_iter):
         if gn < params.newton_tol:
-            u -= u.mean(axis=(1, 2), keepdims=True)
-            return u
-        # two-loop recursion with H0 = gamma_k P
+            return _remove_flat_modes(u)
+        # two-loop recursion with gamma_k H0
         q = grad.copy()
         alphas = []
         for s, y, irho in reversed(memory):
-            a_k = irho * float((s * q).sum())
+            a_k = irho * _dot(s, q)
             alphas.append(a_k)
             q -= a_k * y
         if memory:
             _, y, irho = memory[-1]
             z, Py = precond.apply(np.stack([q, y]))
-            z /= irho * float((y * Py).sum())
+            z /= irho * _dot(y, Py)
         else:
             z = precond.apply(q)
         for (s, y, irho), a_k in zip(memory, reversed(alphas)):
-            b_k = irho * float((y * z).sum())
+            b_k = irho * _dot(y, z)
             z += (a_k - b_k) * s
         d = -z
-        slope = float((grad * d).sum() * area)
+        slope = _dot(grad, d) * area
         if slope >= 0:  # curvature info stale; restart
             memory.clear()
             precond = make_precond(u)
             d = -precond.apply(grad)
-            slope = float((grad * d).sum() * area)
+            slope = _dot(grad, d) * area
         alpha = 1.0
         for _ in range(80):
             u_new = u + alpha * d
@@ -224,8 +275,8 @@ def solve_momentum(rho, params, g, u_init=None):
         J = J_new
         grad_new = functional_gradient(u, rga, g, p, delta, memo)
         yk = grad_new - grad
-        ys = float((yk * step).sum())
-        if ys > 1e-14 * math.sqrt((yk * yk).sum() * (step * step).sum()):
+        ys = _dot(yk, step)
+        if ys > 1e-14 * math.sqrt(_dot(yk, yk) * _dot(step, step)):
             memory.append((step, yk, 1.0 / ys))
             if len(memory) > 12:
                 memory.pop(0)
@@ -343,3 +394,25 @@ def check_linf_growth(traj, tol_c=5.0):
     return CheckReport.build(
         check="linf_growth_2d", bound=1.0, measured=ratio, tolerance=tol,
         context={"rho0_max": rho0_max, "T": traj.records[-1].t})
+
+
+def check_gauge(traj, tol=1e-12):
+    """The flat-mode gauge of the snapshots: max |flat_mode_means(u)|
+    relative to max |u|, against 0 with tolerance tol.
+
+    This, not |int rho u|, is what the 2D system fixes. Its momentum
+    balance has no time derivative, so int rho u is not an invariant:
+    on non-symmetric data it drifts on a correct run by the same amount
+    at every newton_tol.
+    """
+    from .diagnostics import CheckReport
+
+    worst = 0.0
+    for snap in traj.snapshots:
+        scale = float(np.max(np.abs(snap.u)))
+        if scale > 0:
+            means = float(np.max(np.abs(flat_mode_means(snap.u))))
+            worst = max(worst, means / scale)
+    return CheckReport.build(
+        check="flat_mode_gauge_2d", bound=0.0, measured=worst, tolerance=tol,
+        context={"snapshots": len(traj.snapshots)})

@@ -466,6 +466,28 @@ snapshots = 4
         dhead = (out / "diag.csv").read_text().splitlines()[0]
         assert "Du_maxnorm" in dhead
 
+    def test_2d_nonsymmetric_run_passes_its_checks(self, tmp_path):
+        # int rho u drifts here by 6.1e-6 of the mass on a correct run,
+        # the same at newton_tol 1e-5, 1e-6 and 1e-7: the momentum
+        # balance has no time derivative, so it is no invariant, and the
+        # 2D run checks the flat-mode gauge of u in its place
+        cfgp = tmp_path / "nonsym.cfg"
+        cfgp.write_text("[model]\nkind = semistationary2d\n"
+                        "[grid]\nnx = 32\nny = 32\n[params]\np = 8.0\n"
+                        "[initial]\nrho_modes = 1, 1, 0.25, 0.1, 1, -1, 0.2, "
+                        "0.05, 2, 0, 0.1, 0.07\n[time]\nT = 0.1\n")
+        out = tmp_path / "o"
+        assert main(["run", str(cfgp), "--output", str(out), "--quiet"]) == 0
+        checks = {r["check"]: r
+                  for r in json.loads((out / "checks.json").read_text())}
+        assert "momentum_conservation" not in checks
+        assert checks["flat_mode_gauge_2d"]["pass"]
+        assert checks["flat_mode_gauge_2d"]["measured"] <= 1e-12
+        assert checks["mass_conservation"]["pass"]
+        diag = np.genfromtxt(out / "diag.csv", delimiter=",", names=True)
+        drift = np.max(np.abs(diag["momentum"] - diag["momentum"][0]))
+        assert drift > 1e-6 * diag["mass"][0]
+
 
 def test_eps_sweep_cli_path(tmp_path):
     cfg = """

@@ -2,7 +2,8 @@
 log(|Dv|^2 + delta^2) once: functional and functional_gradient share
 them, and grad(a rho^gamma), through a memo dict that the solve owns and
 passes in. With or without a memo, in either call order, each must
-return the bits of its former stand-alone expression, kept here."""
+return the bits of its former stand-alone expression, kept here; the
+batched preconditioner must return the bits of its one-field form."""
 
 import numpy as np
 import pytest
@@ -43,12 +44,13 @@ def former_gradient(v, rga, g, p, delta):
 
 
 def former_apply(pc, r):
-    r1 = np.fft.rfft2(r[0])
-    r2 = np.fft.rfft2(r[1])
+    """H0 r = s P1(s r), one field at a time, one component per FFT."""
+    r1 = np.fft.rfft2(pc.s * r[0])
+    r2 = np.fft.rfft2(pc.s * r[1])
     z1 = pc.i11 * r1 + pc.i12 * r2
     z2 = pc.i12 * r1 + pc.i22 * r2
     n = r[0].shape
-    return np.stack([np.fft.irfft2(z1, s=n), np.fft.irfft2(z2, s=n)])
+    return pc.s * np.stack([np.fft.irfft2(z1, s=n), np.fft.irfft2(z2, s=n)])
 
 
 def fields(seed, scale=0.05):
@@ -111,8 +113,8 @@ def test_in_place_change_between_public_calls_is_seen():
 
 
 def test_solution_returned_in_place_has_no_stale_strain():
-    # solve_momentum removes the mean from the array it returns in place,
-    # after its last evaluation of that array
+    # solve_momentum removes the flat modes from the array it returns,
+    # after its last evaluation of the iterate
     g = Grid2D(16, 16)
     pr = Stokes2DParams(p=4.0, gamma=2.0)
     X, Y = g.meshgrid()
@@ -129,8 +131,9 @@ def test_solution_returned_in_place_has_no_stale_strain():
 
 @pytest.mark.parametrize("w", [1e-3, 0.7, 1e3])
 def test_batched_preconditioner_keeps_every_bit(w):
+    # a viscosity field about w, wider than the preconditioner's band
     rng = np.random.default_rng(9)
-    pc = _FourierPreconditioner(G, w)
+    pc = _FourierPreconditioner(G, w * np.exp(rng.normal(size=(G.nx, G.ny))))
     q, y = rng.normal(size=(2, 2, G.nx, G.ny))
     Pq, Py = pc.apply(np.stack([q, y]))
     assert np.array_equal(Pq, former_apply(pc, q))
