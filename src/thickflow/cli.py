@@ -57,13 +57,16 @@ def _run_model_with(cfg, model, params, g):
 
 def _standard_checks(cfg, traj, params):
     from . import diagnostics as dg
-    from .semistationary2d import check_gauge, check_linf_growth
+    from .semistationary2d import (check_gauge, check_linf_growth,
+                                   check_stationarity)
 
     # int rho u is no invariant of the semi-stationary 2D system; its
-    # solver fixes the flat-mode gauge of u instead
+    # solver fixes the flat-mode gauge of u and makes u stationary for J
     mass, momentum = dg.check_conservation(traj)
-    is_2d = traj.model == "semistationary2d"
-    reports = [mass, check_gauge(traj) if is_2d else momentum]
+    if traj.model == "semistationary2d":
+        reports = [mass, check_gauge(traj), check_stationarity(traj)]
+    else:
+        reports = [mass, momentum]
     reports.append(dg.check_energy_inequality(traj, tol=cfg.energy_tol))
     if traj.model == "powerlaw1d":
         reports.append(dg.check_stress_max_principle(

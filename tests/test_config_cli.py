@@ -466,14 +466,20 @@ snapshots = 4
         dhead = (out / "diag.csv").read_text().splitlines()[0]
         assert "Du_maxnorm" in dhead
 
-    def test_2d_nonsymmetric_run_passes_its_checks(self, tmp_path):
+    @pytest.mark.parametrize("newton_tol", ["1e-6", "1e-8"])
+    def test_2d_nonsymmetric_run_passes_its_checks(self, tmp_path,
+                                                   newton_tol):
         # int rho u drifts here by 6.1e-6 of the mass on a correct run,
         # the same at newton_tol 1e-5, 1e-6 and 1e-7: the momentum
         # balance has no time derivative, so it is no invariant, and the
-        # 2D run checks the flat-mode gauge of u in its place
+        # 2D run checks the flat-mode gauge of u and its stationarity in
+        # its place. At newton_tol 1e-8 the 25th of the 34 solves went
+        # below the rounding unit of J and, judged by J alone, stalled
+        # at |grad J| = 1.9e-8 and exited 3
         cfgp = tmp_path / "nonsym.cfg"
         cfgp.write_text("[model]\nkind = semistationary2d\n"
                         "[grid]\nnx = 32\nny = 32\n[params]\np = 8.0\n"
+                        f"newton_tol = {newton_tol}\n"
                         "[initial]\nrho_modes = 1, 1, 0.25, 0.1, 1, -1, 0.2, "
                         "0.05, 2, 0, 0.1, 0.07\n[time]\nT = 0.1\n")
         out = tmp_path / "o"
@@ -483,6 +489,9 @@ snapshots = 4
         assert "momentum_conservation" not in checks
         assert checks["flat_mode_gauge_2d"]["pass"]
         assert checks["flat_mode_gauge_2d"]["measured"] <= 1e-12
+        assert checks["stationarity_2d"]["pass"]
+        assert checks["stationarity_2d"]["context"]["newton_tol"] \
+            == float(newton_tol)
         assert checks["mass_conservation"]["pass"]
         diag = np.genfromtxt(out / "diag.csv", delimiter=",", names=True)
         drift = np.max(np.abs(diag["momentum"] - diag["momentum"][0]))
