@@ -85,7 +85,7 @@ def _standard_checks(cfg, traj, params):
 def _transport_checks(cfg, traj):
     """Weak-form transport reports appended to the run's check stream."""
     from .banks import sample_bank, scalar_bank_1d, scalar_bank_2d
-    from .diagnostics import CheckReport
+    from .diagnostics import CheckReport, _consistency_tol
     from .transport_check import (continuity_residual, renormalized_residual,
                                   time_mean_continuity)
 
@@ -96,8 +96,7 @@ def _transport_checks(cfg, traj):
         maker = scalar_bank_2d if cfg.is_2d else scalar_bank_1d
         bank = sample_bank(maker(cfg.seed, cfg.T, size=min(cfg.bank_size, 10),
                                  modes=cfg.bank_modes), traj.grid)
-        dts = [r.dt for r in traj.records if r.dt > 0]
-        tol = 2.0 * cfg.tol_c * (traj.grid.dx + max(dts))
+        tol = 2.0 * _consistency_tol(traj, cfg.tol_c)
         worst_c = max(continuity_residual(traj, phi) for phi in bank)
         worst_r = max(renormalized_residual(traj, traj.params.gamma, phi)
                       for phi in bank)
@@ -268,10 +267,6 @@ def cmd_verify(args):
 
     paths = sorted(glob.glob(os.path.join(args.directory, "**", "checks.json"),
                              recursive=True))
-    if os.path.exists(os.path.join(args.directory, "checks.json")):
-        top = os.path.join(args.directory, "checks.json")
-        if top not in paths:
-            paths.insert(0, top)
     if not paths:
         print(f"no checks.json found under {args.directory}", file=sys.stderr)
         return 2

@@ -222,19 +222,22 @@ def parse_config(text):
     cfg = Config(model=model, raw_text=text)
 
     def read(where, default):
-        """The file's section.key cast like default (a list of numbers for
-        a list); default if the key is absent or the value is bad."""
+        """The file's section.key if it has default's type; default if
+        the key is absent or the value is bad. A list takes numbers, a
+        float also an int (cast), and a string any value (as text)."""
         section, key = where.split(".")
         value = raw.get(section, {}).get(key, default)
-        try:
-            if not isinstance(default, list):
-                return type(default)(value)
+        kind = type(default)
+        if kind is list:
             value = value if isinstance(value, list) else [value]
             if all(map(is_number, value)):
                 return value
-        except (TypeError, ValueError):
-            pass
-        kind = "numbers" if isinstance(default, list) else type(default).__name__
+        elif kind is bool:
+            if isinstance(value, bool):
+                return value
+        elif kind is str or is_number(value, kind):
+            return kind(value)
+        kind = "numbers" if kind is list else kind.__name__
         errors.append(f"{where}: expected {kind}, got {value!r}")
         return default
 

@@ -52,64 +52,13 @@ class PowerLawParams(Params):
         return self.p >= 1.0 + self.gamma
 
 
-# log t and log|s| are -inf where t = s^2 + delta^2 or s vanish: the
-# callers of _log_terms, _flux and _flux_derivative ignore these
-# floating-point errors. As a decorator, np.errstate costs half of what
-# a with statement costs. The functions it decorates do not call one
+# log t and log|s| are -inf where t = s^2 + delta^2 or s vanish: flux
+# and dflux, and the intermediates they compute, ignore these
+# floating-point errors. As a decorator, np.errstate costs half of
+# what a with statement costs. The methods it decorates do not call one
 # another, so it is never entered twice at once (numpy 1 keeps the
 # state to restore on the instance).
 _IGNORE_LOG_ERRORS = np.errstate(divide="ignore", invalid="ignore")
-
-
-@_IGNORE_LOG_ERRORS
-def viscous_flux(s, params):
-    """mu (s^2 + delta^2)^((p-2)/2) s; exactly mu |s|^(p-2) s for delta=0."""
-    s_arr = np.atleast_1d(np.asarray(s, dtype=float))
-    out = _flux(s_arr, *_log_terms(s_arr, params.delta), np.log(params.mu),
-                params)
-    return float(out[0]) if np.ndim(s) == 0 else out
-
-
-@_IGNORE_LOG_ERRORS
-def viscous_flux_derivative(s, params):
-    """d/ds of the regularized flux: mu t^((p-4)/2) ((p-1) s^2 + delta^2)."""
-    s_arr = np.atleast_1d(np.asarray(s, dtype=float))
-    out = _flux_derivative(s_arr, *_log_terms(s_arr, params.delta),
-                           np.log(params.mu), params)
-    return float(out[0]) if np.ndim(s) == 0 else out
-
-
-def _log_terms(s, delta):
-    t = s * s + delta * delta
-    return t, np.log(t)
-
-
-def _flux(s, t, log_t, log_mu, params):
-    p, delta = params.p, params.delta
-    logmag = log_mu + 0.5 * (p - 2.0) * log_t + np.log(np.abs(s))
-    if delta * delta == 0.0:
-        # only here can t vanish; otherwise log|s| = -inf at s = 0 already
-        # gives the zero flux
-        logmag = np.where((t == 0.0) | (s == 0.0), -np.inf, logmag)
-    if logmag.max() > _LOG_CLAMP:
-        raise FluxOverflow(f"viscous flux exceeds 1e300 at shear "
-                           f"{float(np.max(np.abs(s))):.6g} (p = {p})")
-    return np.sign(s) * np.exp(logmag)
-
-
-def _flux_derivative(s, t, log_t, log_mu, params):
-    p, mu, delta = params.p, params.mu, params.delta
-    num = (p - 1.0) * s * s + delta * delta
-    logmag = log_mu + 0.5 * (p - 4.0) * log_t + np.log(num)
-    t_can_vanish = delta * delta == 0.0
-    if t_can_vanish:
-        logmag = np.where(t == 0.0, -np.inf, logmag)
-    if logmag.max() > _LOG_CLAMP:
-        raise FluxOverflow("flux derivative exceeds 1e300")
-    out = np.exp(logmag)
-    if p == 2.0 and t_can_vanish:
-        out = np.where(t == 0.0, mu, out)
-    return out
 
 
 class PowerLawModel(Model1D):
@@ -126,16 +75,42 @@ class PowerLawModel(Model1D):
         self._log_mu = np.log(params.mu)
 
     def _intermediates(self, s):
-        return _log_terms(s, self.params.delta)
+        delta = self.params.delta
+        t = s * s + delta * delta
+        return t, np.log(t)
 
     @_IGNORE_LOG_ERRORS
     def flux(self, s):
-        return _flux(s, *self._shared(s), self._log_mu, self.params)
+        """mu (s^2 + delta^2)^((p-2)/2) s; exactly mu |s|^(p-2) s for
+        delta = 0."""
+        p, delta = self.params.p, self.params.delta
+        t, log_t = self._shared(s)
+        logmag = self._log_mu + 0.5 * (p - 2.0) * log_t + np.log(np.abs(s))
+        if delta * delta == 0.0:
+            # only here can t vanish; otherwise log|s| = -inf at s = 0
+            # already gives the zero flux
+            logmag = np.where((t == 0.0) | (s == 0.0), -np.inf, logmag)
+        if logmag.max() > _LOG_CLAMP:
+            raise FluxOverflow(f"viscous flux exceeds 1e300 at shear "
+                               f"{float(np.max(np.abs(s))):.6g} (p = {p})")
+        return np.sign(s) * np.exp(logmag)
 
     @_IGNORE_LOG_ERRORS
     def dflux(self, s):
-        return _flux_derivative(s, *self._shared(s), self._log_mu,
-                                self.params)
+        """d/ds of the flux: mu t^((p-4)/2) ((p-1) s^2 + delta^2)."""
+        p, mu, delta = self.params.p, self.params.mu, self.params.delta
+        t, log_t = self._shared(s)
+        num = (p - 1.0) * s * s + delta * delta
+        logmag = self._log_mu + 0.5 * (p - 4.0) * log_t + np.log(num)
+        t_can_vanish = delta * delta == 0.0
+        if t_can_vanish:
+            logmag = np.where(t == 0.0, -np.inf, logmag)
+        if logmag.max() > _LOG_CLAMP:
+            raise FluxOverflow("flux derivative exceeds 1e300")
+        out = np.exp(logmag)
+        if p == 2.0 and t_can_vanish:
+            out = np.where(t == 0.0, mu, out)
+        return out
 
     @np.errstate(divide="ignore", over="ignore")
     def potential(self, s):
@@ -186,15 +161,3 @@ class PowerLawModel(Model1D):
         return advance(cls(params, g), g, rho0, u0, T, snapshot_times,
                        forcing=forcing)
 
-
-def implicit_viscous_solve(u_prev, rho, dt, params, g):
-    """Implicit solve of rho (u - u_prev)/dt - d/dx flux(du/dx) = 0."""
-    model = PowerLawModel(params, g)
-    u, _ = implicit_shear_solve(u_prev, u_prev, rho, dt, g,
-                                model.flux, model.dflux,
-                                params.newton_tol, params.newton_max_iter,
-                                potential=model.potential)
-    return u
-
-
-run = PowerLawModel.run

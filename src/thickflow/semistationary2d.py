@@ -409,12 +409,9 @@ def run_2d(params, g, rho0, T, snapshot_times=None):
 
 def check_linf_growth(traj, tol_c=5.0):
     """max rho(t) against max rho(0) e^t, with slack tol_c (dx + dt)."""
-    from .diagnostics import CheckReport
+    from .diagnostics import CheckReport, _consistency_tol
 
-    g = traj.grid
-    dts = [r.dt for r in traj.records if r.dt > 0]
-    dt_typ = max(dts) if dts else 0.0
-    tol = tol_c * (g.dx + dt_typ)
+    tol = _consistency_tol(traj, tol_c)
     rho0_max = traj.records[0].rho_max
     ratio = max(r.rho_max / (rho0_max * np.exp(r.t)) for r in traj.records)
     return CheckReport.build(

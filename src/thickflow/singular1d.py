@@ -47,45 +47,9 @@ class SingularParams(Params):
         ] + newton_rules(self)
 
 
-def singular_flux(s, eps):
-    """eps s / sqrt(1 - s^2); odd, strictly monotone, blows up at |s| -> 1."""
-    s_arr = np.atleast_1d(np.asarray(s, dtype=float))
-    out = _flux(s_arr, _barrier_terms(s_arr), eps)
-    return float(out[0]) if np.ndim(s) == 0 else out
-
-
-def singular_flux_derivative(s, eps):
-    s_arr = np.atleast_1d(np.asarray(s, dtype=float))
-    out = _flux_derivative(s_arr, _barrier_terms(s_arr), eps)
-    return float(out[0]) if np.ndim(s) == 0 else out
-
-
-@np.errstate(invalid="ignore")
-def _barrier_terms(s):
-    """1 - s^2, its square root (nan where s is outside the barrier) and
-    max |s|."""
-    q = 1.0 - s * s
-    return q, np.sqrt(q), float(np.abs(s).max())
-
-
 def _outside(s, smax):
     """True when some |s| >= 1; smax = max |s| is nan when s holds a nan."""
     return not smax < 1.0 and bool(np.any(np.abs(s) >= 1.0))
-
-
-def _flux(s, terms, eps):
-    _, root, smax = terms
-    if _outside(s, smax):
-        raise ConstraintViolation(
-            f"shear magnitude {smax:.6g} reached the |du/dx| = 1 barrier")
-    return eps * s / root
-
-
-def _flux_derivative(s, terms, eps):
-    q, _, smax = terms
-    if _outside(s, smax):
-        raise ConstraintViolation("shear at the barrier in flux derivative")
-    return eps * q ** -1.5
 
 
 class SingularModel(Model1D):
@@ -94,13 +58,27 @@ class SingularModel(Model1D):
 
     name = "singular1d"
 
-    _intermediates = staticmethod(_barrier_terms)
+    @staticmethod
+    @np.errstate(invalid="ignore")
+    def _intermediates(s):
+        # the root is nan where s lies outside the barrier
+        q = 1.0 - s * s
+        return q, np.sqrt(q), float(np.abs(s).max())
 
     def flux(self, s):
-        return _flux(s, self._shared(s), self.params.eps)
+        """eps s / sqrt(1 - s^2); odd, strictly monotone, blows up at
+        |s| -> 1."""
+        _, root, smax = self._shared(s)
+        if _outside(s, smax):
+            raise ConstraintViolation(
+                f"shear magnitude {smax:.6g} reached the |du/dx| = 1 barrier")
+        return self.params.eps * s / root
 
     def dflux(self, s):
-        return _flux_derivative(s, self._shared(s), self.params.eps)
+        q, _, smax = self._shared(s)
+        if _outside(s, smax):
+            raise ConstraintViolation("shear at the barrier in flux derivative")
+        return self.params.eps * q ** -1.5
 
     def potential(self, s):
         """Convex primitive of the barrier flux: -eps sqrt(1 - s^2),
@@ -159,5 +137,3 @@ class SingularModel(Model1D):
             raise ConstraintViolation("initial data must satisfy |du/dx| < 1")
         return advance(model, g, rho0, u0, T, snapshot_times, forcing=forcing)
 
-
-run_singular = SingularModel.run

@@ -15,10 +15,12 @@ Splitting per step (first order in time):
   2. implicit solve of rho (u - u*)/dt - d/dx flux(du/dx) = 0 by
      damped Newton with a cyclic-tridiagonal Jacobian. The face shear
      s_{i+1/2} = (u_{i+1} - u_i)/dx is the scheme's native shear; the
-     divergence form telescopes, so momentum is conserved up to the
-     Newton residual tolerance. Testing the update with u shows the
-     kinetic energy drops by at least dt * sum flux(s) s dx, which is
-     exactly the recorded dissipation.
+     divergence form telescopes, so the step changes momentum by at
+     most the final scaled Newton residual times the total mass. That
+     residual is below tol, or at the attainable floor where the solve stops
+     above tol (see implicit_shear_solve). Testing the update with u
+     shows the kinetic energy drops by at least dt * sum flux(s) s dx,
+     which is exactly the recorded dissipation.
 
 Both the power-law and the singular-viscosity solver drive this module;
 they differ only in the shear flux, its derivative, and the Newton
@@ -264,8 +266,11 @@ def implicit_shear_solve(u_init, u_star, rho, dt, g, flux, dflux,
     Convergence is measured on the diagonally scaled residual
     max |R_i| dt / rho_i, i.e. in velocity-increment units: this makes
     the tolerance independent of dt (so halving dt on retry genuinely
-    helps) and bounds the per-step momentum-conservation error by
-    tol * total mass.
+    helps), and the per-step momentum-conservation error is at most the
+    final scaled residual times the total mass. That residual is below
+    tol, or, on an exit with at_floor set, the attainable floor, which
+    can lie far above tol (near the shear barrier, where one ulp of u
+    moves the residual).
 
     Returns (u, info): info carries the residual and damping history,
     and the face shear and flux of u, for the caller's records.
@@ -368,9 +373,17 @@ def implicit_shear_solve(u_init, u_star, rho, dt, g, flux, dflux,
 
 
 class Model1D:
-    """Part shared by the 1D models, which add flux, dflux, potential,
-    lp_term, step and run. step returns the new state, the increments of
-    the cumulative records, and the info of its Newton solve.
+    """Part shared by the 1D models: params, grid, the _shared memo and
+    stress. Each model provides
+      - flux(s), dflux(s) and potential(s) of the face shear s, the
+        only definitions of its flux, the flux's derivative and its
+        convex primitive, and the _intermediates(s) they share;
+      - lp_term(s, f, g), the L^p norm term of the diagnostics record;
+      - step(state, dt, forcing), which returns the new state, the
+        increments of the cumulative records, and the info of its Newton
+        solve;
+      - the classmethod run(params, g, rho0, u0, T, snapshot_times,
+        forcing), which integrates with advance.
 
     flux, dflux and potential of one shear array share intermediates,
     which the model's _intermediates(s) computes (for the power law

@@ -149,21 +149,23 @@ def config_2d():
 
 def run_powerlaw(cfg, p=None, n=None):
     from thickflow.grids import Grid1D
-    from thickflow.powerlaw1d import run
+    from thickflow.powerlaw1d import PowerLawModel
 
     g = Grid1D(n) if n else cfg.grid()
     params = cfg.build_params("powerlaw1d", **({"p": p} if p else {}))
     rho0, u0 = cfg.initial_fields(g)
-    return run(params, g, rho0, u0, cfg.T, cfg.snapshot_schedule())
+    return PowerLawModel.run(params, g, rho0, u0, cfg.T,
+                             cfg.snapshot_schedule())
 
 
 def run_singular_ref(cfg):
-    from thickflow.singular1d import run_singular
+    from thickflow.singular1d import SingularModel
 
     g = cfg.grid()
     params = cfg.build_params("singular1d")
     rho0, u0 = cfg.initial_fields(g)
-    return run_singular(params, g, rho0, u0, cfg.T, cfg.snapshot_schedule())
+    return SingularModel.run(params, g, rho0, u0, cfg.T,
+                             cfg.snapshot_schedule())
 
 
 def run_2d_ref(cfg, p=None):
@@ -181,7 +183,7 @@ def mms_convergence_errors(p=4.0, a=1.0, gamma=2.0, T=0.1, ns=(128, 256, 512)):
     import sympy as sy
 
     from thickflow.grids import Grid1D, integrate
-    from thickflow.powerlaw1d import PowerLawParams, run
+    from thickflow.powerlaw1d import PowerLawModel, PowerLawParams
 
     pr = PowerLawParams(p=p, a=a, gamma=gamma)
     t, x = sy.symbols("t x")
@@ -201,8 +203,8 @@ def mms_convergence_errors(p=4.0, a=1.0, gamma=2.0, T=0.1, ns=(128, 256, 512)):
     errs = []
     for n in ns:
         g = Grid1D(n)
-        traj = run(pr, g, ref_r(0.0, g.x), ref_u(0.0, g.x), T,
-                   snapshot_times=[T], forcing=(fr, fm))
+        traj = PowerLawModel.run(pr, g, ref_r(0.0, g.x), ref_u(0.0, g.x), T,
+                                 snapshot_times=[T], forcing=(fr, fm))
         sn = traj.snapshots[-1]
         err = np.sqrt(integrate((sn.rho - ref_r(T, g.x)) ** 2, g)
                       + integrate((sn.u - ref_u(T, g.x)) ** 2, g))

@@ -222,8 +222,9 @@ def test_c14_oracle_equivalences():
     import scipy.sparse.linalg as spla
 
     from thickflow.grids import Grid1D, Grid2D
-    from thickflow.powerlaw1d import PowerLawParams, implicit_viscous_solve
+    from thickflow.powerlaw1d import PowerLawModel, PowerLawParams
     from thickflow.semistationary2d import Stokes2DParams, solve_momentum
+    from thickflow.stepper1d import implicit_shear_solve
 
     # (a) p = 2 implicit solve vs direct cyclic-tridiagonal solve
     g = Grid1D(64)
@@ -232,7 +233,10 @@ def test_c14_oracle_equivalences():
     rho = 1.0 + 0.3 * np.sin(2 * np.pi * g.x)
     u_prev = np.cos(2 * np.pi * g.x)
     dt = 5e-3
-    u = implicit_viscous_solve(u_prev, rho, dt, pr, g)
+    model = PowerLawModel(pr, g)
+    u, _ = implicit_shear_solve(u_prev, u_prev, rho, dt, g, model.flux,
+                                model.dflux, pr.newton_tol,
+                                pr.newton_max_iter, potential=model.potential)
     n, dx = g.n, g.dx
     main = rho / dt + 2.0 / dx**2
     A = sp.diags([main, np.full(n - 1, -1.0 / dx**2),

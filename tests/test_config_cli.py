@@ -162,6 +162,12 @@ REJECTED = [
     ("[model]\nkind = singular1d\n[params]\nnewton_max_iter = 0",
      "params.newton_max_iter: Newton iteration budget newton_max_iter must "
      "be >= 1"),
+    ("[initial]\npaper_initial_conditions = maybe",
+     "initial.paper_initial_conditions: expected bool, got 'maybe'"),
+    ("[initial]\npaper_initial_conditions = 1.5",
+     "initial.paper_initial_conditions: expected bool, got 1.5"),
+    ("[grid]\nn = 64.7", "grid.n: expected int, got 64.7"),
+    ("[time]\nsnapshots = 2.5", "time.snapshots: expected int, got 2.5"),
 ]
 REJECTED_IDS = ["eps_without_values", "cross_grids_not_nested",
                 "cross_without_values", "cross_without_eps_values",
@@ -170,7 +176,9 @@ REJECTED_IDS = ["eps_without_values", "cross_grids_not_nested",
                 "sweep_value_not_a_number", "cross_p_below_2", "sweep_2d",
                 "eta_zero", "bank_size_zero", "newton_max_iter_zero",
                 "newton_tol_zero", "singular_newton_tol_negative",
-                "singular_newton_max_iter_zero"]
+                "singular_newton_max_iter_zero", "paper_initial_not_a_bool",
+                "paper_initial_a_number", "n_not_an_int",
+                "snapshots_not_an_int"]
 
 
 @pytest.mark.parametrize("sweep, message", REJECTED, ids=REJECTED_IDS)

@@ -13,7 +13,7 @@ from thickflow.diagnostics import (CheckReport, check_conservation,
                                    load_reports, momentum_residual_l2,
                                    write_reports)
 from thickflow.grids import Grid1D
-from thickflow.powerlaw1d import PowerLawModel, PowerLawParams, run
+from thickflow.powerlaw1d import PowerLawModel, PowerLawParams
 from thickflow.trajectory import State1D
 
 
@@ -25,8 +25,8 @@ def params(**kw):
 
 def steady_traj(n=32, T=0.05):
     g = Grid1D(n)
-    return run(params(p=4.0), g, np.ones(n), np.zeros(n), T,
-               snapshot_times=[T]), g
+    return PowerLawModel.run(params(p=4.0), g, np.ones(n), np.zeros(n), T,
+                             snapshot_times=[T]), g
 
 
 class TestCheckReport:
@@ -122,7 +122,7 @@ class TestEnergyAndConservation:
         pr = params(p=8.0, a=2.0)
         rho0 = 1 + 0.3 * np.sin(2 * np.pi * g.x)
         u0 = 0.5 * np.sin(2 * np.pi * g.x) / (2 * np.pi)
-        traj = run(pr, g, rho0, u0, 0.2, snapshot_times=[0.2])
+        traj = PowerLawModel.run(pr, g, rho0, u0, 0.2, snapshot_times=[0.2])
         energies = [r.energy for r in traj.records]
         assert all(b <= a + 1e-12 for a, b in zip(energies[:-1], energies[1:]))
         assert check_energy_inequality(traj).passed
@@ -150,7 +150,7 @@ def test_momentum_residual_consistency():
     u0 = 0.5 * np.sin(2 * np.pi * g.x) / (2 * np.pi)
     T = 0.1
     snaps = [(k + 0.5) * T / 64 for k in range(64)]
-    traj = run(pr, g, rho0, u0, T, snapshot_times=snaps)
+    traj = PowerLawModel.run(pr, g, rho0, u0, T, snapshot_times=snaps)
     resid = momentum_residual_l2(traj)
     dts = [r.dt for r in traj.records if r.dt > 0]
     scale = g.dx + max(dts) + (T / 64)
@@ -161,7 +161,7 @@ def test_momentum_residual_consistency():
 def test_momentum_residual_singular():
     # the residual takes the singular model's stress eps s / sqrt(1 - s^2)
     # from the trajectory; same data and consistency bound as above
-    from thickflow.singular1d import SingularParams, run_singular
+    from thickflow.singular1d import SingularModel, SingularParams
 
     g = Grid1D(256)
     pr = SingularParams(eps=0.1, a=2.0, theta=0.3)
@@ -169,7 +169,7 @@ def test_momentum_residual_singular():
     u0 = 0.5 * np.sin(2 * np.pi * g.x) / (2 * np.pi)
     T = 0.1
     snaps = [(k + 0.5) * T / 64 for k in range(64)]
-    traj = run_singular(pr, g, rho0, u0, T, snapshot_times=snaps)
+    traj = SingularModel.run(pr, g, rho0, u0, T, snapshot_times=snaps)
     resid = momentum_residual_l2(traj)
     dts = [r.dt for r in traj.records if r.dt > 0]
     assert resid <= 60.0 * (g.dx + max(dts) + (T / 64))

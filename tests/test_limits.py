@@ -6,8 +6,8 @@ from thickflow.grids import Grid1D, ddx_periodic
 from thickflow.limits import (constraint_violation_measure, entropy_gap,
                               lagrange_multiplier, restrict_block_average,
                               trajectory_complementarity)
-from thickflow.powerlaw1d import PowerLawModel, PowerLawParams, viscous_flux
-from thickflow.singular1d import SingularModel, SingularParams, singular_flux
+from thickflow.powerlaw1d import PowerLawModel, PowerLawParams
+from thickflow.singular1d import SingularModel, SingularParams
 from thickflow.trajectory import State1D, Trajectory
 
 
@@ -69,10 +69,11 @@ def test_model_stress_and_defect_equal_closed_forms(name):
     dudx = ddx_periodic(u, g)
     if name == "powerlaw1d":
         pr = PowerLawParams(p=8.0, mu=1.3, a=2.0, gamma=1.4)
-        model, tau = PowerLawModel(pr, g), viscous_flux(dudx, pr)
+        model = PowerLawModel(pr, g)
     else:
         pr = SingularParams(eps=0.05, a=2.0, gamma=1.4)
-        model, tau = SingularModel(pr, g), singular_flux(dudx, pr.eps)
+        model = SingularModel(pr, g)
+    tau = model.flux(dudx)
     state = State1D(rho, u, 0.1)
     assert np.array_equal(model.stress(state), tau - pr.a * rho**pr.gamma)
     traj = Trajectory(name, g, pr, [state], [])
@@ -144,7 +145,6 @@ class TestBanks:
 class TestSweepDeterminism:
     def test_identical_configs_identical_reports(self):
         from thickflow.limits import assemble_sweep_report
-        from thickflow.powerlaw1d import PowerLawParams, run
 
         g = Grid1D(64)
         rho0 = 1 + 0.2 * np.sin(2 * np.pi * g.x)
@@ -152,8 +152,9 @@ class TestSweepDeterminism:
         snaps = [0.02, 0.04]
 
         def build():
-            trajs = {p: run(PowerLawParams(p=p, a=2.0, gamma=2.0), g,
-                            rho0, u0, 0.04, snapshot_times=snaps)
+            trajs = {p: PowerLawModel.run(
+                         PowerLawParams(p=p, a=2.0, gamma=2.0), g, rho0, u0,
+                         0.04, snapshot_times=snaps)
                      for p in (4.0, 8.0)}
             return assemble_sweep_report("p", list(trajs), trajs, 2.0)
 
@@ -162,11 +163,11 @@ class TestSweepDeterminism:
 
     def test_single_value_degenerate_sweep(self):
         from thickflow.limits import assemble_sweep_report
-        from thickflow.powerlaw1d import PowerLawParams, run
 
         g = Grid1D(64)
-        traj = run(PowerLawParams(p=4.0, a=1.0), g, np.ones(g.n),
-                   np.zeros(g.n), 0.02, snapshot_times=[0.02])
+        traj = PowerLawModel.run(PowerLawParams(p=4.0, a=1.0), g,
+                                 np.ones(g.n), np.zeros(g.n), 0.02,
+                                 snapshot_times=[0.02])
         rep = assemble_sweep_report("p", [4.0], {4.0: traj}, 2.0)
         assert rep.pairwise_u == []
         assert rep.u_dist["4.0"] == 0.0

@@ -3,9 +3,10 @@ import pytest
 
 from thickflow.errors import ConstraintViolation
 from thickflow.grids import Grid1D
-from thickflow.singular1d import (SingularModel, SingularParams, run_singular,
-                                  singular_flux, singular_flux_derivative)
+from thickflow.singular1d import SingularModel, SingularParams
 from thickflow.trajectory import State1D
+
+G = Grid1D(16)
 
 
 def params(**kw):
@@ -14,12 +15,23 @@ def params(**kw):
     return SingularParams(**base)
 
 
+def flux(s, eps):
+    """The model's flux of the shear values s, as an array."""
+    return SingularModel(params(eps=eps), G).flux(
+        np.atleast_1d(np.asarray(s, float)))
+
+
+def dflux(s, eps):
+    return SingularModel(params(eps=eps), G).dflux(
+        np.atleast_1d(np.asarray(s, float)))
+
+
 class TestSingularFlux:
     def test_zero(self):
-        assert singular_flux(0.0, 1.0) == 0.0
+        assert flux(0.0, 1.0) == 0.0
 
     def test_value_at_0p6(self):
-        assert singular_flux(0.6, 1.0) == pytest.approx(0.75)
+        assert flux(0.6, 1.0) == pytest.approx(0.75)
 
     def test_algebraic_identity(self):
         # eps s^2/sqrt(1-s^2) = eps/sqrt(1-s^2) - eps sqrt(1-s^2)
@@ -28,18 +40,18 @@ class TestSingularFlux:
         rhs = eps / np.sqrt(1 - s**2) - eps * np.sqrt(1 - s**2)
         assert lhs == pytest.approx(0.45)
         assert rhs == pytest.approx(0.45)
-        assert singular_flux(s, eps) * s == pytest.approx(lhs)
+        assert flux(s, eps) * s == pytest.approx(lhs)
 
     def test_barrier_raises(self):
         with pytest.raises(ConstraintViolation):
-            singular_flux(1.0, 1.0)
+            flux(1.0, 1.0)
         with pytest.raises(ConstraintViolation):
-            singular_flux(-1.2, 1.0)
+            flux(-1.2, 1.0)
 
     def test_odd_strictly_monotone(self):
         s = np.linspace(-0.99, 0.99, 199)
-        f = singular_flux(s, 0.5)
-        assert np.array_equal(singular_flux(-s, 0.5), -f)
+        f = flux(s, 0.5)
+        assert np.array_equal(flux(-s, 0.5), -f)
         assert np.all(np.diff(f) > 0)
 
     def test_monotonicity_pairs(self):
@@ -47,12 +59,12 @@ class TestSingularFlux:
         rng = np.random.default_rng(9)
         s1 = rng.uniform(-0.995, 0.995, size=500)
         s2 = rng.uniform(-0.995, 0.995, size=500)
-        gap = (singular_flux(s1, 2.0) - singular_flux(s2, 2.0)) * (s1 - s2)
+        gap = (flux(s1, 2.0) - flux(s2, 2.0)) * (s1 - s2)
         assert np.all(gap >= 0)
 
     def test_derivative_blowup(self):
-        assert singular_flux_derivative(0.0, 1.0) == pytest.approx(1.0)
-        assert singular_flux_derivative(0.999, 1.0) > 1e4
+        assert dflux(0.0, 1.0) == pytest.approx(1.0)
+        assert dflux(0.999, 1.0) > 1e4
 
 
 class TestStepAndRun:
@@ -65,14 +77,15 @@ class TestStepAndRun:
 
     def test_T_zero(self):
         g = Grid1D(32)
-        traj = run_singular(params(), g, np.ones(g.n), np.zeros(g.n), 0.0)
+        traj = SingularModel.run(params(), g, np.ones(g.n), np.zeros(g.n),
+                                 0.0)
         assert len(traj.snapshots) == 1
 
     def test_initial_barrier_precondition(self):
         g = Grid1D(64)
         u0 = 1.2 * np.sin(2 * np.pi * g.x) / (2 * np.pi)
         with pytest.raises(ConstraintViolation):
-            run_singular(params(), g, np.ones(g.n), u0, 0.1)
+            SingularModel.run(params(), g, np.ones(g.n), u0, 0.1)
 
     def test_strong_damping_decay(self):
         # eps = 1 (large viscosity): shear decays after the initial transient
@@ -80,8 +93,8 @@ class TestStepAndRun:
         pr = params(eps=1.0)
         rho0 = 1 + 0.2 * np.sin(2 * np.pi * g.x)
         u0 = 0.5 * np.sin(2 * np.pi * g.x) / (2 * np.pi)
-        traj = run_singular(pr, g, rho0, u0, 0.5,
-                            snapshot_times=[0.1 * k for k in range(1, 6)])
+        snaps = [0.1 * k for k in range(1, 6)]
+        traj = SingularModel.run(pr, g, rho0, u0, 0.5, snapshot_times=snaps)
         shear_max = [r.dudx_maxabs for r in traj.records]
         k0 = len(shear_max) // 5
         tail = shear_max[k0:]
@@ -92,8 +105,8 @@ class TestStepAndRun:
         pr = params(eps=1e-1, a=2.0)
         rho0 = 1 + 0.3 * np.sin(2 * np.pi * g.x)
         u0 = 0.9 * np.sin(2 * np.pi * g.x) / (2 * np.pi)
-        traj = run_singular(pr, g, rho0, u0, 0.25,
-                            snapshot_times=[0.05 * k for k in range(1, 6)])
+        snaps = [0.05 * k for k in range(1, 6)]
+        traj = SingularModel.run(pr, g, rho0, u0, 0.25, snapshot_times=snaps)
         assert max(r.dudx_maxabs for r in traj.records) < 1.0
 
     def test_energy_with_singular_dissipation(self):
@@ -102,8 +115,8 @@ class TestStepAndRun:
         u0 = 0.9 * np.sin(2 * np.pi * g.x) / (2 * np.pi)
         for eps in (1e-1, 4e-2):
             pr = params(eps=eps, a=2.0)
-            traj = run_singular(pr, g, rho0, u0, 0.25,
-                                snapshot_times=[0.25])
+            traj = SingularModel.run(pr, g, rho0, u0, 0.25,
+                                     snapshot_times=[0.25])
             e0 = traj.records[0].energy
             worst = max(r.energy + r.dissipation_cum for r in traj.records)
             assert worst <= e0 * (1 + 1e-6)
@@ -113,7 +126,7 @@ class TestStepAndRun:
         pr = params(eps=0.1, a=2.0)
         rho0 = 1 + 0.2 * np.sin(2 * np.pi * g.x)
         u0 = 0.8 * np.sin(2 * np.pi * g.x) / (2 * np.pi)
-        traj = run_singular(pr, g, rho0, u0, 0.1, snapshot_times=[0.1])
+        traj = SingularModel.run(pr, g, rho0, u0, 0.1, snapshot_times=[0.1])
         r = traj.records[-1]
         # eps int 1/sqrt(1-s^2) >= eps int s^2/sqrt(1-s^2) pointwise
         assert r.aux_cum >= r.dissipation_cum
@@ -126,7 +139,8 @@ class TestStepAndRun:
         outs = []
         for theta in (0.95, 0.3):
             pr = params(eps=1e-1, a=2.0, theta=theta)
-            traj = run_singular(pr, g, rho0, u0, 0.05, snapshot_times=[0.05])
+            traj = SingularModel.run(pr, g, rho0, u0, 0.05,
+                                     snapshot_times=[0.05])
             outs.append(traj.snapshots[-1].u)
         assert np.max(np.abs(outs[0] - outs[1])) < 1e-6
 

@@ -18,14 +18,16 @@ from scipy.linalg import solve_banded
 from test_tracer_names import RUN_1D, RUN_2D
 
 from thickflow import cli, powerlaw1d, stepper1d
+from thickflow.config import parse_config
 from thickflow.diagnostics import check_conservation
 from thickflow.errors import FluxOverflow, NewtonDivergence, StepFailure
 from thickflow.grids import Grid1D
 from thickflow.powerlaw1d import PowerLawModel, PowerLawParams
 from thickflow.singular1d import SingularModel, SingularParams
-from thickflow.stepper1d import (barotropic_llf_update, face_shear,
+from thickflow.stepper1d import (barotropic_llf_update, cfl_dt, face_shear,
                                  implicit_shear_solve, max_signal_speed,
                                  solve_cyclic_tridiag)
+from thickflow.trajectory import State1D
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -121,6 +123,44 @@ def test_cyclic_tridiag_end_blocks(monkeypatch):
     assert sizes[0] == n and len(sizes) == 3
     assert all(m < n // 2 for m in sizes[1:])
     assert np.array_equal(x, solve_banded_reference(*system))
+
+
+def test_cyclic_tridiag_end_blocks_on_captured_jacobians(monkeypatch):
+    # the Newton systems of the first steps of the singular eps = 1e-3
+    # run on the 10240-cell constraint-layer grid (theta = 0.3): each
+    # takes the end blocks and gives the bits of the one-call form
+    cfg = parse_config(
+        "[model]\nkind = singular1d\n[grid]\nn = 10240\n"
+        "[params]\neps = 0.001\na = 2.0\ngamma = 2.0\ncfl = 0.45\n"
+        "theta = 0.3\n[initial]\nrho_modes = 1, 0.15, 0.3\n"
+        f"u_modes = 1, 0.0, {0.9 / (2 * np.pi)!r}\n"
+        "paper_initial_conditions = true\n[time]\nT = 0.004\n")
+    g = cfg.grid()
+    model = SingularModel(cfg.run_params, g)
+    systems = []
+    solve = stepper1d.solve_cyclic_tridiag
+
+    def recorded(*system):
+        systems.append([a.copy() for a in system])
+        x = solve(*system)
+        systems[-1].append(x)
+        return x
+
+    monkeypatch.setattr(stepper1d, "solve_cyclic_tridiag", recorded)
+    state = State1D(*cfg.initial_fields(g), 0.0)
+    for _ in range(3):
+        dt = cfl_dt(state, model.a, model.gamma, model.cfl, g)
+        state = model.step(state, dt)[0]
+    monkeypatch.undo()
+    assert len(systems) >= 3   # one Newton solve or more per step
+    for *system, x_run in systems:
+        sizes = gtsv_sizes(monkeypatch)
+        x = solve_cyclic_tridiag(*system)
+        assert sizes[0] == g.n and len(sizes) == 3
+        assert all(m < g.n // 2 for m in sizes[1:])
+        assert np.array_equal(x, x_run)
+        assert np.array_equal(x, solve_banded_reference(*system))
+        monkeypatch.undo()
 
 
 def pivoting(n, seed):

@@ -3,7 +3,7 @@ import pytest
 
 from thickflow.banks import scalar_bank_1d, scalar_bank_2d
 from thickflow.grids import Grid1D
-from thickflow.powerlaw1d import PowerLawParams, run
+from thickflow.powerlaw1d import PowerLawModel, PowerLawParams
 from thickflow.transport_check import (continuity_residual,
                                        renormalized_residual,
                                        time_mean_continuity,
@@ -16,14 +16,15 @@ def reference_run(n=256, T=0.1, nsnap=64, a=2.0):
     u0 = 0.9 * np.sin(2 * np.pi * g.x) / (2 * np.pi)
     snaps = [(k + 0.5) * T / nsnap for k in range(nsnap)]
     pr = PowerLawParams(p=8.0, a=a, gamma=2.0)
-    return run(pr, g, rho0, u0, T, snapshot_times=snaps), pr
+    return PowerLawModel.run(pr, g, rho0, u0, T, snapshot_times=snaps), pr
 
 
 def steady_run(T=0.1, nsnap=32):
     g = Grid1D(64)
     snaps = [(k + 0.5) * T / nsnap for k in range(nsnap)]
     pr = PowerLawParams(p=4.0, a=1.0, gamma=2.0)
-    return run(pr, g, np.ones(g.n), np.zeros(g.n), T, snapshot_times=snaps)
+    return PowerLawModel.run(pr, g, np.ones(g.n), np.zeros(g.n), T,
+                             snapshot_times=snaps)
 
 
 class TestContinuityResidual:
