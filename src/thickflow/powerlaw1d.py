@@ -144,7 +144,7 @@ class PowerLawModel(Model1D):
                               f"after transport at t = {state.t:.6g}")
         u_star = m1 / rho1
         u_new, info = implicit_shear_solve(
-            u_star, u_star, rho1, dt, g, self.flux, self.dflux,
+            state.u, u_star, rho1, dt, g, self.flux, self.dflux,
             pr.newton_tol, pr.newton_max_iter, potential=self.potential)
         new_state = State1D(rho1, u_new, state.t + dt)
         udot = material_derivative(u_new, state.u, dt, g)

@@ -106,14 +106,10 @@ class SingularModel(Model1D):
             raise VacuumError(f"density reached {float(np.min(rho1)):.3e} "
                               f"after transport at t = {state.t:.6g}")
         u_star = m1 / rho1
-        # the post-transport velocity may be infeasible; fall back to the
-        # previous velocity as the (always feasible) Newton starting point
-        if np.max(np.abs(face_shear(u_star, g))) < 1.0 - 1e-9:
-            u_init = u_star
-        else:
-            u_init = state.u
+        # Newton starts at the previous velocity: it was accepted, so it
+        # is feasible, whereas the post-transport velocity may not be
         u_new, info = implicit_shear_solve(
-            u_init, u_star, rho1, dt, g, self.flux, self.dflux,
+            state.u, u_star, rho1, dt, g, self.flux, self.dflux,
             pr.newton_tol, pr.newton_max_iter, potential=self.potential,
             ftb_theta=pr.theta)
         s = info["shear"]

@@ -24,7 +24,10 @@ Splitting per step (first order in time):
 
 Both the power-law and the singular-viscosity solver drive this module;
 they differ only in the shear flux, its derivative, and the Newton
-step-length safeguard (fraction-to-boundary for the barrier flux).
+step-length safeguard (fraction-to-boundary for the barrier flux). Both
+start Newton at u^n: it was accepted, so it is feasible for the barrier
+flux, which u* need not be, and where the viscous flux is stiff (large
+p) Newton takes fewer iterations from it than from u*.
 """
 
 import functools
@@ -259,6 +262,22 @@ def implicit_shear_solve(u_init, u_star, rho, dt, g, flux, dflux,
     norm instead would deadlock near the shear barrier, where the
     residual is non-monotone along the Newton path.
 
+    Newton starts at u_init, which both models set to u^n; with
+    ftb_theta it must lie inside the shear barrier. The solution does
+    not depend on the start: two velocities with scaled residuals rn1 and
+    rn2 differ by at most rn1 + rn2 in max norm, because the Jacobian is
+    an M-matrix whose row sums are rho / dt.
+
+    Near the solution a step can lower Phi by less than its rounding
+    unit; Armijo's test of Phi is then noise and halves the steps to
+    nothing. So a trial step whose asked-for decrease -alpha * slope is
+    at most ulp(Phi) is accepted instead when Phi and the residual are
+    finite there and the slope at the trial point, (r_new . delta) dx,
+    is at most -0.8 times the slope at alpha = 0: Hager & Zhang's
+    approximate Armijo condition (SIAM J. Optim. 16, 2005) with c = 0.1,
+    as in semistationary2d.solve_momentum. The residual r is grad Phi /
+    dx, so this costs one dot product and no evaluation.
+
     When ftb_theta is given, every update is additionally scaled so the
     face shear stays inside 1 - theta (1 - max|s_current|) pointwise
     (fraction-to-boundary rule for the barrier flux).
@@ -351,9 +370,14 @@ def implicit_shear_solve(u_init, u_star, rho, dt, g, flux, dflux,
             except FluxOverflow:
                 alpha *= 0.5
                 continue
-            if math.isfinite(phi_new) and math.isfinite(rn_new) \
-                    and phi_new <= phi + 1e-4 * alpha * slope:
-                break
+            if math.isfinite(phi_new) and math.isfinite(rn_new):
+                if phi_new <= phi + 1e-4 * alpha * slope:
+                    break
+                if -alpha * slope <= math.ulp(phi) \
+                        and (r_new * delta).sum() * dx <= -0.8 * slope:
+                    # Phi cannot show the decrease asked for: decide by
+                    # the slope at the trial point (approximate Armijo)
+                    break
             alpha *= 0.5
         else:
             raise NewtonDivergence(

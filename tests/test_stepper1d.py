@@ -2,10 +2,11 @@
 tridiagonal solve against scipy.linalg.solve_banded, and the slice
 shifts against np.roll. Each must reproduce its reference bit for bit.
 Also the loading of LAPACK dgtsv, the failure paths of advance and of
-the Newton solve, and the fraction-to-boundary bound on its trial
-points."""
+the Newton solve, the fraction-to-boundary bound on its trial points,
+and the rule by which its line search accepts a step."""
 
 import importlib.util
+import math
 import subprocess
 import sys
 import warnings
@@ -21,7 +22,7 @@ from thickflow import cli, powerlaw1d, stepper1d
 from thickflow.config import parse_config
 from thickflow.diagnostics import check_conservation
 from thickflow.errors import FluxOverflow, NewtonDivergence, StepFailure
-from thickflow.grids import Grid1D
+from thickflow.grids import Grid1D, ddx_periodic
 from thickflow.powerlaw1d import PowerLawModel, PowerLawParams
 from thickflow.singular1d import SingularModel, SingularParams
 from thickflow.stepper1d import (barotropic_llf_update, cfl_dt, face_shear,
@@ -487,6 +488,120 @@ def test_fraction_to_boundary_keeps_every_trial_point_feasible():
     assert on_bound > 0
     # a capped step is damped by a factor that is no power of one half
     assert any(a < 1.0 and np.log2(a) % 1.0 != 0.0 for a in info["damping"])
+
+
+def _replay_line_searches(u_init, u_star, rho, dt, g, m, potential, tol,
+                          monkeypatch):
+    """Solve with implicit_shear_solve, then replay every power-law line
+    search (first trial alpha = 1) from the recorded residuals and Newton
+    directions. Returns, per trial, (accepted, armijo, below, slope_ok):
+    whether the solve took it, whether it passes Armijo's test of Phi,
+    whether the decrease asked for, -alpha * slope, is at most ulp(Phi),
+    and whether the slope at the trial point is at most -0.8 slope."""
+    systems = []
+    solve = stepper1d.solve_cyclic_tridiag
+
+    def recorded(lower, diag, upper, rhs):
+        delta = solve(lower, diag, upper, rhs)
+        systems.append((-rhs, delta))
+        return delta
+
+    monkeypatch.setattr(stepper1d, "solve_cyclic_tridiag", recorded)
+    _, info = implicit_shear_solve(u_init, u_star, rho, dt, g, m.flux,
+                                   m.dflux, tol, 100, potential)
+    w = rho / dt
+
+    def evaluate(u):   # the solve's residual and merit, the same operations
+        s = face_shear(u, g)
+        du = u - u_star
+        r = w * du - ddx_periodic(m.flux(s), g, "backward")
+        return r, float((0.5 * w * du**2 + potential(s)).sum() * g.dx)
+
+    trials = []
+    u = u_init
+    for (r, delta), alpha in zip(systems, info["damping"]):
+        r_u, phi = evaluate(u)
+        assert np.array_equal(r_u, r)
+        slope = float((r * delta).sum() * g.dx)
+        for k in range(round(-math.log2(alpha)), -1, -1):
+            a = alpha * 2.0**k
+            r_new, phi_new = evaluate(u + a * delta)
+            trials.append((k == 0, phi_new <= phi + 1e-4 * a * slope,
+                           -a * slope <= math.ulp(phi),
+                           (r_new * delta).sum() * g.dx <= -0.8 * slope))
+        u = u + alpha * delta
+    return trials
+
+
+def test_slope_acceptance_only_below_the_rounding_unit_of_phi(monkeypatch):
+    # A constant added to the potential leaves the flux, the residual and
+    # the Newton directions as they are, but raises Phi to about 100 and
+    # ulp(Phi) to 1.4e-14: near the solution Armijo's test of Phi is then
+    # rounding noise, which refuses about half of the steps there. The
+    # start u takes damped steps; the starts about 1e-9 from the solution
+    # ask for decreases far below ulp(Phi).
+    g = Grid1D(32)
+    m = PowerLawModel(PowerLawParams(p=8.0), g)
+    rho = 1.0 + 0.3 * np.sin(2 * np.pi * g.x)
+    u = 0.1 * np.sin(2 * np.pi * g.x) + 0.02 * np.cos(6 * np.pi * g.x)
+    u_star, dt = 1.5 * u, 1e-2
+    u_sol, _ = implicit_shear_solve(u, u_star, rho, dt, g, m.flux, m.dflux,
+                                    1e-12, 100, m.potential)
+
+    def potential(s):
+        return m.potential(s) + 100.0
+
+    starts = [u] + [u_sol + 1e-9 * np.random.default_rng(seed).normal(size=g.n)
+                    for seed in range(16)]
+    trials = []
+    for u_init in starts:
+        trials += _replay_line_searches(u_init, u_star, rho, dt, g, m,
+                                        potential, 1e-17, monkeypatch)
+    for accepted, armijo, below, slope_ok in trials:
+        assert accepted == (armijo or (below and slope_ok))
+    # the slope test decides steps that Armijo's test of Phi refuses ...
+    assert any(accepted and not armijo for accepted, armijo, _, _ in trials)
+    # ... and only below ulp(Phi): above it, Armijo alone decides
+    assert any(not armijo and not below for _, armijo, below, _ in trials)
+
+
+def test_sweep_p64_member_neither_retries_nor_exhausts_newton(monkeypatch):
+    # the p = 64 member of the sweep-p benchmark workload once stalled at
+    # a scaled residual of 1.7e-11, after 100 Newton iterations of step
+    # size 0.008-0.125 that Armijo's test of Phi refused at full length,
+    # and its step was retried at dt / 2
+    sys.path.insert(0, str(ROOT / "perfbench"))
+    try:
+        from workloads import WORKLOADS, config_text
+    finally:
+        sys.path.remove(str(ROOT / "perfbench"))
+    cfg = parse_config(config_text(WORKLOADS["sweep-p"], 1))
+    params = cfg.build_params(p=64.0)
+    assert (cfg.n, cfg.T) == (256, 0.03)
+    failures, iterations = [], []
+    step, solve = PowerLawModel.step, powerlaw1d.implicit_shear_solve
+
+    def counted_step(self, state, dt, forcing=None):
+        try:
+            return step(self, state, dt, forcing)
+        except Exception as err:
+            failures.append(err)
+            raise
+
+    def counted_solve(*args, **kwargs):
+        u, info = solve(*args, **kwargs)
+        iterations.append(info["iterations"])
+        return u, info
+
+    monkeypatch.setattr(PowerLawModel, "step", counted_step)
+    monkeypatch.setattr(powerlaw1d, "implicit_shear_solve", counted_solve)
+    g = cfg.grid()
+    rho0, u0 = cfg.initial_fields(g)
+    traj = PowerLawModel.run(params, g, rho0, u0, cfg.T,
+                             cfg.snapshot_schedule())
+    assert failures == []
+    assert len(iterations) == len(traj.records) - 1
+    assert max(iterations) < params.newton_max_iter
 
 
 NAN_DIRECTION = """
