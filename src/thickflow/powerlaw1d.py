@@ -132,7 +132,7 @@ class PowerLawModel(Model1D):
         pr = self.params
         return pr.mu / pr.p * integrate(f * s / pr.mu, g)
 
-    def step(self, state, dt, forcing=None):
+    def step(self, state, dt, forcing=None, prev=None):
         g, pr = self.g, self.params
         rho1, m1 = barotropic_llf_update(state.rho, state.u, pr.a, pr.gamma, dt, g)
         if forcing is not None:
@@ -143,6 +143,8 @@ class PowerLawModel(Model1D):
             raise VacuumError(f"density reached {float(np.min(rho1)):.3e} "
                               f"after transport at t = {state.t:.6g}")
         u_star = m1 / rho1
+        # Newton starts at u^n; prev goes unused, because at large p
+        # Newton takes more iterations from the extrapolation in time
         u_new, info = implicit_shear_solve(
             state.u, u_star, rho1, dt, g, self.flux, self.dflux,
             pr.newton_tol, pr.newton_max_iter, potential=self.potential)

@@ -92,7 +92,7 @@ class SingularModel(Model1D):
         # no L^p norm term for the singular model
         return 0.0
 
-    def step(self, state, dt, forcing=None):
+    def step(self, state, dt, forcing=None, prev=None):
         g, pr = self.g, self.params
         s0 = face_shear(state.u, g)
         if np.max(np.abs(s0)) >= 1.0:
@@ -106,10 +106,17 @@ class SingularModel(Model1D):
             raise VacuumError(f"density reached {float(np.min(rho1)):.3e} "
                               f"after transport at t = {state.t:.6g}")
         u_star = m1 / rho1
-        # Newton starts at the previous velocity: it was accepted, so it
-        # is feasible, whereas the post-transport velocity may not be
+        # Newton starts at the linear extrapolation in time of the last
+        # accepted step when that lies inside the barrier, else at u^n,
+        # which was accepted and so is feasible
+        u_init = state.u
+        if prev is not None:
+            u_prev, dt_prev = prev
+            u_pred = state.u + (dt / dt_prev) * (state.u - u_prev)
+            if np.max(np.abs(face_shear(u_pred, g))) < 1.0:
+                u_init = u_pred
         u_new, info = implicit_shear_solve(
-            state.u, u_star, rho1, dt, g, self.flux, self.dflux,
+            u_init, u_star, rho1, dt, g, self.flux, self.dflux,
             pr.newton_tol, pr.newton_max_iter, potential=self.potential,
             ftb_theta=pr.theta)
         s = info["shear"]

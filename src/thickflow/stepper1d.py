@@ -23,11 +23,16 @@ Splitting per step (first order in time):
      which is exactly the recorded dissipation.
 
 Both the power-law and the singular-viscosity solver drive this module;
-they differ only in the shear flux, its derivative, and the Newton
-step-length safeguard (fraction-to-boundary for the barrier flux). Both
-start Newton at u^n: it was accepted, so it is feasible for the barrier
-flux, which u* need not be, and where the viscous flux is stiff (large
-p) Newton takes fewer iterations from it than from u*.
+they differ only in the shear flux, its derivative, the Newton
+step-length safeguard (fraction-to-boundary for the barrier flux) and
+where Newton starts. advance hands each step the velocity u^(n-1) and
+the step dt_prev of the last accepted step. The singular model starts
+Newton at their linear extrapolation in time,
+u^n + (dt / dt_prev) (u^n - u^(n-1)), when its face shear lies inside
+the barrier, and at u^n otherwise: u^n was accepted, so it is feasible,
+which u* need not be. The power-law model starts at u^n: where its flux
+is stiff (large p) Newton takes fewer iterations from there than from
+u* or from the extrapolation.
 """
 
 import functools
@@ -262,11 +267,13 @@ def implicit_shear_solve(u_init, u_star, rho, dt, g, flux, dflux,
     norm instead would deadlock near the shear barrier, where the
     residual is non-monotone along the Newton path.
 
-    Newton starts at u_init, which both models set to u^n; with
-    ftb_theta it must lie inside the shear barrier. The solution does
-    not depend on the start: two velocities with scaled residuals rn1 and
-    rn2 differ by at most rn1 + rn2 in max norm, because the Jacobian is
-    an M-matrix whose row sums are rho / dt.
+    Newton starts at u_init: u^n for the power law, and for the barrier
+    flux the linear extrapolation in time of the last accepted step, or
+    u^n where that leaves the barrier. With ftb_theta, u_init must lie
+    inside the shear barrier. The solution does not depend on the start:
+    two velocities with scaled residuals rn1 and rn2 differ by at most
+    rn1 + rn2 in max norm, because the Jacobian is an M-matrix whose row
+    sums are rho / dt.
 
     Near the solution a step can lower Phi by less than its rounding
     unit; Armijo's test of Phi is then noise and halves the steps to
@@ -403,9 +410,10 @@ class Model1D:
         only definitions of its flux, the flux's derivative and its
         convex primitive, and the _intermediates(s) they share;
       - lp_term(s, f, g), the L^p norm term of the diagnostics record;
-      - step(state, dt, forcing), which returns the new state, the
+      - step(state, dt, forcing, prev), which returns the new state, the
         increments of the cumulative records, and the info of its Newton
-        solve;
+        solve; prev is (u^(n-1), dt) of the last accepted step, None
+        before the first one, and may set where Newton starts;
       - the classmethod run(params, g, rho0, u0, T, snapshot_times,
         forcing), which integrates with advance.
 
@@ -413,8 +421,9 @@ class Model1D:
     which the model's _intermediates(s) computes (for the power law
     s^2 + delta^2 and its log). _shared(s) keeps them for one array
     only, the last one it saw, keyed by identity and holding a reference
-    to it: a caller must not change s in place between those calls.
-    Each method still makes its own checks and raises on a memo hit.
+    to it. It makes that array read-only, so that a change of s in place,
+    which would leave the memo stale, raises instead. Each method still
+    makes its own checks and raises on a memo hit.
     """
 
     def __init__(self, params, g):
@@ -429,6 +438,7 @@ class Model1D:
         """The intermediates of shear s, computed once per array."""
         if s is not self._memo_s:
             self._memo = self._intermediates(s)
+            s.flags.writeable = False
             self._memo_s = s
         return self._memo
 
@@ -451,6 +461,7 @@ def advance(model, g, rho0, u0, T, snapshot_times=None, forcing=None):
     The time step is the convective CFL one, clipped to land exactly on
     snapshot times. On NewtonDivergence the step retries with dt halved
     (up to 10 halvings) before giving up with the failing time attached.
+    Every try is handed the velocity and dt of the last accepted step.
     """
     rho = np.asarray(rho0, dtype=float).copy()
     u = np.asarray(u0, dtype=float).copy()
@@ -467,13 +478,15 @@ def advance(model, g, rho0, u0, T, snapshot_times=None, forcing=None):
     targets = snapshot_schedule_with_final(T, snapshot_times)
     t = 0.0
     ti = 0
+    prev = None   # (u^(n-1), dt) of the last accepted step
     while t < T - 1e-14:
         next_stop = targets[ti] if ti < len(targets) else T
         dt = min(cfl_dt(state, model.a, model.gamma, model.cfl, g), next_stop - t)
         last_err = None
         for _ in range(11):
             try:
-                new_state, inc, info = model.step(state, dt, forcing=forcing)
+                new_state, inc, info = model.step(state, dt, forcing=forcing,
+                                                  prev=prev)
                 break
             except (NewtonDivergence, VacuumError, FluxOverflow) as err:
                 last_err = err
@@ -481,6 +494,7 @@ def advance(model, g, rho0, u0, T, snapshot_times=None, forcing=None):
         else:
             raise StepFailure(f"step failed at t = {t:.6g}: {last_err}",
                               t=t, cause=last_err)
+        prev = (state.u, dt)
         state = new_state
         t = state.t
         acc["dissipation"] += inc["dissipation"]

@@ -141,6 +141,21 @@ def test_singular_barrier_raised_on_a_memo_hit(bad):
             model.dflux(s)
 
 
+def test_a_memoized_shear_cannot_change_in_place():
+    # the memo is keyed by identity: a write into s after flux(s) would
+    # make flux(s) return the stale flux and raise no FluxOverflow
+    model = PowerLawModel(PowerLawParams(p=64.0), Grid1D(256))
+    s = np.linspace(-1.0, 1.0, 256)
+    f = model.flux(s)
+    with pytest.raises(ValueError, match="read-only"):
+        s[100] = 1e5
+    assert np.array_equal(model.flux(s), f)
+    s = s.copy()
+    s[100] = 1e5
+    with pytest.raises(FluxOverflow):
+        model.flux(s)
+
+
 def test_singular_nan_shear_is_not_a_barrier_hit():
     # as before the memo: a nan compares false, so it flows through
     model, former = singular_case(0.01)

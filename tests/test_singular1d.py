@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
-from thickflow.errors import ConstraintViolation
+from thickflow import singular1d
+from thickflow.errors import ConstraintViolation, NewtonDivergence
 from thickflow.grids import Grid1D
 from thickflow.singular1d import SingularModel, SingularParams
+from thickflow.stepper1d import face_shear
 from thickflow.trajectory import State1D
 
 G = Grid1D(16)
@@ -150,3 +152,95 @@ def test_uniform_quantity_bounded_across_eps(singular_runs):
     vals = [t.records[-1].aux_cum for t in singular_runs.values()]
     assert max(vals) <= 2.0 * min(vals)
     assert all(np.isfinite(v) and v > 0 for v in vals)
+
+
+def _traced_run(monkeypatch, fail_call=None):
+    """A short singular run. Returns it and, per try of a step, the
+    velocity u^n, dt, prev and the velocity Newton started at; the try
+    numbered fail_call raises NewtonDivergence."""
+    step, solve = SingularModel.step, singular1d.implicit_shear_solve
+    tries = []
+
+    def traced_step(self, state, dt, forcing=None, prev=None):
+        tries.append({"u": state.u, "dt": dt, "prev": prev})
+        return step(self, state, dt, forcing, prev)
+
+    def traced_solve(u_init, *args, **kwargs):
+        tries[-1]["u_init"] = u_init.copy()
+        if len(tries) - 1 == fail_call:
+            raise NewtonDivergence("injected", last_residual=1.0)
+        return solve(u_init, *args, **kwargs)
+
+    monkeypatch.setattr(SingularModel, "step", traced_step)
+    monkeypatch.setattr(singular1d, "implicit_shear_solve", traced_solve)
+    g = Grid1D(64)
+    rho0 = 1 + 0.15 * np.sin(2 * np.pi * g.x)
+    u0 = 0.5 * np.sin(2 * np.pi * g.x) / (2 * np.pi)
+    return SingularModel.run(params(), g, rho0, u0, 0.02), u0, tries
+
+
+def _extrapolation(u, dt, prev):
+    u_prev, dt_prev = prev
+    return u + (dt / dt_prev) * (u - u_prev)
+
+
+class TestNewtonPredictor:
+    def test_first_step_starts_at_u_n_then_steps_extrapolate(
+            self, monkeypatch):
+        traj, u0, tries = _traced_run(monkeypatch)
+        assert len(tries) == len(traj.records) - 1 >= 3
+        assert tries[0]["prev"] is None
+        assert np.array_equal(tries[0]["u_init"], u0)
+        u_prev, dt_prev = tries[1]["prev"]
+        assert np.array_equal(u_prev, u0)
+        assert dt_prev == traj.records[1].dt == tries[0]["dt"]
+        for k in range(1, len(tries)):
+            start = _extrapolation(tries[k]["u"], tries[k]["dt"],
+                                   tries[k]["prev"])
+            assert np.array_equal(tries[k]["u_init"], start)
+            assert not np.array_equal(start, tries[k]["u"])
+
+    def test_retry_extrapolates_with_the_halved_dt(self, monkeypatch):
+        traj, _, tries = _traced_run(monkeypatch, fail_call=2)
+        failed, retry = tries[2], tries[3]
+        assert len(tries) == len(traj.records)   # one retry
+        assert retry["u"] is failed["u"] and retry["prev"] is failed["prev"]
+        assert retry["dt"] == failed["dt"] / 2 == traj.records[3].dt
+        # prev is the last accepted step's, not the failed try's
+        assert retry["prev"][1] == tries[1]["dt"] == traj.records[2].dt
+        assert np.array_equal(retry["u_init"], _extrapolation(
+            retry["u"], retry["dt"], retry["prev"]))
+        assert not np.array_equal(retry["u_init"], failed["u_init"])
+
+    @pytest.mark.parametrize("gain, outside", [(0.2, True), (0.05, False)])
+    def test_extrapolation_across_the_barrier_starts_at_u_n(
+            self, monkeypatch, gain, outside):
+        g = Grid1D(64)
+        model = SingularModel(params(), g)
+        u = np.sin(2 * np.pi * g.x)
+        u *= 0.9 / np.abs(face_shear(u, g)).max()
+        state = State1D(1 + 0.1 * np.cos(2 * np.pi * g.x), u, 0.0)
+        dt = 1e-3
+        # max |s| of the extrapolation is 0.9 (1 + gain)
+        prev = ((1.0 - gain) * u, dt)
+        starts = []
+        solve = singular1d.implicit_shear_solve
+
+        def traced_solve(u_init, *args, **kwargs):
+            starts.append(u_init)
+            return solve(u_init, *args, **kwargs)
+
+        monkeypatch.setattr(singular1d, "implicit_shear_solve", traced_solve)
+        predicted = model.step(state, dt, prev=prev)
+        from_u_n = model.step(state, dt)
+        assert starts[1] is state.u
+        if outside:
+            assert starts[0] is state.u
+            assert np.array_equal(predicted[0].u, from_u_n[0].u)
+            assert predicted[1] == from_u_n[1]
+            assert predicted[2]["residuals"] == from_u_n[2]["residuals"]
+        else:
+            assert np.array_equal(starts[0], _extrapolation(u, dt, prev))
+            rn1, rn2 = (max(info["residuals"][-1], model.params.newton_tol)
+                        for _, _, info in (predicted, from_u_n))
+            assert np.abs(predicted[0].u - from_u_n[0].u).max() <= rn1 + rn2

@@ -409,9 +409,9 @@ def test_step_failure_carries_time_and_cause(monkeypatch):
     step = PowerLawModel.step
     tries = []
 
-    def failing_step(self, state, dt, forcing=None):
+    def failing_step(self, state, dt, forcing=None, prev=None):
         if len(tries) == 0 and state.t < 0.005:
-            return step(self, state, dt, forcing)
+            return step(self, state, dt, forcing, prev)
         tries.append((state.t, dt, FluxOverflow(f"injected {len(tries)}")))
         raise tries[-1][2]
 
@@ -581,9 +581,9 @@ def test_sweep_p64_member_neither_retries_nor_exhausts_newton(monkeypatch):
     failures, iterations = [], []
     step, solve = PowerLawModel.step, powerlaw1d.implicit_shear_solve
 
-    def counted_step(self, state, dt, forcing=None):
+    def counted_step(self, state, dt, forcing=None, prev=None):
         try:
-            return step(self, state, dt, forcing)
+            return step(self, state, dt, forcing, prev)
         except Exception as err:
             failures.append(err)
             raise
