@@ -13,7 +13,8 @@ defaults and ranges are those of the params classes in MODELS, checked
 by building the params of the run and of every sweep member; positivity
 of the implied initial density is checked by dense sampling at 8x grid
 resolution, and |du0/dx| <= 1 is enforced when paper_initial_conditions
-is set. Every other default is that of its Config field.
+is set. Every other default is that of its Config field, and a key
+that nothing reads is an error, as an unknown [params] key is.
 """
 
 from dataclasses import dataclass, field, fields
@@ -220,11 +221,14 @@ def parse_config(text):
                               f"| semistationary2d, got {model!r}")
 
     cfg = Config(model=model, raw_text=text)
+    used = {"model.kind"}
 
     def read(where, default):
         """The file's section.key if it has default's type; default if
         the key is absent or the value is bad. A list takes numbers, a
-        float also an int (cast), and a string any value (as text)."""
+        float also an int (cast), and a string any value (as text). The
+        key counts as read, so it is no unknown key."""
+        used.add(where)
         section, key = where.split(".")
         value = raw.get(section, {}).get(key, default)
         kind = type(default)
@@ -257,6 +261,10 @@ def parse_config(text):
             setattr(cfg, attr, read(f"{section}.{key}", getattr(cfg, attr)))
     if cfg.T < 0:
         errors.append("time.T: final time must be >= 0")
+    outside = [t for t in cfg.snapshot_times if not 0 < t <= cfg.T]
+    if outside:
+        errors.append(f"time.snapshot_times: {outside} outside (0, T = "
+                      f"{cfg.T}]")
     if not all(eta > 0 for eta in cfg.eta):
         errors.append(f"checks.eta: every eta must be positive, got {cfg.eta}")
     if cfg.bank_size < 1:
@@ -356,6 +364,9 @@ def parse_config(text):
                     f"initial.u_modes: |du0/dx| reaches {smax:.4g} > 1, "
                     "violating the max-shear initial-data hypothesis")
 
+    errors.extend(f"{section}.{key}: unknown key"
+                  for section, keys in raw.items() if section != "params"
+                  for key in keys if f"{section}.{key}" not in used)
     if errors:
         raise ValidationError(errors)
     return cfg

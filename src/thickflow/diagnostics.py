@@ -250,21 +250,13 @@ def momentum_residual_l2(traj):
     """
     from .config import MODELS
     from .grids import ddx_periodic
-    from .trajectory import State1D
+    from .trajectory import State1D, snapshot_midpoints
 
     g = traj.grid
     stress = MODELS[traj.model][1](traj.params, g).stress
     worst = 0.0
-    snaps = traj.snapshots
-    for k in range(len(snaps) - 1):
-        s0, s1 = snaps[k], snaps[k + 1]
-        dt = s1.t - s0.t
-        if dt <= 0:
-            continue
-        u_mid = 0.5 * (s0.u + s1.u)
-        rho_mid = 0.5 * (s0.rho + s1.rho)
-        udot = (s1.u - s0.u) / dt + u_mid * ddx_periodic(u_mid, g)
-        sigma = stress(State1D(rho_mid, u_mid, s0.t + 0.5 * dt))
+    for _, tm, rho_mid, u_mid, udot in snapshot_midpoints(traj):
+        sigma = stress(State1D(rho_mid, u_mid, tm))
         resid = ddx_periodic(sigma, g) - rho_mid * udot
         worst = max(worst, float(np.sqrt(integrate(resid**2, g))))
     return worst

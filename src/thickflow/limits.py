@@ -16,12 +16,14 @@ comparison restricts the finer grid by block averaging.
 
 import csv
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from .config import MODELS
-from .grids import ddx_periodic, div_2d, integrate, sym_grad_2d, sym_grad_norm
+from .grids import ddx_periodic, div_2d, integrate
+from .semistationary2d import shear_and_stress
+from .trajectory import snapshot_midpoints
 
 
 def constraint_violation_measure(shear_mag, eta):
@@ -31,31 +33,60 @@ def constraint_violation_measure(shear_mag, eta):
     return float(np.mean(np.asarray(shear_mag) > 1.0 + eta))
 
 
-def trajectory_violation_measure(traj, eta):
-    """Space-time fraction over the snapshot set (t = 0 excluded)."""
-    g = traj.grid
-    vals = []
-    for s in traj.snapshots:
-        if s.t == 0.0:
-            continue
-        if s.rho.ndim == 1:
-            mag = np.abs(ddx_periodic(s.u, g))
-        else:
-            mag = sym_grad_norm(sym_grad_2d(s.u, g))
-        vals.append(constraint_violation_measure(mag, eta))
+def _mean(vals):
+    """np.mean of vals as a float; 0.0 for none."""
     return float(np.mean(vals)) if vals else 0.0
 
 
-def lagrange_multiplier(u, tau, g):
-    """Multiplier proxy pi = |tau| and the complementarity defect.
+def _complementarity_defect(pi, shear, g):
+    """int pi max(0, 1 - |shear|); the positive part avoids rewarding the
+    slight constraint violations of finite-p runs."""
+    return integrate(pi * np.maximum(0.0, 1.0 - shear), g)
 
-    The defect integrates pi * max(0, 1 - |du/dx|); the positive part
-    avoids rewarding the slight constraint violations of finite-p runs.
-    """
+
+def _shear_and_multiplier(traj):
+    """|shear| and the multiplier proxy pi = |tau| of each positive-time
+    snapshot, for any of the three models: |du/dx| and the 1D model's
+    |flux|, or |Du| and the 2D viscous stress."""
+    g, params = traj.grid, traj.params
+    model_1d = MODELS[traj.model][1]
+    flux = None if model_1d is None else model_1d(params, g).flux
+    for s in traj.snapshots:
+        if s.t == 0.0:
+            continue
+        if flux is None:
+            yield shear_and_stress(s.u, g, params)
+        else:
+            dudx = ddx_periodic(s.u, g)
+            yield np.abs(dudx), np.abs(flux(dudx))
+
+
+def _multiplier_measures(traj, etas):
+    """Snapshot means of the violation measure at each eta (keyed by
+    str(eta)) and of the complementarity defect, from one evaluation of
+    each snapshot's shear and multiplier."""
+    rows = [[constraint_violation_measure(shear, eta) for eta in etas]
+            + [_complementarity_defect(pi, shear, traj.grid)]
+            for shear, pi in _shear_and_multiplier(traj)]
+    means = [_mean([row[i] for row in rows]) for i in range(len(etas) + 1)]
+    return dict(zip(map(str, etas), means)), means[-1]
+
+
+def trajectory_violation_measure(traj, eta):
+    """Space-time fraction over the snapshot set (t = 0 excluded)."""
+    return _multiplier_measures(traj, [eta])[0][str(eta)]
+
+
+def lagrange_multiplier(u, tau, g):
+    """Multiplier proxy pi = |tau| and the complementarity defect
+    int pi max(0, 1 - |du/dx|)."""
     pi = np.abs(tau)
-    dudx = ddx_periodic(u, g)
-    residual = integrate(pi * np.maximum(0.0, 1.0 - np.abs(dudx)), g)
-    return pi, float(residual)
+    return pi, _complementarity_defect(pi, np.abs(ddx_periodic(u, g)), g)
+
+
+def trajectory_complementarity(traj):
+    """Snapshot-mean complementarity defect of pi = |tau|."""
+    return _multiplier_measures(traj, [])[1]
 
 
 def entropy_gap(rho_coarse, rho_ref, gamma, g):
@@ -65,62 +96,36 @@ def entropy_gap(rho_coarse, rho_ref, gamma, g):
     return integrate(rp**gamma - r**gamma - gamma * r ** (gamma - 1.0) * (rp - r), g)
 
 
-def _l2_time_mean(traj_a, traj_b):
-    """sqrt of the snapshot-mean squared L2 distance of the velocity."""
-    g = traj_a.grid
+def _snapshot_pairs(traj_a, traj_b):
+    """The two runs' positive-time snapshots, paired by index; raises
+    ValueError where the paired times differ."""
+    pairs = [(sa, sb) for sa, sb in zip(traj_a.snapshots, traj_b.snapshots)
+             if sa.t > 0.0]
+    if any(abs(sa.t - sb.t) > 1e-9 for sa, sb in pairs):
+        raise ValueError("snapshot times are not aligned")
+    return pairs
+
+
+def _l2_time_mean(pairs, g, restrict=lambda u: u):
+    """sqrt of the pair-mean squared L2 distance of the velocity, the
+    second run's velocity restricted to the grid g first."""
     total = 0.0
-    count = 0
-    for sa, sb in zip(traj_a.snapshots, traj_b.snapshots):
-        if sa.t == 0.0:
-            continue
-        da = sa.u - sb.u
+    for sa, sb in pairs:
+        da = sa.u - restrict(sb.u)
         sq = da**2 if da.ndim <= 2 else np.sum(da**2, axis=0)
         total += integrate(sq, g)
-        count += 1
-    return float(np.sqrt(total / max(count, 1)))
+    return float(np.sqrt(total / max(len(pairs), 1)))
 
 
-def _lgamma_time_mean(traj_a, traj_b, gamma):
-    g = traj_a.grid
+def _lgamma_time_mean(pairs, gamma, g):
     total = 0.0
-    count = 0
-    for sa, sb in zip(traj_a.snapshots, traj_b.snapshots):
-        if sa.t == 0.0:
-            continue
+    for sa, sb in pairs:
         total += integrate(np.abs(sa.rho - sb.rho) ** gamma, g)
-        count += 1
-    return float((total / max(count, 1)) ** (1.0 / gamma))
+    return float((total / max(len(pairs), 1)) ** (1.0 / gamma))
 
 
-def _entropy_gap_time_mean(traj_a, traj_ref, gamma):
-    g = traj_a.grid
-    vals = [entropy_gap(sa.rho, sb.rho, gamma, g)
-            for sa, sb in zip(traj_a.snapshots, traj_ref.snapshots)
-            if sa.t > 0.0]
-    return float(np.mean(vals)) if vals else 0.0
-
-
-def _multiplier_defect(traj, snapshot):
-    """Complementarity defect int pi max(0, 1 - shear) of one snapshot,
-    with pi = |tau| the multiplier proxy, for any of the three models."""
-    g = traj.grid
-    model_1d = MODELS[traj.model][1]
-    if model_1d is not None:
-        tau = model_1d(traj.params, g).flux(ddx_periodic(snapshot.u, g))
-        _, resid = lagrange_multiplier(snapshot.u, tau, g)
-        return resid
-    from .semistationary2d import _strain, _weight
-
-    D, log_t = _strain(snapshot.u, g, traj.params.delta)
-    dn = sym_grad_norm(D)
-    pi = _weight(log_t, traj.params.p) * dn
-    return integrate(pi * np.maximum(0.0, 1.0 - dn), g)
-
-
-def trajectory_complementarity(traj):
-    """Snapshot-mean complementarity defect of pi = |tau|."""
-    vals = [_multiplier_defect(traj, s) for s in traj.snapshots if s.t > 0.0]
-    return float(np.mean(vals)) if vals else 0.0
+def _entropy_gap_time_mean(pairs, gamma, g):
+    return _mean([entropy_gap(sa.rho, sb.rho, gamma, g) for sa, sb in pairs])
 
 
 @dataclass
@@ -131,7 +136,7 @@ class SweepReport:
     rho_dist: dict = field(default_factory=dict)
     violation: dict = field(default_factory=dict)   # value -> {eta: measure}
     complementarity: dict = field(default_factory=dict)
-    entropy: dict = field(default_factory=dict)
+    entropy_gap: dict = field(default_factory=dict)
     hoff: dict = field(default_factory=dict)
     aux_uniform: dict = field(default_factory=dict)
     pairwise_u: list = field(default_factory=list)  # consecutive Cauchy gaps
@@ -140,21 +145,7 @@ class SweepReport:
     context: dict = field(default_factory=dict)
 
     def to_dict(self):
-        return {
-            "kind": self.kind,
-            "param_values": list(self.param_values),
-            "u_dist": self.u_dist,
-            "rho_dist": self.rho_dist,
-            "violation": self.violation,
-            "complementarity": self.complementarity,
-            "entropy_gap": self.entropy,
-            "hoff": self.hoff,
-            "aux_uniform": self.aux_uniform,
-            "pairwise_u": self.pairwise_u,
-            "pairwise_entropy": self.pairwise_entropy,
-            "cross_distance": self.cross_distance,
-            "context": self.context,
-        }
+        return asdict(self)
 
     def write_json(self, path):
         with open(path, "w") as f:
@@ -162,23 +153,23 @@ class SweepReport:
             f.write("\n")
 
     def write_csv(self, path):
+        """One row per parameter value; a violation column viol_<eta>
+        (eta in %g without its dot) per eta the report was built with."""
         from .trajectory import FMT
 
+        etas = self.violation[str(self.param_values[0])]
         with open(path, "w", newline="") as f:
             w = csv.writer(f)
-            w.writerow(["param", "u_dist", "rho_dist", "viol_001", "viol_005",
-                        "viol_01", "compl_resid", "entropy_gap"])
+            w.writerow(["param", "u_dist", "rho_dist",
+                        *("viol_" + f"{float(eta):g}".replace(".", "")
+                          for eta in etas),
+                        "compl_resid", "entropy_gap"])
             for v in self.param_values:
                 key = str(v)
-                viol = self.violation[key]
-                w.writerow([FMT % v,
-                            FMT % self.u_dist[key],
-                            FMT % self.rho_dist[key],
-                            FMT % viol["0.01"],
-                            FMT % viol["0.05"],
-                            FMT % viol["0.1"],
-                            FMT % self.complementarity[key],
-                            FMT % self.entropy[key]])
+                w.writerow([FMT % x for x in (
+                    v, self.u_dist[key], self.rho_dist[key],
+                    *self.violation[key].values(), self.complementarity[key],
+                    self.entropy_gap[key])])
 
 
 def assemble_sweep_report(kind, values, trajectories, gamma,
@@ -191,24 +182,25 @@ def assemble_sweep_report(kind, values, trajectories, gamma,
     from .diagnostics import hoff_value
 
     values = sorted(values, reverse=(kind == "eps"))
-    finest = values[-1]
-    ref = trajectories[finest]
+    ref = trajectories[values[-1]]
     rep = SweepReport(kind=kind, param_values=list(values))
     for v in values:
         traj = trajectories[v]
         key = str(v)
-        rep.u_dist[key] = _l2_time_mean(traj, ref)
-        rep.rho_dist[key] = _lgamma_time_mean(traj, ref, gamma)
-        rep.violation[key] = {str(eta): trajectory_violation_measure(traj, eta)
-                              for eta in etas}
-        rep.complementarity[key] = trajectory_complementarity(traj)
-        rep.entropy[key] = _entropy_gap_time_mean(traj, ref, gamma)
+        pairs = _snapshot_pairs(traj, ref)
+        rep.u_dist[key] = _l2_time_mean(pairs, traj.grid)
+        rep.rho_dist[key] = _lgamma_time_mean(pairs, gamma, traj.grid)
+        rep.violation[key], rep.complementarity[key] = \
+            _multiplier_measures(traj, etas)
+        rep.entropy_gap[key] = _entropy_gap_time_mean(pairs, gamma, traj.grid)
         rep.hoff[key] = hoff_value(traj)
         rep.aux_uniform[key] = traj.records[-1].aux_cum
     for va, vb in zip(values[:-1], values[1:]):
-        rep.pairwise_u.append(_l2_time_mean(trajectories[va], trajectories[vb]))
+        traj = trajectories[va]
+        pairs = _snapshot_pairs(traj, trajectories[vb])
+        rep.pairwise_u.append(_l2_time_mean(pairs, traj.grid))
         rep.pairwise_entropy.append(
-            _entropy_gap_time_mean(trajectories[va], trajectories[vb], gamma))
+            _entropy_gap_time_mean(pairs, gamma, traj.grid))
     return rep
 
 
@@ -228,17 +220,19 @@ def cross_model_distance(traj_p, traj_eps):
     if g_e.n % g_p.n:
         raise ValueError("grids are not nested")
     factor = g_e.n // g_p.n
-    total = 0.0
-    count = 0
-    for sp, se in zip(traj_p.snapshots, traj_eps.snapshots):
-        if sp.t == 0.0:
-            continue
-        if abs(sp.t - se.t) > 1e-9:
-            raise ValueError("snapshot times are not aligned")
-        ue = restrict_block_average(se.u, factor)
-        total += integrate((sp.u - ue) ** 2, g_p)
-        count += 1
-    return float(np.sqrt(total / max(count, 1)))
+    return _l2_time_mean(_snapshot_pairs(traj_p, traj_eps), g_p,
+                         lambda u: restrict_block_average(u, factor))
+
+
+def _variational_report(check, traj, bank, mins, tol_scale):
+    """The report of the minimum over the bank, violated when negative."""
+    from .diagnostics import CheckReport
+
+    e0 = traj.records[0].energy
+    return CheckReport.build(
+        check, bound=0.0, measured=-min(mins), tolerance=tol_scale * e0,
+        context={"bank_size": len(bank), "residuals_min": min(mins),
+                 "E0": e0})
 
 
 def variational_residual_1d(traj, bank, params, tol_scale=1e-3):
@@ -252,68 +246,36 @@ def variational_residual_1d(traj, bank, params, tol_scale=1e-3):
     snapshot differencing. Reports the minimum over the bank; the exact
     solution makes every entry >= 0 up to consistency error.
     """
-    from .diagnostics import CheckReport
-
     g = traj.grid
     x = g.x
-    snaps = traj.snapshots
     a, gamma = params.a, params.gamma
+    mids = [(dt, tm, u_mid, ddx_periodic(u_mid, g), rho_mid * udot,
+             a * rho_mid**gamma)
+            for dt, tm, rho_mid, u_mid, udot in snapshot_midpoints(traj)]
     mins = []
     for v in bank:
         total = 0.0
-        for k in range(len(snaps) - 1):
-            s0, s1 = snaps[k], snaps[k + 1]
-            dt = s1.t - s0.t
-            if dt <= 0:
-                continue
-            tm = 0.5 * (s0.t + s1.t)
-            u_mid = 0.5 * (s0.u + s1.u)
-            rho_mid = 0.5 * (s0.rho + s1.rho)
-            udot = (s1.u - s0.u) / dt + u_mid * ddx_periodic(u_mid, g)
-            vv = v.eval(tm, x)
-            dvv = v.dx(tm, x)
-            du = ddx_periodic(u_mid, g)
-            integrand = rho_mid * udot * (vv - u_mid) \
-                - a * rho_mid**gamma * (dvv - du)
+        for dt, tm, u_mid, du, rho_udot, pressure in mids:
+            integrand = rho_udot * (v.eval(tm, x) - u_mid) \
+                - pressure * (v.dx(tm, x) - du)
             total += dt * integrate(integrand, g)
         mins.append(total)
-    e0 = traj.records[0].energy
-    measured = -min(mins)       # positive when the inequality is violated
-    return CheckReport.build(
-        "variational_inequality_1d", bound=0.0, measured=measured,
-        tolerance=tol_scale * e0,
-        context={"bank_size": len(bank), "residuals_min": min(mins),
-                 "E0": e0})
+    return _variational_report("variational_inequality_1d", traj, bank,
+                               mins, tol_scale)
 
 
 def variational_residual_2d(traj, bank, params, tol_scale=1e-3):
     """Limit-form inequality int int rho^gamma (div u - div v) >= 0
     for admissible v (|Dv| <= 0.99), on a 2D trajectory."""
-    from .diagnostics import CheckReport
-
     g = traj.grid
     X, Y = g.meshgrid()
-    snaps = traj.snapshots
-    a, gamma = params.a, params.gamma
+    mids = [(dt, tm, params.a * rho_mid**params.gamma, div_2d(u_mid, g))
+            for dt, tm, rho_mid, u_mid, _ in snapshot_midpoints(traj)]
     mins = []
     for v in bank:
         total = 0.0
-        for k in range(len(snaps) - 1):
-            s0, s1 = snaps[k], snaps[k + 1]
-            dt = s1.t - s0.t
-            if dt <= 0:
-                continue
-            tm = 0.5 * (s0.t + s1.t)
-            rho_mid = 0.5 * (s0.rho + s1.rho)
-            u_mid = 0.5 * (s0.u + s1.u)
-            divu = div_2d(u_mid, g)
-            divv = v.div(tm, X, Y)
-            total += dt * integrate(a * rho_mid**gamma * (divu - divv), g)
+        for dt, tm, pressure, divu in mids:
+            total += dt * integrate(pressure * (divu - v.div(tm, X, Y)), g)
         mins.append(total)
-    e0 = traj.records[0].energy
-    measured = -min(mins)
-    return CheckReport.build(
-        "variational_inequality_2d", bound=0.0, measured=measured,
-        tolerance=tol_scale * e0,
-        context={"bank_size": len(bank), "residuals_min": min(mins),
-                 "E0": e0})
+    return _variational_report("variational_inequality_2d", traj, bank,
+                               mins, tol_scale)

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import Params, SolverDivergence, VacuumError, newton_rules
-from .grids import ddx_2d, integrate, sym_grad_2d
+from .grids import ddx_2d, integrate, sym_grad_2d, sym_grad_norm
 from .trajectory import DiagnosticsRecord, State2D, Trajectory
 
 BAND = 3.0  # the preconditioner weight is clipped to [w0/BAND, BAND w0]
@@ -70,6 +70,13 @@ def _weight(log_t, p):
     """(|D|^2 + delta^2)^((p-2)/2) from its log, safe for large p."""
     with np.errstate(over="ignore"):
         return np.exp(0.5 * (p - 2.0) * log_t)
+
+
+def shear_and_stress(v, g, params):
+    """|Dv| and the norm W |Dv| of the viscous stress of velocity v."""
+    D, log_t = _strain(v, g, params.delta)
+    shear = sym_grad_norm(D)
+    return shear, _weight(log_t, params.p) * shear
 
 
 def _grad(f, g):

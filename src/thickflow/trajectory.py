@@ -77,6 +77,23 @@ class Trajectory:
     records: list = field(default_factory=list)
 
 
+def snapshot_midpoints(traj):
+    """(dt, t_mid, rho_mid, u_mid, udot) of each pair of consecutive
+    snapshots dt > 0 apart: the mean time and fields of the pair and, in
+    1D, the material derivative udot = (u1 - u0) / dt + u_mid du_mid/dx
+    formed by snapshot differencing (None in 2D)."""
+    snaps = traj.snapshots
+    for s0, s1 in zip(snaps[:-1], snaps[1:]):
+        dt = s1.t - s0.t
+        if dt <= 0:
+            continue
+        u_mid = 0.5 * (s0.u + s1.u)
+        udot = None
+        if s0.rho.ndim == 1:
+            udot = (s1.u - s0.u) / dt + u_mid * ddx_periodic(u_mid, traj.grid)
+        yield dt, 0.5 * (s0.t + s1.t), 0.5 * (s0.rho + s1.rho), u_mid, udot
+
+
 _CHUNK = 1024  # snapshot rows converted to Python floats at a time
 
 

@@ -168,6 +168,11 @@ REJECTED = [
      "initial.paper_initial_conditions: expected bool, got 1.5"),
     ("[grid]\nn = 64.7", "grid.n: expected int, got 64.7"),
     ("[time]\nsnapshots = 2.5", "time.snapshots: expected int, got 2.5"),
+    ("[time]\nsnapshot = 4", "time.snapshot: unknown key"),
+    ("[checks]\ntolc = 3", "checks.tolc: unknown key"),
+    ("[output]\ndirectory = x", "output.directory: unknown key"),
+    ("[time]\nsnapshot_times = 0.005, 0.5",
+     r"time.snapshot_times: \[0.5\] outside \(0, T = 0.05\]"),
 ]
 REJECTED_IDS = ["eps_without_values", "cross_grids_not_nested",
                 "cross_without_values", "cross_without_eps_values",
@@ -178,7 +183,9 @@ REJECTED_IDS = ["eps_without_values", "cross_grids_not_nested",
                 "newton_tol_zero", "singular_newton_tol_negative",
                 "singular_newton_max_iter_zero", "paper_initial_not_a_bool",
                 "paper_initial_a_number", "n_not_an_int",
-                "snapshots_not_an_int"]
+                "snapshots_not_an_int", "time_key_misspelled",
+                "checks_key_misspelled", "output_key_misspelled",
+                "snapshot_time_beyond_T"]
 
 
 @pytest.mark.parametrize("sweep, message", REJECTED, ids=REJECTED_IDS)
@@ -422,6 +429,24 @@ class TestCLI:
         assert (out / "p_8" / "diag.csv").exists()
         # verify aggregates the nested check reports
         assert main(["verify", str(out), "--quiet"]) == 0
+
+    def test_sweep_table_columns_follow_the_etas(self, tmp_path):
+        cfgp = tmp_path / "sweep.cfg"
+        cfgp.write_text(SMALL_RUN + "\n[sweep]\nkind = p\nvalues = 4, 8\n"
+                        "[checks]\neta = 0.02, 0.2\n")
+        out = tmp_path / "sw"
+        assert main(["sweep", str(cfgp), "--output", str(out), "--quiet"]) == 0
+        table = (out / "sweep_table.csv").read_text().splitlines()
+        assert table[0] == ("param,u_dist,rho_dist,viol_002,viol_02,"
+                            "compl_resid,entropy_gap")
+        rep = json.loads((out / "sweep_report.json").read_text())
+        for row, p in zip(table[1:], ("4.0", "8.0")):
+            viol = rep["violation"][p]
+            assert row.split(",")[3:5] == ["%.17g" % viol["0.02"],
+                                           "%.17g" % viol["0.2"]]
+        checks = json.loads((out / "checks.json").read_text())
+        assert [c["check"] for c in checks] == ["hoff_uniformity",
+                                                "variational_inequality_1d"]
 
     def test_sweep_exit_4_when_a_member_check_fails(self, tmp_path,
                                                      monkeypatch):

@@ -1,8 +1,9 @@
 """The benchmark's tracer (perfbench/tracer.py) wraps thickflow functions
 and methods by name; a rename in src/ would silently drop its spans.
-This test runs the CLI under the tracer, in a fresh process so that the
-wrappers do not leak into other tests, and checks that the spans the
-per-layer metrics are computed from are recorded."""
+This test runs the CLI (three runs and a two-member p sweep) under the
+tracer, in a fresh process so that the wrappers do not leak into other
+tests, and checks that the spans the per-layer metrics are computed from
+are recorded."""
 
 import subprocess
 import sys
@@ -66,6 +67,12 @@ T = 0.02
 snapshots = 4
 """
 
+SWEEP_P = RUN_1D + """
+[sweep]
+kind = p
+values = 4, 8
+"""
+
 TRACED_RUNS = """
 import sys
 
@@ -76,22 +83,25 @@ from thickflow import cli
 
 tracer = Tracer()
 tracer.install()
-for cfg in sys.argv[4:]:
-    assert cli.main(["run", cfg, "--output", cfg + ".out", "--quiet"]) == 0
+for arg in sys.argv[4:]:
+    command, cfg = arg.split(":", 1)
+    assert cli.main([command, cfg, "--output", cfg + ".out", "--quiet"]) == 0
 tracer.save(sys.argv[3])
 """
 
 
 def test_tracer_records_the_layers_it_names(tmp_path):
     cfgs = []
-    for name, text in (("run1d.cfg", RUN_1D), ("run2d.cfg", RUN_2D),
-                       ("singular.cfg", RUN_SINGULAR)):
-        cfgs.append(tmp_path / name)
-        cfgs[-1].write_text(text)
+    for command, name, text in (("run", "run1d.cfg", RUN_1D),
+                                ("run", "run2d.cfg", RUN_2D),
+                                ("run", "singular.cfg", RUN_SINGULAR),
+                                ("sweep", "sweep.cfg", SWEEP_P)):
+        (tmp_path / name).write_text(text)
+        cfgs.append(f"{command}:{tmp_path / name}")
     spans = tmp_path / "spans.npz"
     subprocess.run(
         [sys.executable, "-c", TRACED_RUNS, str(ROOT / "src"),
-         str(ROOT / "perfbench"), str(spans), *map(str, cfgs)],
+         str(ROOT / "perfbench"), str(spans), *cfgs],
         check=True, timeout=300)
     with np.load(spans) as z:
         span_of = dict(zip(z["id"].tolist(),
@@ -102,7 +112,7 @@ def test_tracer_records_the_layers_it_names(tmp_path):
             "powerlaw1d.step", "powerlaw1d.flux", "singular1d.step",
             "singular1d.flux", "semistationary2d.solve",
             "semistationary2d.functional",
-            "semistationary2d.gradient"} <= names
+            "semistationary2d.gradient", "limits"} <= names
 
     def chain(sid):
         """The names of span sid and of the spans it is nested in."""
@@ -118,3 +128,8 @@ def test_tracer_records_the_layers_it_names(tmp_path):
         in [c[:3] for c in singular]
     assert ["singular1d.flux", "stepper1d.newton", "singular1d.step"] \
         in [c[:3] for c in singular]
+
+    # the sweep-p limits.s metric reads the limits spans of the sweep
+    limits = [c for c in map(chain, span_of) if c[0] == "limits"]
+    assert len(limits) == 2     # assemble_sweep_report, variational_residual_1d
+    assert all(c[1:] == ["cli.main"] for c in limits)
