@@ -37,14 +37,9 @@ def _say(quiet, *args):
 
 def _launch(cfg, model, params, g):
     """Run the named model from the config's initial data on grid g."""
-    from .semistationary2d import run_2d
-
     rho0, u0 = cfg.initial_fields(g)
-    times = cfg.snapshot_schedule()
-    model_1d = MODELS[model][1]
-    if model_1d is None:
-        return run_2d(params, g, rho0, cfg.T, times)
-    return model_1d.run(params, g, rho0, u0, cfg.T, times)
+    return MODELS[model].run(params, g, rho0, u0, cfg.T,
+                             cfg.snapshot_schedule())
 
 
 def _run_model(cfg):
@@ -55,31 +50,10 @@ def _run_model_with(cfg, model, params, g):
     return _launch(cfg, model, params, g)
 
 
-def _standard_checks(cfg, traj, params):
-    from . import diagnostics as dg
-    from .semistationary2d import (check_gauge, check_linf_growth,
-                                   check_stationarity)
-
-    # int rho u is no invariant of the semi-stationary 2D system; its
-    # solver fixes the flat-mode gauge of u and makes u stationary for J
-    mass, momentum = dg.check_conservation(traj)
-    if traj.model == "semistationary2d":
-        reports = [mass, check_gauge(traj), check_stationarity(traj)]
-    else:
-        reports = [mass, momentum]
-    reports.append(dg.check_energy_inequality(traj, tol=cfg.energy_tol))
-    if traj.model == "powerlaw1d":
-        reports.append(dg.check_stress_max_principle(
-            traj, params, tol_c=cfg.tol_c,
-            paper_initial=cfg.paper_initial_conditions))
-        c1, c2 = cfg.initial_density_range()
-        reports.append(dg.check_density_bounds(traj, params, c1, c2,
-                                               tol_c=cfg.tol_c))
-    elif traj.model == "singular1d":
-        reports.append(dg.check_barrier_invariant(traj))
-    else:
-        reports.append(check_linf_growth(traj, tol_c=cfg.tol_c))
-    return reports
+def _standard_checks(cfg, traj, model):
+    """model's checks of its run traj; a function of its own, so that
+    perfbench's tracer can time the checks by its name."""
+    return model.checks(cfg, traj)
 
 
 def _transport_checks(cfg, traj):
@@ -143,22 +117,13 @@ def _write_run_artifacts(cfg, traj, outdir, quiet, run_s):
     run traj of model traj.model; the manifest's wall_time_s is run_s,
     the seconds of the model run, plus the time spent here."""
     from . import diagnostics as dg
-    from .trajectory import write_diag_csv, write_snapshots_1d, write_snapshots_2d
 
     t0 = time.perf_counter()
     os.makedirs(outdir, exist_ok=True)
-    diag = os.path.join(outdir, "diag.csv")
-    model_1d = MODELS[traj.model][1]
-    if model_1d is None:
-        artifacts = write_snapshots_2d(traj, outdir)
-        write_diag_csv(traj, diag, maxabs_name="Du_maxnorm")
-    else:
-        stress = model_1d(traj.params, traj.grid).stress
-        artifacts = write_snapshots_1d(traj, outdir, stress)
-        write_diag_csv(traj, diag)
-    artifacts.append(diag)
+    model = MODELS[traj.model](traj.params, traj.grid)
+    artifacts = model.write_csvs(traj, outdir)
 
-    reports = _standard_checks(cfg, traj, traj.params)
+    reports = _standard_checks(cfg, traj, model)
     reports.extend(_transport_checks(cfg, traj))
     checks_path = os.path.join(outdir, "checks.json")
     dg.write_reports(reports, checks_path)

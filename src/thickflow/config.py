@@ -9,12 +9,12 @@ cos(2 pi (kx x + ky y)) etc., which keeps runs reproducible across
 implementations.
 
 Validation collects every error (not just the first). The [params]
-defaults and ranges are those of the params classes in MODELS, checked
-by building the params of the run and of every sweep member; positivity
-of the implied initial density is checked by dense sampling at 8x grid
-resolution, and |du0/dx| <= 1 is enforced when paper_initial_conditions
-is set. Every other default is that of its Config field, and a key
-that nothing reads is an error, as an unknown [params] key is.
+defaults and ranges are those of the models' params classes, checked by
+building the params of the run and of every sweep member; positivity of
+the initial density, and the 1D model's rule on max |du0/dx| when
+paper_initial_conditions is set, are checked by dense sampling at 8x
+grid resolution. Every other default is that of its Config field, and
+a key that nothing reads is an error, as an unknown [params] key is.
 """
 
 from dataclasses import dataclass, field, fields
@@ -23,23 +23,22 @@ import numpy as np
 
 from .errors import ParseError, ValidationError, is_number
 from .grids import Grid1D, Grid2D, PlaneWaves
-from .powerlaw1d import PowerLawModel, PowerLawParams
-from .semistationary2d import Stokes2DParams
-from .singular1d import SingularModel, SingularParams
+from .powerlaw1d import PowerLawModel
+from .semistationary2d import Stokes2DModel
+from .singular1d import SingularModel
 
-# model name -> (params class, 1D model class); the 2D solver has no 1D model
-MODELS = {
-    "powerlaw1d": (PowerLawParams, PowerLawModel),
-    "singular1d": (SingularParams, SingularModel),
-    "semistationary2d": (Stokes2DParams, None),
-}
+# model name -> model class, whose params class is its params_class;
+# stepper1d.advance describes the protocol they share
+MODELS = {cls.name: cls for cls in (PowerLawModel, SingularModel,
+                                    Stokes2DModel)}
 
 _SECTIONS = ("model", "grid", "params", "initial", "time", "sweep",
              "checks", "output")
 
 # every key some model's params class has: a cross sweep builds the
 # params of both 1D models from one [params] section
-_PARAM_KEYS = {f.name for cls, _ in MODELS.values() for f in fields(cls)}
+_PARAM_KEYS = {f.name for cls in MODELS.values()
+               for f in fields(cls.params_class)}
 
 
 def _parse_scalar(text):
@@ -150,7 +149,7 @@ class Config:
 
     @property
     def is_2d(self):
-        return self.model == "semistationary2d"
+        return MODELS[self.model].ndim == 2
 
     def grid(self):
         return Grid2D(self.nx, self.ny) if self.is_2d else Grid1D(self.n)
@@ -166,33 +165,25 @@ class Config:
     def build_params(self, model=None, **overrides):
         """Params of model (default: the config's) from the [params] keys
         its class has, with overrides; the class supplies the rest."""
-        cls = MODELS[model or self.model][0]
+        cls = MODELS[model or self.model].params_class
         src = dict(self.params, **overrides)
         return cls(**{f.name: src[f.name] for f in fields(cls)
                       if f.name in src})
 
     def initial_fields(self, g):
         if self.is_2d:
-            X, Y = g.meshgrid()
-            return self.rho0.eval(X, Y), None
-        x = g.x
-        return self.rho0.eval(x), self.u0.eval(x)
+            return self.rho0.eval(*g.meshgrid()), None
+        return self.rho0.eval(g.x), self.u0.eval(g.x)
 
     def initial_density_range(self, oversample=8):
         """(c1, c2) of the analytic initial density, dense sampling."""
-        if self.is_2d:
-            m = oversample * max(self.nx, self.ny)
-            gx = np.arange(m) / m
-            X, Y = np.meshgrid(gx, gx, indexing="ij", copy=False)
-            vals = self.rho0.eval(X, Y)
-        else:
-            m = oversample * self.n
-            vals = self.rho0.eval(np.arange(m) / m)
+        m = oversample * max(self.n, self.nx, self.ny)
+        gx = np.arange(m) / m
+        vals = self.rho0.eval(*np.meshgrid(*[gx] * MODELS[self.model].ndim,
+                                           indexing="ij", copy=False))
         return float(np.min(vals)), float(np.max(vals))
 
     def initial_shear_max(self, oversample=8):
-        if self.is_2d:
-            return 0.0
         m = oversample * self.n
         return float(np.max(np.abs(self.u0.eval_dx(np.arange(m) / m))))
 
@@ -210,8 +201,8 @@ _READ = {"time": ("T", "snapshots", "snapshot_times"),
 def parse_config(text):
     """Parse and validate; returns Config or raises ParseError /
     ValidationError (the latter lists all problems at once). Validation
-    builds the run's params (and 1D model) into run_params and those of
-    every sweep member into sweep_members."""
+    builds the run's params into run_params and those of every sweep
+    member into sweep_members."""
     raw = parse_raw(text)
     errors = []
 
@@ -288,19 +279,16 @@ def parse_config(text):
                   if k not in _PARAM_KEYS)
     reported = set()
 
-    def build(model, g, prefix, **overrides):
-        """model's params, checked by building them and, in 1D, the model
-        on g; None after recording the failures not reported yet."""
+    def build(model, prefix, **overrides):
+        """model's params, checked by building them; None after recording
+        the failures not reported yet."""
         try:
-            params = cfg.build_params(model, **overrides)
-            if MODELS[model][1] is not None and g is not None:
-                MODELS[model][1](params, g)
-            return params
+            return cfg.build_params(model, **overrides)
         except ValidationError as e:
             errors.extend(prefix + m for m in e.errors if m not in reported)
             reported.update(e.errors)
 
-    cfg.run_params = build(model, grid, "params.")
+    cfg.run_params = build(model, "params.")
 
     kind = "" if cfg.is_2d else cfg.sweep_kind
     if cfg.sweep_kind and (cfg.is_2d or kind not in ("p", "eps", "cross")):
@@ -339,7 +327,7 @@ def parse_config(text):
         families.append(("eps", eps_key, "singular1d", g_eps, eps_list))
     for key, list_key, member_model, g, values in families:
         for v in values:
-            params = build(member_model, g,
+            params = build(member_model,
                            f"sweep.{list_key}: member {key} = {v}: ",
                            **({} if v is None else {key: float(v)}))
             if params is not None and g is not None:
@@ -353,16 +341,10 @@ def parse_config(text):
             errors.append(f"initial.rho: Fourier sum dips to {c1:.4g} <= 0 "
                           "(dense sampling at 8x grid resolution)")
         if cfg.paper_initial_conditions and not cfg.is_2d:
-            smax = cfg.initial_shear_max()
-            if model == "singular1d":
-                if smax >= 1.0:
-                    errors.append(
-                        f"initial.u_modes: |du0/dx| reaches {smax:.4g}; the "
-                        "singular model requires |du0/dx| < 1")
-            elif smax > 1.0 + 1e-12:
-                errors.append(
-                    f"initial.u_modes: |du0/dx| reaches {smax:.4g} > 1, "
-                    "violating the max-shear initial-data hypothesis")
+            shear_error = MODELS[model].initial_shear_error(
+                cfg.initial_shear_max())
+            if shear_error:
+                errors.append(f"initial.u_modes: {shear_error}")
 
     errors.extend(f"{section}.{key}: unknown key"
                   for section, keys in raw.items() if section != "params"

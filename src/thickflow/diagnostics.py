@@ -253,7 +253,7 @@ def momentum_residual_l2(traj):
     from .trajectory import State1D, snapshot_midpoints
 
     g = traj.grid
-    stress = MODELS[traj.model][1](traj.params, g).stress
+    stress = MODELS[traj.model](traj.params, g).stress
     worst = 0.0
     for _, tm, rho_mid, u_mid, udot in snapshot_midpoints(traj):
         sigma = stress(State1D(rho_mid, u_mid, tm))

@@ -92,10 +92,13 @@ class Params:
             raise ValidationError(errors)
 
 
-def newton_rules(params):
-    """The rules of the newton_tol and newton_max_iter fields, which
-    every solver's params class has."""
+def solver_rules(params):
+    """The rules of the fields every solver's params class has: the
+    pressure constant a, gamma, cfl, newton_tol and newton_max_iter."""
     return [
+        ("a", params.a > 0, "pressure constant a must be positive"),
+        ("gamma", params.gamma > 1, "adiabatic exponent gamma must exceed 1"),
+        ("cfl", 0 < params.cfl <= 1, "cfl must lie in (0, 1]"),
         ("newton_tol", params.newton_tol > 0,
          "Newton tolerance newton_tol must be positive"),
         ("newton_max_iter", params.newton_max_iter >= 1,

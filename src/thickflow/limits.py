@@ -22,7 +22,6 @@ import numpy as np
 
 from .config import MODELS
 from .grids import ddx_periodic, div_2d, integrate
-from .semistationary2d import shear_and_stress
 from .trajectory import snapshot_midpoints
 
 
@@ -44,30 +43,15 @@ def _complementarity_defect(pi, shear, g):
     return integrate(pi * np.maximum(0.0, 1.0 - shear), g)
 
 
-def _shear_and_multiplier(traj):
-    """|shear| and the multiplier proxy pi = |tau| of each positive-time
-    snapshot, for any of the three models: |du/dx| and the 1D model's
-    |flux|, or |Du| and the 2D viscous stress."""
-    g, params = traj.grid, traj.params
-    model_1d = MODELS[traj.model][1]
-    flux = None if model_1d is None else model_1d(params, g).flux
-    for s in traj.snapshots:
-        if s.t == 0.0:
-            continue
-        if flux is None:
-            yield shear_and_stress(s.u, g, params)
-        else:
-            dudx = ddx_periodic(s.u, g)
-            yield np.abs(dudx), np.abs(flux(dudx))
-
-
 def _multiplier_measures(traj, etas):
     """Snapshot means of the violation measure at each eta (keyed by
     str(eta)) and of the complementarity defect, from one evaluation of
-    each snapshot's shear and multiplier."""
+    the |shear| and pi = |tau| of each positive-time snapshot."""
+    model = MODELS[traj.model](traj.params, traj.grid)
     rows = [[constraint_violation_measure(shear, eta) for eta in etas]
             + [_complementarity_defect(pi, shear, traj.grid)]
-            for shear, pi in _shear_and_multiplier(traj)]
+            for shear, pi in (model.shear_and_multiplier(s.u)
+                              for s in traj.snapshots if s.t != 0.0)]
     means = [_mean([row[i] for row in rows]) for i in range(len(etas) + 1)]
     return dict(zip(map(str, etas), means)), means[-1]
 

@@ -15,8 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (FluxOverflow, Params, ValidationError, VacuumError,
-                     newton_rules)
+from . import diagnostics as dg
+from .errors import FluxOverflow, Params, VacuumError, solver_rules
 from .grids import integrate
 from .stepper1d import (Model1D, advance, barotropic_llf_update,
                         implicit_shear_solve, material_derivative)
@@ -40,11 +40,11 @@ class PowerLawParams(Params):
         return [
             ("p", self.p >= 2, "power-law exponent p must be >= 2"),
             ("mu", self.mu > 0, "viscosity mu must be positive"),
-            ("a", self.a > 0, "pressure constant a must be positive"),
-            ("gamma", self.gamma > 1, "adiabatic exponent gamma must exceed 1"),
             ("delta", self.delta >= 0, "flux regularization delta must be >= 0"),
-            ("cfl", 0 < self.cfl <= 1, "cfl must lie in (0, 1]"),
-        ] + newton_rules(self)
+            ("delta", self.delta != 0 or self.p <= 2,
+             "delta > 0 required for p > 2 (Newton needs a nondegenerate "
+             "Jacobian at zero shear)"),
+        ] + solver_rules(self)
 
     @property
     def max_principle_precondition(self):
@@ -66,11 +66,15 @@ class PowerLawModel(Model1D):
     shared intermediates are t = s^2 + delta^2 and log t."""
 
     name = "powerlaw1d"
+    params_class = PowerLawParams
+
+    @staticmethod
+    def initial_shear_error(smax):
+        if smax > 1.0 + 1e-12:
+            return (f"|du0/dx| reaches {smax:.4g} > 1, violating the "
+                    "max-shear initial-data hypothesis")
 
     def __init__(self, params, g):
-        if params.delta == 0 and params.p > 2:
-            raise ValidationError("delta: delta > 0 required for p > 2 (Newton "
-                                  "needs a nondegenerate Jacobian at zero shear)")
         super().__init__(params, g)
         self._log_mu = np.log(params.mu)
 
@@ -157,9 +161,16 @@ class PowerLawModel(Model1D):
         }
         return new_state, inc, info
 
+    def checks(self, cfg, traj):
+        c1, c2 = cfg.initial_density_range()
+        return super().checks(cfg, traj) + [
+            dg.check_stress_max_principle(traj, self.params, cfg.tol_c,
+                                          cfg.paper_initial_conditions),
+            dg.check_density_bounds(traj, self.params, c1, c2, cfg.tol_c)]
+
     @classmethod
     def run(cls, params, g, rho0, u0, T, snapshot_times=None, forcing=None):
         """Integrate and return the Trajectory with full diagnostics."""
-        return advance(cls(params, g), g, rho0, u0, T, snapshot_times,
+        return advance(cls(params, g), rho0, u0, T, snapshot_times,
                        forcing=forcing)
 

@@ -30,13 +30,16 @@ FFTs.
 """
 
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import Params, SolverDivergence, VacuumError, newton_rules
-from .grids import ddx_2d, integrate, sym_grad_2d, sym_grad_norm
-from .trajectory import DiagnosticsRecord, State2D, Trajectory
+from . import diagnostics as dg
+from .errors import Params, SolverDivergence, VacuumError, solver_rules
+from .grids import ddx_2d, integrate, sym_grad_2d
+from .stepper1d import advance
+from .trajectory import DiagnosticsRecord, State2D
 
 BAND = 3.0  # the preconditioner weight is clipped to [w0/BAND, BAND w0]
 
@@ -54,9 +57,7 @@ class Stokes2DParams(Params):
     def rules(self):
         return [
             ("p", self.p >= 2, "power-law exponent p must be >= 2"),
-            ("gamma", self.gamma > 1, "adiabatic exponent gamma must exceed 1"),
-            ("cfl", 0 < self.cfl <= 1, "cfl must lie in (0, 1]"),
-        ] + newton_rules(self)
+        ] + solver_rules(self)
 
 
 def _strain(v, g, delta):
@@ -70,13 +71,6 @@ def _weight(log_t, p):
     """(|D|^2 + delta^2)^((p-2)/2) from its log, safe for large p."""
     with np.errstate(over="ignore"):
         return np.exp(0.5 * (p - 2.0) * log_t)
-
-
-def shear_and_stress(v, g, params):
-    """|Dv| and the norm W |Dv| of the viscous stress of velocity v."""
-    D, log_t = _strain(v, g, params.delta)
-    shear = sym_grad_norm(D)
-    return shear, _weight(log_t, params.p) * shear
 
 
 def _grad(f, g):
@@ -346,82 +340,107 @@ def transport_density(rho, u, dt, g):
     return rho - d
 
 
-def _record_2d(state, g, params, dt, acc):
-    """Diagnostics of one state; leaves its dissipation rate
-    int W |Du|^2 in acc["rate"] for the next step's accumulation."""
-    rho, u = state.rho, state.u
-    D, log_t = _strain(u, g, params.delta)
-    dsq = D[0] ** 2 + D[1] ** 2 + 2.0 * D[2] ** 2
-    dn = np.sqrt(dsq)
-    W = _weight(log_t, params.p)
-    acc["rate"] = integrate(W * dsq, g)
-    sigma = W * dn - params.a * rho**params.gamma
-    energy = params.a / (params.gamma - 1.0) * integrate(rho**params.gamma, g)
-    mom = np.array([integrate(rho * u[0], g), integrate(rho * u[1], g)])
-    return DiagnosticsRecord(
-        t=state.t, dt=dt,
-        mass=integrate(rho, g),
-        momentum=float(np.hypot(*mom)),
-        energy=energy,
-        dissipation_cum=acc["dissipation"],
-        rho_min=float(np.min(rho)),
-        rho_max=float(np.max(rho)),
-        dudx_maxabs=float(np.max(dn)),
-        sigma_max=float(np.max(sigma)),
-        hoff_cum=acc["hoff"],
-        lpnorm_term=acc["rate"] / params.p,
-    )
+class Stokes2DModel:
+    """The semi-stationary solver in advance's protocol: a step moves the
+    density, then solves for the velocity at the new density from the
+    old one. u0, forcing and prev are not used."""
 
+    name = "semistationary2d"
+    params_class = Stokes2DParams
+    ndim = 2
 
-def run_2d(params, g, rho0, T, snapshot_times=None):
-    """Alternate momentum solves and density transport to time T."""
-    from .stepper1d import snapshot_schedule_with_final
+    def __init__(self, params, g):
+        self.params = params
+        self.g = g
 
-    rho = np.asarray(rho0, dtype=float).copy()
-    if np.min(rho) < 0:
-        raise VacuumError("initial density must be nonnegative")
-    u = solve_momentum(rho, params, g)
-    state = State2D(rho, u, 0.0)
-    traj = Trajectory("semistationary2d", g, params, [state.copy()], [])
-    acc = {"dissipation": 0.0, "hoff": 0.0}
-    traj.records.append(_record_2d(state, g, params, 0.0, acc))
+    def _strain_rate(self, u):
+        """|Du|^2, the viscosity W and the dissipation rate int W |Du|^2."""
+        D, log_t = _strain(u, self.g, self.params.delta)
+        dsq = D[0] ** 2 + D[1] ** 2 + 2.0 * D[2] ** 2
+        W = _weight(log_t, self.params.p)
+        return dsq, W, integrate(W * dsq, self.g)
 
-    targets = snapshot_schedule_with_final(T, snapshot_times)
-    t = 0.0
-    ti = 0
-    while t < T - 1e-14:
+    def initial_state(self, rho0, u0):
+        rho = np.asarray(rho0, dtype=float).copy()
+        if np.min(rho) < 0:
+            raise VacuumError("initial density must be nonnegative")
+        return State2D(rho, solve_momentum(rho, self.params, self.g), 0.0)
+
+    def cfl_dt(self, state):
+        g = self.g
         umax1 = float(np.max(np.abs(state.u[0])))
         umax2 = float(np.max(np.abs(state.u[1])))
-        speed = umax1 / g.dx + umax2 / g.dy
-        dt_cfl = params.cfl / max(speed, 1e-12)
-        next_stop = targets[ti] if ti < len(targets) else T
-        dt = min(dt_cfl, next_stop - t)
+        return self.params.cfl / max(umax1 / g.dx + umax2 / g.dy, 1e-12)
 
-        rho_new = transport_density(state.rho, state.u, dt, g)
-        u_new = solve_momentum(rho_new, params, g, u_init=state.u)
-        adv1 = u_new[0] * ddx_2d(u_new[0], g, 0) + u_new[1] * ddx_2d(u_new[0], g, 1)
-        adv2 = u_new[0] * ddx_2d(u_new[1], g, 0) + u_new[1] * ddx_2d(u_new[1], g, 1)
-        udot = (u_new - state.u) / dt + np.stack([adv1, adv2])
+    def step(self, state, dt, forcing=None, prev=None):
+        g, u = self.g, state.u
+        rho_new = transport_density(state.rho, u, dt, g)
+        u_new = solve_momentum(rho_new, self.params, g, u_init=u)
+        udot = (u_new - u) / dt + np.stack(
+            [u_new[0] * ddx_2d(c, g, 0) + u_new[1] * ddx_2d(c, g, 1)
+             for c in u_new])
+        inc = {"dissipation": dt * self._strain_rate(u)[2],  # rate of u^n
+               "hoff": dt * integrate(rho_new * (udot[0]**2 + udot[1]**2), g)}
+        return State2D(rho_new, u_new, state.t + dt), inc, None
 
-        acc["dissipation"] += dt * acc["rate"]  # rate of state.u
-        acc["hoff"] += dt * integrate(rho_new * (udot[0] ** 2 + udot[1] ** 2), g)
-        state = State2D(rho_new, u_new, t + dt)
-        t = state.t
-        traj.records.append(_record_2d(state, g, params, dt, acc))
-        if ti < len(targets) and abs(t - targets[ti]) <= 1e-12 * max(1.0, T):
-            traj.snapshots.append(state.copy())
-            ti += 1
-    return traj
+    def record(self, state, dt, acc, info):
+        pr, g = self.params, self.g
+        rho, u = state.rho, state.u
+        dsq, W, rate = self._strain_rate(u)
+        dn = np.sqrt(dsq)
+        sigma = W * dn - pr.a * rho**pr.gamma
+        energy = pr.a / (pr.gamma - 1.0) * integrate(rho**pr.gamma, g)
+        mom = np.array([integrate(rho * u[0], g), integrate(rho * u[1], g)])
+        return DiagnosticsRecord(
+            t=state.t, dt=dt,
+            mass=integrate(rho, g),
+            momentum=float(np.hypot(*mom)),
+            energy=energy,
+            dissipation_cum=acc["dissipation"],
+            rho_min=float(np.min(rho)),
+            rho_max=float(np.max(rho)),
+            dudx_maxabs=float(np.max(dn)),
+            sigma_max=float(np.max(sigma)),
+            hoff_cum=acc["hoff"],
+            lpnorm_term=rate / pr.p,
+        )
+
+    def checks(self, cfg, traj):
+        """int rho u is no invariant of the semi-stationary system; its
+        solver fixes the flat-mode gauge of u and makes u stationary for
+        J, which replace the momentum check."""
+        return [dg.check_conservation(traj)[0], check_gauge(traj),
+                check_stationarity(traj),
+                dg.check_energy_inequality(traj, tol=cfg.energy_tol),
+                check_linf_growth(traj, tol_c=cfg.tol_c)]
+
+    def write_csvs(self, traj, outdir):
+        from .trajectory import write_diag_csv, write_snapshots_2d
+
+        paths = write_snapshots_2d(traj, outdir)
+        paths.append(os.path.join(outdir, "diag.csv"))
+        write_diag_csv(traj, paths[-1], maxabs_name="Du_maxnorm")
+        return paths
+
+    def shear_and_multiplier(self, u):
+        """|Du| and pi = W |Du|, the norm of the viscous stress."""
+        dsq, W, _ = self._strain_rate(u)
+        shear = np.sqrt(dsq)   # sym_grad_norm, bit for bit
+        return shear, W * shear
+
+    @classmethod
+    def run(cls, params, g, rho0, u0, T, snapshot_times=None, forcing=None):
+        """Alternate density transport and momentum solves to time T."""
+        return advance(cls(params, g), rho0, u0, T, snapshot_times,
+                       forcing=forcing)
 
 
 def check_linf_growth(traj, tol_c=5.0):
     """max rho(t) against max rho(0) e^t, with slack tol_c (dx + dt)."""
-    from .diagnostics import CheckReport, _consistency_tol
-
-    tol = _consistency_tol(traj, tol_c)
+    tol = dg._consistency_tol(traj, tol_c)
     rho0_max = traj.records[0].rho_max
     ratio = max(r.rho_max / (rho0_max * np.exp(r.t)) for r in traj.records)
-    return CheckReport.build(
+    return dg.CheckReport.build(
         check="linf_growth_2d", bound=1.0, measured=ratio, tolerance=tol,
         context={"rho0_max": rho0_max, "T": traj.records[-1].t})
 
@@ -438,15 +457,13 @@ def check_gauge(traj, tol=1e-12):
     guards the fields written against a change to that exit.
     check_stationarity tests what the solve computes.
     """
-    from .diagnostics import CheckReport
-
     worst = 0.0
     for snap in traj.snapshots:
         scale = float(np.max(np.abs(snap.u)))
         if scale > 0:
             means = float(np.max(np.abs(flat_mode_means(snap.u))))
             worst = max(worst, means / scale)
-    return CheckReport.build(
+    return dg.CheckReport.build(
         check="flat_mode_gauge_2d", bound=0.0, measured=worst, tolerance=tol,
         context={"snapshots": len(traj.snapshots)})
 
@@ -456,15 +473,13 @@ def check_stationarity(traj):
     units of newton_tol, against 1: each velocity written is a minimizer
     of J to the solver's tolerance. The tolerance 1e-6 covers the
     roundoff of removing the flat modes after the solver's last test."""
-    from .diagnostics import CheckReport
-
     g, pr = traj.grid, traj.params
     worst = 0.0
     for snap in traj.snapshots:
         grad = _check_gradient(snap.u, pr.a * snap.rho**pr.gamma, g,
                                pr.p, pr.delta)
         worst = max(worst, math.sqrt(_dot(grad, grad) * g.dx * g.dy))
-    return CheckReport.build(
+    return dg.CheckReport.build(
         check="stationarity_2d", bound=1.0, measured=worst / pr.newton_tol,
         tolerance=1e-6,
         context={"newton_tol": pr.newton_tol, "grad_norm_max": worst,

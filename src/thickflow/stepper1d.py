@@ -22,8 +22,11 @@ Splitting per step (first order in time):
      shows the kinetic energy drops by at least dt * sum flux(s) s dx,
      which is exactly the recorded dissipation.
 
-Both the power-law and the singular-viscosity solver drive this module;
-they differ only in the shear flux, its derivative, the Newton
+Its time loop, advance, drives all three solvers, the 2D one
+(semistationary2d.Stokes2DModel) included, by the protocol it describes.
+
+Both the power-law and the singular-viscosity solver step with this
+module; they differ only in the shear flux, its derivative, the Newton
 step-length safeguard (fraction-to-boundary for the barrier flux) and
 where Newton starts. advance hands each step the velocity u^(n-1) and
 the step dt_prev of the last accepted step. The singular model starts
@@ -43,7 +46,9 @@ import os
 
 import numpy as np
 
-from .errors import FluxOverflow, NewtonDivergence, StepFailure, VacuumError
+from . import diagnostics as dg
+from .errors import (FluxOverflow, NewtonDivergence, SolverDivergence,
+                     StepFailure, VacuumError)
 from .grids import _wrap_diff, ddx_periodic, integrate
 from .trajectory import DiagnosticsRecord, State1D, Trajectory
 
@@ -78,11 +83,6 @@ def max_signal_speed(rho, u, a, gamma):
     uf = 0.5 * (u + _ahead(u))
     lam = np.abs(uf) + np.maximum(c, _ahead(c))
     return float(np.max(lam))
-
-
-def cfl_dt(state, a, gamma, cfl, g):
-    lam = max_signal_speed(state.rho, state.u, a, gamma)
-    return cfl * g.dx / max(lam, 1e-300)
 
 
 def barotropic_llf_update(rho, u, a, gamma, dt, g):
@@ -404,18 +404,12 @@ def implicit_shear_solve(u_init, u_star, rho, dt, g, flux, dflux,
 
 
 class Model1D:
-    """Part shared by the 1D models: params, grid, the _shared memo and
-    stress. Each model provides
-      - flux(s), dflux(s) and potential(s) of the face shear s, the
-        only definitions of its flux, the flux's derivative and its
-        convex primitive, and the _intermediates(s) they share;
-      - lp_term(s, f, g), the L^p norm term of the diagnostics record;
-      - step(state, dt, forcing, prev), which returns the new state, the
-        increments of the cumulative records, and the info of its Newton
-        solve; prev is (u^(n-1), dt) of the last accepted step, None
-        before the first one, and may set where Newton starts;
-      - the classmethod run(params, g, rho0, u0, T, snapshot_times,
-        forcing), which integrates with advance.
+    """Part of the advance protocol shared by the 1D models. Each model
+    adds flux(s), dflux(s) and potential(s) of the face shear s, the only
+    definitions of its flux, the flux's derivative and its convex
+    primitive; lp_term(s, f, g), the L^p norm term of the record;
+    initial_shear_error(smax), why initial data of max |du0/dx| = smax
+    break the model's hypothesis, or None; and step, run and its checks.
 
     flux, dflux and potential of one shear array share intermediates,
     which the model's _intermediates(s) computes (for the power law
@@ -426,12 +420,11 @@ class Model1D:
     makes its own checks and raises on a memo hit.
     """
 
+    ndim = 1
+
     def __init__(self, params, g):
         self.params = params
         self.g = g
-        self.a = params.a
-        self.gamma = params.gamma
-        self.cfl = params.cfl
         self._memo_s = self._memo = None
 
     def _shared(self, s):
@@ -445,50 +438,110 @@ class Model1D:
     def stress(self, state):
         """Cell-centered Cauchy stress flux(du/dx) - a rho^gamma."""
         dudx = ddx_periodic(state.u, self.g)
-        return self.flux(dudx) - self.a * state.rho**self.gamma
+        return self.flux(dudx) - self.params.a * state.rho**self.params.gamma
+
+    def initial_state(self, rho0, u0):
+        rho = np.asarray(rho0, dtype=float).copy()
+        if np.min(rho) <= 0:
+            raise VacuumError("initial density must be strictly positive")
+        return State1D(rho, np.asarray(u0, dtype=float).copy(), 0.0)
+
+    def cfl_dt(self, state):
+        pr = self.params
+        lam = max_signal_speed(state.rho, state.u, pr.a, pr.gamma)
+        return pr.cfl * self.g.dx / max(lam, 1e-300)
+
+    def record(self, state, dt, acc, info):
+        s = face_shear(state.u, self.g) if info is None else info["shear"]
+        f = self.flux(s) if info is None else info["flux"]
+        g, a, gamma = self.g, self.params.a, self.params.gamma
+        rho, u = state.rho, state.u
+        p = rho**gamma
+        p_ahead = _ahead(rho)**gamma   # not _ahead(p): the same pow per entry
+        sigma_face = f - 0.5 * a * (p + p_ahead)
+        energy = integrate(0.5 * rho * u**2, g) \
+            + a / (gamma - 1.0) * integrate(p, g)
+        return DiagnosticsRecord(
+            t=state.t,
+            dt=dt,
+            mass=integrate(rho, g),
+            momentum=integrate(rho * u, g),
+            energy=energy,
+            dissipation_cum=acc["dissipation"],
+            rho_min=float(np.min(rho)),
+            rho_max=float(np.max(rho)),
+            dudx_maxabs=float(np.max(np.abs(s))),
+            sigma_max=float(np.max(sigma_face)),
+            hoff_cum=acc["hoff"],
+            lpnorm_term=self.lp_term(s, f, g),
+            aux_cum=acc["aux"],
+        )
+
+    def checks(self, cfg, traj):
+        """Mass, momentum and energy; each model appends its own."""
+        return [*dg.check_conservation(traj),
+                dg.check_energy_inequality(traj, tol=cfg.energy_tol)]
+
+    def write_csvs(self, traj, outdir):
+        from .trajectory import write_diag_csv, write_snapshots_1d
+
+        paths = write_snapshots_1d(traj, outdir, self.stress)
+        paths.append(os.path.join(outdir, "diag.csv"))
+        write_diag_csv(traj, paths[-1])
+        return paths
+
+    def shear_and_multiplier(self, u):
+        """|du/dx| and pi = |flux(du/dx)|."""
+        dudx = ddx_periodic(u, self.g)
+        return np.abs(dudx), np.abs(self.flux(dudx))
 
 
-def snapshot_schedule_with_final(T, snapshot_times):
-    times = sorted(t for t in set(snapshot_times or []) if 0.0 < t <= T)
-    if T > 0 and (not times or abs(times[-1] - T) > 1e-12 * max(T, 1.0)):
-        times.append(T)
-    return times
+def advance(model, rho0, u0, T, snapshot_times=None, forcing=None):
+    """Integrate model to time T; snapshots at the configured times plus
+    t = 0. This is the time loop of all three solvers. A model has
+      - name, params_class (of its params), params and g (its grid);
+      - initial_state(rho0, u0), the checked t = 0 state;
+      - cfl_dt(state), the CFL time step at state;
+      - step(state, dt, forcing, prev): the state at t + dt, the
+        increments of the cumulative records acc, and an info for
+        record; prev is (u^(n-1), dt) of the last accepted step, None
+        before the first, and may set where the step's solve starts;
+      - record(state, dt, acc, info), the DiagnosticsRecord of state
+        (info is None at t = 0);
+      - the classmethod run(params, g, rho0, u0, T, snapshot_times,
+        forcing), which calls advance;
+    and, for the CLI and limits, checks(cfg, traj), the reports of
+    checks.json in order; write_csvs(traj, outdir), which writes the
+    snapshot CSVs and diag.csv; and shear_and_multiplier(u).
 
-
-def advance(model, g, rho0, u0, T, snapshot_times=None, forcing=None):
-    """Integrate to time T; snapshots at the configured times plus t=0.
-
-    The time step is the convective CFL one, clipped to land exactly on
-    snapshot times. On NewtonDivergence the step retries with dt halved
-    (up to 10 halvings) before giving up with the failing time attached.
-    Every try is handed the velocity and dt of the last accepted step.
+    The time step is the CFL one, clipped to land exactly on snapshot
+    times. When a step raises NewtonDivergence, SolverDivergence,
+    VacuumError or FluxOverflow it retries with dt halved (up to 10
+    halvings) before giving up with the failing time attached. Every try
+    is handed the velocity and dt of the last accepted step.
     """
-    rho = np.asarray(rho0, dtype=float).copy()
-    u = np.asarray(u0, dtype=float).copy()
-    if np.min(rho) <= 0:
-        raise VacuumError("initial density must be strictly positive")
-
-    state = State1D(rho, u, 0.0)
-    traj = Trajectory(model.name, g, model.params, [state.copy()], [])
+    state = model.initial_state(rho0, u0)
+    traj = Trajectory(model.name, model.g, model.params, [state.copy()], [])
     acc = {"dissipation": 0.0, "hoff": 0.0, "aux": 0.0}
-    s = face_shear(u, g)
-    traj.records.append(_make_record(model, g, state, 0.0, acc, s,
-                                     model.flux(s)))
+    traj.records.append(model.record(state, 0.0, acc, None))
 
-    targets = snapshot_schedule_with_final(T, snapshot_times)
+    targets = sorted(t for t in set(snapshot_times or []) if 0.0 < t <= T)
+    if T > 0 and (not targets or abs(targets[-1] - T) > 1e-12 * max(T, 1.0)):
+        targets.append(T)
     t = 0.0
     ti = 0
     prev = None   # (u^(n-1), dt) of the last accepted step
     while t < T - 1e-14:
         next_stop = targets[ti] if ti < len(targets) else T
-        dt = min(cfl_dt(state, model.a, model.gamma, model.cfl, g), next_stop - t)
+        dt = min(model.cfl_dt(state), next_stop - t)
         last_err = None
         for _ in range(11):
             try:
                 new_state, inc, info = model.step(state, dt, forcing=forcing,
                                                   prev=prev)
                 break
-            except (NewtonDivergence, VacuumError, FluxOverflow) as err:
+            except (NewtonDivergence, SolverDivergence, VacuumError,
+                    FluxOverflow) as err:
                 last_err = err
                 dt *= 0.5
         else:
@@ -497,41 +550,13 @@ def advance(model, g, rho0, u0, T, snapshot_times=None, forcing=None):
         prev = (state.u, dt)
         state = new_state
         t = state.t
-        acc["dissipation"] += inc["dissipation"]
-        acc["hoff"] += inc["hoff"]
-        acc["aux"] += inc.get("aux", 0.0)
-        traj.records.append(_make_record(model, g, state, dt, acc,
-                                         info["shear"], info["flux"]))
+        for key, value in inc.items():
+            acc[key] += value
+        traj.records.append(model.record(state, dt, acc, info))
         if ti < len(targets) and abs(t - targets[ti]) <= 1e-12 * max(1.0, T):
             traj.snapshots.append(state.copy())
             ti += 1
     return traj
-
-
-def _make_record(model, g, state, dt, acc, s, f):
-    """The diagnostics record of state, whose face shear is s and face
-    flux f."""
-    rho, u = state.rho, state.u
-    p = rho**model.gamma
-    p_ahead = _ahead(rho)**model.gamma   # not _ahead(p): the same pow per entry
-    sigma_face = f - 0.5 * model.a * (p + p_ahead)
-    energy = integrate(0.5 * rho * u**2, g) \
-        + model.a / (model.gamma - 1.0) * integrate(p, g)
-    return DiagnosticsRecord(
-        t=state.t,
-        dt=dt,
-        mass=integrate(rho, g),
-        momentum=integrate(rho * u, g),
-        energy=energy,
-        dissipation_cum=acc["dissipation"],
-        rho_min=float(np.min(rho)),
-        rho_max=float(np.max(rho)),
-        dudx_maxabs=float(np.max(np.abs(s))),
-        sigma_max=float(np.max(sigma_face)),
-        hoff_cum=acc["hoff"],
-        lpnorm_term=model.lp_term(s, f, g),
-        aux_cum=acc["aux"],
-    )
 
 
 def material_derivative(u_new, u_old, dt, g):

@@ -169,12 +169,13 @@ def run_singular_ref(cfg):
 
 
 def run_2d_ref(cfg, p=None):
-    from thickflow.semistationary2d import run_2d
+    from thickflow.semistationary2d import Stokes2DModel
 
     g = cfg.grid()
     params = cfg.build_params("semistationary2d", **({"p": p} if p else {}))
-    rho0, _ = cfg.initial_fields(g)
-    return run_2d(params, g, rho0, cfg.T, cfg.snapshot_schedule())
+    rho0, u0 = cfg.initial_fields(g)
+    return Stokes2DModel.run(params, g, rho0, u0, cfg.T,
+                             cfg.snapshot_schedule())
 
 
 def mms_convergence_errors(p=4.0, a=1.0, gamma=2.0, T=0.1, ns=(128, 256, 512)):

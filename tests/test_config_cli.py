@@ -173,6 +173,11 @@ REJECTED = [
     ("[output]\ndirectory = x", "output.directory: unknown key"),
     ("[time]\nsnapshot_times = 0.005, 0.5",
      r"time.snapshot_times: \[0.5\] outside \(0, T = 0.05\]"),
+    ("[model]\nkind = singular1d\n[params]\na = -1.0",
+     "params.a: pressure constant a must be positive"),
+    ("[model]\nkind = semistationary2d\n[initial]\nrho_modes = 1, 0, 0.3, 0"
+     "\n[params]\na = -1.0",
+     "params.a: pressure constant a must be positive"),
 ]
 REJECTED_IDS = ["eps_without_values", "cross_grids_not_nested",
                 "cross_without_values", "cross_without_eps_values",
@@ -185,7 +190,8 @@ REJECTED_IDS = ["eps_without_values", "cross_grids_not_nested",
                 "paper_initial_a_number", "n_not_an_int",
                 "snapshots_not_an_int", "time_key_misspelled",
                 "checks_key_misspelled", "output_key_misspelled",
-                "snapshot_time_beyond_T"]
+                "snapshot_time_beyond_T", "singular_a_negative",
+                "2d_a_negative"]
 
 
 @pytest.mark.parametrize("sweep, message", REJECTED, ids=REJECTED_IDS)

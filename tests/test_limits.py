@@ -236,9 +236,9 @@ def _ref_violation(traj, eta):
 
 def _ref_multiplier_defect(traj, snapshot):
     g = traj.grid
-    model_1d = MODELS[traj.model][1]
-    if model_1d is not None:
-        tau = model_1d(traj.params, g).flux(ddx_periodic(snapshot.u, g))
+    if snapshot.rho.ndim == 1:
+        model = MODELS[traj.model](traj.params, g)
+        tau = model.flux(ddx_periodic(snapshot.u, g))
         _, resid = lagrange_multiplier(snapshot.u, tau, g)
         return resid
     D, log_t = _strain(snapshot.u, g, traj.params.delta)
@@ -347,7 +347,7 @@ def _ref_variational_2d(traj, bank, params):
 
 def _ref_momentum_residual_l2(traj):
     g = traj.grid
-    stress = MODELS[traj.model][1](traj.params, g).stress
+    stress = MODELS[traj.model](traj.params, g).stress
     worst = 0.0
     snaps = traj.snapshots
     for k in range(len(snaps) - 1):

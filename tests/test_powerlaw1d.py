@@ -12,7 +12,7 @@ from thickflow.trajectory import State1D
 G = Grid1D(16)
 
 # delta = 1e-170 squares to 0, so t = s^2 + delta^2 vanishes with it as
-# with delta = 0, which the model refuses for p > 2
+# with delta = 0, which PowerLawParams refuses for p > 2
 DELTA_0 = 1e-170
 
 

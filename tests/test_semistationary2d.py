@@ -2,13 +2,15 @@ import numpy as np
 import pytest
 
 from thickflow import semistationary2d
+from thickflow.errors import SolverDivergence, StepFailure
 from thickflow.grids import Grid2D, div_2d, integrate
-from thickflow.semistationary2d import (Stokes2DParams, _FourierPreconditioner,
+from thickflow.semistationary2d import (Stokes2DModel, Stokes2DParams,
+                                        _FourierPreconditioner,
                                         _remove_flat_modes, check_gauge,
                                         check_linf_growth, check_stationarity,
                                         flat_mode_means, functional,
-                                        functional_gradient, run_2d,
-                                        solve_momentum, transport_density)
+                                        functional_gradient, solve_momentum,
+                                        transport_density)
 
 
 def cos_bump(g, amp=0.5):
@@ -293,14 +295,14 @@ class TestRun2D:
     def test_T_zero(self):
         g = Grid2D(16, 16)
         pr = Stokes2DParams(p=4.0, gamma=2.0)
-        traj = run_2d(pr, g, cos_bump(g, 0.4), 0.0)
+        traj = Stokes2DModel.run(pr, g, cos_bump(g, 0.4), None, 0.0)
         assert len(traj.snapshots) == 1
 
     def test_constant_density_constant_trajectory(self):
         g = Grid2D(16, 16)
         pr = Stokes2DParams(p=4.0, gamma=2.0)
-        traj = run_2d(pr, g, np.full((16, 16), 2.0), 0.05,
-                      snapshot_times=[0.025, 0.05])
+        traj = Stokes2DModel.run(pr, g, np.full((16, 16), 2.0), None, 0.05,
+                                 snapshot_times=[0.025, 0.05])
         for s in traj.snapshots:
             assert np.max(np.abs(s.rho - 2.0)) < 1e-12
             assert np.max(np.abs(s.u)) < 1e-9
@@ -308,8 +310,9 @@ class TestRun2D:
     def test_internal_energy_nonincreasing(self):
         g = Grid2D(32, 32)
         pr = Stokes2DParams(p=8.0, gamma=2.0, cfl=0.1)
-        traj = run_2d(pr, g, cos_bump(g, 0.5), 0.1,
-                      snapshot_times=[0.02 * k for k in range(1, 6)])
+        traj = Stokes2DModel.run(
+            pr, g, cos_bump(g, 0.5), None, 0.1,
+            snapshot_times=[0.02 * k for k in range(1, 6)])
         e0 = traj.records[0].energy
         for ra, rb in zip(traj.records[:-1], traj.records[1:]):
             assert rb.energy <= ra.energy * (1 + 1e-6)
@@ -319,12 +322,13 @@ class TestRun2D:
     def test_linf_growth_check(self):
         g = Grid2D(32, 32)
         pr = Stokes2DParams(p=8.0, gamma=2.0, cfl=0.1)
-        traj = run_2d(pr, g, cos_bump(g, 0.5), 0.1, snapshot_times=[0.1])
+        traj = Stokes2DModel.run(pr, g, cos_bump(g, 0.5), None, 0.1,
+                                 snapshot_times=[0.1])
         rep = check_linf_growth(traj)
         assert rep.passed
         # constant trajectory: ratio e^-t <= 1
-        traj_c = run_2d(pr, g, np.full((32, 32), 2.0), 0.05,
-                        snapshot_times=[0.05])
+        traj_c = Stokes2DModel.run(pr, g, np.full((32, 32), 2.0), None, 0.05,
+                                   snapshot_times=[0.05])
         rep_c = check_linf_growth(traj_c)
         assert rep_c.passed
         assert rep_c.measured <= 1.0
@@ -332,8 +336,8 @@ class TestRun2D:
     def test_stationarity_and_gauge_checks(self):
         g = Grid2D(16, 16)
         pr = Stokes2DParams(p=8.0, gamma=2.0)
-        traj = run_2d(pr, g, nonsymmetric_density(g), 0.02,
-                      snapshot_times=[0.01, 0.02])
+        traj = Stokes2DModel.run(pr, g, nonsymmetric_density(g), None, 0.02,
+                                 snapshot_times=[0.01, 0.02])
         rep = check_stationarity(traj)
         assert rep.passed and 0 < rep.measured <= 1.0
         assert check_gauge(traj).passed
@@ -343,6 +347,71 @@ class TestRun2D:
         assert not check_stationarity(traj).passed
         traj.snapshots[-1].u += parity_field(np.random.default_rng(2), g)
         assert not check_gauge(traj).passed
+
+
+class TestStepRetry:
+    """A 2D step whose momentum solve fails is retried by advance at
+    dt / 2, as a 1D step whose Newton solve fails is."""
+
+    T = 0.02
+    SNAPS = [0.005, 0.01, 0.015, 0.02]
+
+    def setup_method(self):
+        self.g = Grid2D(16, 16)
+        self.pr = Stokes2DParams(p=4.0, gamma=2.0, cfl=0.1)
+        self.rho0 = cos_bump(self.g, 0.4)
+
+    def failing_solve(self, monkeypatch, fails):
+        """Make solve_momentum raise SolverDivergence on the calls whose
+        number (from 1, the t = 0 solve) fails(number) is true; returns
+        the list of calls so far."""
+        solve = semistationary2d.solve_momentum
+        calls = []
+
+        def flaky(rho, params, g, u_init=None):
+            calls.append(u_init)
+            if fails(len(calls)):
+                raise SolverDivergence("injected", trace=[1.0])
+            return solve(rho, params, g, u_init=u_init)
+
+        monkeypatch.setattr(semistationary2d, "solve_momentum", flaky)
+        return calls
+
+    def test_one_failed_solve_is_retried_at_half_dt(self, monkeypatch):
+        ref = Stokes2DModel.run(self.pr, self.g, self.rho0, None, self.T,
+                                self.SNAPS)
+        calls = self.failing_solve(monkeypatch, lambda k: k == 2)
+        traj = Stokes2DModel.run(self.pr, self.g, self.rho0, None, self.T,
+                                 self.SNAPS)
+        # the retry starts from the same state, with the first step's dt
+        # halved; the run then goes on to T
+        assert calls[1] is calls[2]
+        assert traj.records[1].dt == ref.records[1].dt / 2
+        assert traj.records[-1].t == pytest.approx(self.T, abs=1e-14)
+        assert [s.t for s in traj.snapshots] == [s.t for s in ref.snapshots]
+
+    def test_a_persistent_failure_raises_step_failure(self, monkeypatch):
+        calls = self.failing_solve(monkeypatch, lambda k: k >= 3)
+        with pytest.raises(StepFailure) as err:
+            Stokes2DModel.run(self.pr, self.g, self.rho0, None, self.T,
+                              self.SNAPS)
+        # the t = 0 solve and the first step passed; the second step
+        # failed on all 11 tries
+        assert len(calls) == 2 + 11
+        assert err.value.t == self.SNAPS[0]
+        assert isinstance(err.value.cause, SolverDivergence)
+
+    def test_cli_exits_3(self, monkeypatch, tmp_path):
+        from thickflow.cli import main
+
+        self.failing_solve(monkeypatch, lambda k: k >= 2)
+        cfg = tmp_path / "run2d.cfg"
+        cfg.write_text("[model]\nkind = semistationary2d\n[grid]\nnx = 16\n"
+                       "[params]\np = 4.0\ncfl = 0.1\n[initial]\n"
+                       "rho_modes = 1, 1, 0.2, 0\n[time]\nT = 0.02\n")
+        out = tmp_path / "out"
+        assert main(["run", str(cfg), "--output", str(out), "--quiet"]) == 3
+        assert not out.exists()
 
 
 def test_linf_bound_formula_value():

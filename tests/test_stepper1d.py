@@ -25,7 +25,7 @@ from thickflow.errors import FluxOverflow, NewtonDivergence, StepFailure
 from thickflow.grids import Grid1D, ddx_periodic
 from thickflow.powerlaw1d import PowerLawModel, PowerLawParams
 from thickflow.singular1d import SingularModel, SingularParams
-from thickflow.stepper1d import (barotropic_llf_update, cfl_dt, face_shear,
+from thickflow.stepper1d import (barotropic_llf_update, face_shear,
                                  implicit_shear_solve, max_signal_speed,
                                  solve_cyclic_tridiag)
 from thickflow.trajectory import State1D
@@ -150,7 +150,7 @@ def test_cyclic_tridiag_end_blocks_on_captured_jacobians(monkeypatch):
     monkeypatch.setattr(stepper1d, "solve_cyclic_tridiag", recorded)
     state = State1D(*cfg.initial_fields(g), 0.0)
     for _ in range(3):
-        dt = cfl_dt(state, model.a, model.gamma, model.cfl, g)
+        dt = model.cfl_dt(state)
         state = model.step(state, dt)[0]
     monkeypatch.undo()
     assert len(systems) >= 3   # one Newton solve or more per step

@@ -133,3 +133,22 @@ def test_tracer_records_the_layers_it_names(tmp_path):
     limits = [c for c in map(chain, span_of) if c[0] == "limits"]
     assert len(limits) == 2     # assemble_sweep_report, variational_residual_1d
     assert all(c[1:] == ["cli.main"] for c in limits)
+
+    # every run and sweep member writes its CSVs through the wrapped
+    # trajectory writers: a writer bound at import would record no span
+    mains = [sid for sid, (name, _) in span_of.items() if name == "cli.main"]
+    assert len(mains) == 4
+    by_main = {sid: set() for sid in mains}
+    for sid, (name, _) in span_of.items():
+        path = [sid]
+        while path[-1] in span_of and span_of[path[-1]][0] != "cli.main":
+            path.append(span_of[path[-1]][1])
+        if path[-1] in by_main:
+            by_main[path[-1]].add(name)
+    assert all("trajectory.write" in names for names in by_main.values())
+
+    # the 2D run's momentum solves and transports run inside its member
+    for name in ("semistationary2d.solve", "semistationary2d.transport"):
+        chains = [c for c in map(chain, span_of) if c[0] == name]
+        assert chains
+        assert all(c[1:] == ["cli.member", "cli.main"] for c in chains)

@@ -128,14 +128,15 @@ class TestTimeMean:
 
 def test_2d_continuity_residual_small():
     from thickflow.grids import Grid2D
-    from thickflow.semistationary2d import Stokes2DParams, run_2d
+    from thickflow.semistationary2d import Stokes2DModel, Stokes2DParams
 
     g = Grid2D(32, 32)
     X, Y = g.meshgrid()
     rho0 = 1 + 0.4 * np.cos(2 * np.pi * X) * np.cos(2 * np.pi * Y)
     T = 0.1
     snaps = [(k + 0.5) * T / 32 for k in range(32)]
-    traj = run_2d(Stokes2DParams(p=4.0, gamma=2.0, cfl=0.1), g, rho0, T, snaps)
+    traj = Stokes2DModel.run(Stokes2DParams(p=4.0, gamma=2.0, cfl=0.1), g,
+                             rho0, None, T, snaps)
     dts = [r.dt for r in traj.records if r.dt > 0]
     scale = g.dx + max(dts)
     for phi in scalar_bank_2d(seed=17, T=T, size=4):
