@@ -18,18 +18,18 @@ Velocity-type test fields are the same objects rescaled so the shear
 constraint holds with margin: max |dv/dx| = 0.99 in 1D, max |Dv| = 0.99
 in 2D (maxima taken over a dense sample grid and the envelope peak).
 
-Every spatial part is evaluated by one plane-wave evaluator,
-grids.PlaneWaves.series, from the cos and sin of each wave sampled once
-on the points at hand. sample_bank samples a whole scalar bank on a
-grid at once, sharing each wave's cos and sin between the members, for
-checks that evaluate the same test functions at many times.
+A scalar test function, in 1D and in 2D, is one grids.FourierSeries, and
+every spatial part is evaluated by grids.PlaneWaves.series. sample_bank
+samples a whole scalar bank on a grid at once, sharing each wave's cos
+and sin between the members, for checks that evaluate the same test
+functions at many times.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .grids import Grid1D, PlaneWaves
+from .grids import FourierSeries, Grid1D, PlaneWaves
 
 _MASK = (1 << 64) - 1
 
@@ -61,10 +61,6 @@ def _envelope_dt(t, T):
     return 16.0 * (2.0 * s * (1.0 - s) ** 2 - 2.0 * s**2 * (1.0 - s)) / T
 
 
-def _waves(coeffs):
-    return {tuple(q[:-2]) for q in coeffs}
-
-
 @dataclass
 class SampledTestFunction:
     """A scalar test function with its spatial part sampled on a grid.
@@ -94,39 +90,38 @@ def sample_bank(bank, grid):
     The cos and sin of each plane wave are evaluated once for the bank.
     """
     coords = (grid.x,) if isinstance(grid, Grid1D) else grid.meshgrid()
-    waves = PlaneWaves(set().union(*(_waves(phi.coeffs) for phi in bank)),
-                       *coords)
+    waves = PlaneWaves(set().union(*(phi.waves() for phi in bank)), *coords)
     return [phi.sampled(waves) for phi in bank]
 
 
-@dataclass
-class TestFunction1D:
-    """phi(t, x) = env(t) * sum_k [c_k cos(2 pi k x) + s_k sin(2 pi k x)]."""
+class TestFunction(FourierSeries):
+    """phi(t, x) = env(t) * S(x), S the FourierSeries of coeffs and scale."""
 
-    coeffs: list  # triples (k, c_k, s_k)
-    T: float
-    scale: float = 1.0
-
-    def spatial(self, x, d=None):
-        """The spatial part at x, or with d = 0 its x-derivative."""
-        waves = PlaneWaves(_waves(self.coeffs), x)
-        return self.scale * waves.series(self.coeffs, d)
+    def __init__(self, coeffs, T, scale=1.0):
+        super().__init__(coeffs, scale)
+        self.T = T
 
     def sampled(self, waves):
-        return SampledTestFunction(
-            self.T, self.scale * waves.series(self.coeffs),
-            (self.scale * waves.series(self.coeffs, d=0),))
+        """Sampled from waves, a PlaneWaves of its waves()."""
+        S = super().sampled
+        grad_S = tuple(S(waves, d) for d in range(len(waves.shape)))
+        return SampledTestFunction(self.T, S(waves), grad_S)
 
-    def eval(self, t, x):
-        return _envelope(t, self.T) * self.spatial(x)
+    def eval(self, t, *coords):
+        return _envelope(t, self.T) * self.spatial(*coords)
 
-    def dt(self, t, x):
-        return _envelope_dt(t, self.T) * self.spatial(x)
+    def dt(self, t, *coords):
+        return _envelope_dt(t, self.T) * self.spatial(*coords)
+
+    def grad(self, t, *coords):
+        e = _envelope(t, self.T)
+        return [e * self.spatial(*coords, d=d) for d in range(len(coords))]
 
     def dx(self, t, x):
         return _envelope(t, self.T) * self.spatial(x, d=0)
 
     def max_shear(self, oversample=2048):
+        """max |dS/dx| of a 1D function on a dense sample grid."""
         x = np.arange(oversample) / oversample
         return float(np.max(np.abs(self.spatial(x, d=0))))
 
@@ -145,7 +140,8 @@ class TestFunction2D:
     scale: float = 1.0
 
     def _plane_waves(self, X, Y):
-        return PlaneWaves(_waves(self.coeffs1) | _waves(self.coeffs2), X, Y)
+        waves = {tuple(q[:-2]) for q in self.coeffs1 + self.coeffs2}
+        return PlaneWaves(waves, X, Y)
 
     def spatial(self, X, Y):
         waves = self._plane_waves(X, Y)
@@ -176,87 +172,47 @@ class TestFunction2D:
         return float(np.max(np.sqrt(D[0] ** 2 + D[1] ** 2 + 2 * D[2] ** 2)))
 
 
-@dataclass
-class ScalarTestFunction2D:
-    """phi(t, x) = env(t) * sum of plane waves; quadruples (kx, ky, c, s)."""
+def _draw(seed, size, waves, parts=1):
+    """parts coefficient lists for each of size members, seeded: a list
+    holds (*wave, c, s) for each wave, c drawn before s."""
+    rng = SplitMix64(seed)
+    return [[[(*w, rng.uniform(-1, 1), rng.uniform(-1, 1)) for w in waves]
+             for _ in range(parts)] for _ in range(size)]
 
-    coeffs: list
-    T: float
 
-    def sampled(self, waves):
-        return SampledTestFunction(
-            self.T, waves.series(self.coeffs),
-            (waves.series(self.coeffs, d=0), waves.series(self.coeffs, d=1)))
-
-    def _series(self, X, Y, d=None):
-        return PlaneWaves(_waves(self.coeffs), X, Y).series(self.coeffs, d)
-
-    def eval(self, t, X, Y):
-        return _envelope(t, self.T) * self._series(X, Y)
-
-    def dt(self, t, X, Y):
-        return _envelope_dt(t, self.T) * self._series(X, Y)
-
-    def grad(self, t, X, Y):
-        e = _envelope(t, self.T)
-        return e * self._series(X, Y, d=0), e * self._series(X, Y, d=1)
+def _waves(modes, ndim=1):
+    """The waves of a bank: k = 1..modes, or one of each 2D pair +-(kx, ky)."""
+    if ndim == 1:
+        return [(k,) for k in range(1, modes + 1)]
+    return [(kx, ky) for kx in range(0, modes + 1)
+            for ky in range(-modes, modes + 1) if (kx, ky) > (0, 0)]
 
 
 def scalar_bank_2d(seed, T, size=10, modes=2):
     """Seeded bank of scalar 2D space-time test functions."""
-    rng = SplitMix64(seed)
-    waves = [
-        (kx, ky)
-        for kx in range(0, modes + 1)
-        for ky in range(-modes, modes + 1)
-        if (kx, ky) > (0, 0)
-    ]
-    bank = []
-    for _ in range(size):
-        coeffs = [(kx, ky, rng.uniform(-1, 1), rng.uniform(-1, 1))
-                  for kx, ky in waves]
-        bank.append(ScalarTestFunction2D(coeffs, T))
-    return bank
+    return [TestFunction(c, T) for c, in _draw(seed, size, _waves(modes, 2))]
 
 
 def scalar_bank_1d(seed, T, size=10, modes=3):
     """Seeded bank of scalar space-time test functions (weak-form checks)."""
-    rng = SplitMix64(seed)
-    bank = []
-    for _ in range(size):
-        coeffs = [(k, rng.uniform(-1, 1), rng.uniform(-1, 1)) for k in range(1, modes + 1)]
-        bank.append(TestFunction1D(coeffs, T))
-    return bank
+    return [TestFunction(c, T) for c, in _draw(seed, size, _waves(modes))]
 
 
 def velocity_bank_1d(seed, T, size=20, modes=3, margin=0.99):
-    """Seeded bank rescaled so max |dv/dx| equals the constraint margin."""
-    rng = SplitMix64(seed)
-    bank = []
-    for _ in range(size):
-        coeffs = [(k, rng.uniform(-1, 1), rng.uniform(-1, 1)) for k in range(1, modes + 1)]
-        v = TestFunction1D(coeffs, T)
+    """The draw of scalar_bank_1d, rescaled so max |dv/dx| equals the
+    constraint margin."""
+    bank = [TestFunction(c, T) for c, in _draw(seed, size, _waves(modes))]
+    for v in bank:
         m = v.max_shear()
         v.scale = margin / m if m > 0 else 0.0
-        bank.append(v)
     return bank
 
 
 def velocity_bank_2d(seed, T, size=20, modes=2, margin=0.99):
     """Seeded 2D bank rescaled so max |Dv| equals the constraint margin."""
-    rng = SplitMix64(seed)
-    waves = [
-        (kx, ky)
-        for kx in range(0, modes + 1)
-        for ky in range(-modes, modes + 1)
-        if (kx, ky) > (0, 0)
-    ]
-    bank = []
-    for _ in range(size):
-        c1 = [(kx, ky, rng.uniform(-1, 1), rng.uniform(-1, 1)) for kx, ky in waves]
-        c2 = [(kx, ky, rng.uniform(-1, 1), rng.uniform(-1, 1)) for kx, ky in waves]
-        v = TestFunction2D(c1, c2, T)
+    bank = [TestFunction2D(c1, c2, T)
+            for c1, c2 in _draw(seed, size, _waves(modes, 2), parts=2)]
+    for v in bank:
         m = v.max_sym_grad()
         v.scale = margin / m if m > 0 else 0.0
-        bank.append(v)
     return bank

@@ -6,15 +6,17 @@ comma-separated lists. Initial data is parameterized as truncated
 Fourier series; 1D fields use flat triples (k, cos_amp, sin_amp) and 2D
 fields flat quadruples (kx, ky, cos_amp, sin_amp) for plane waves
 cos(2 pi (kx x + ky y)) etc., which keeps runs reproducible across
-implementations.
+implementations. Each field is a grids.FourierSeries whose leading zero
+wave carries the mean.
 
 Validation collects every error (not just the first). The [params]
 defaults and ranges are those of the models' params classes, checked by
 building the params of the run and of every sweep member; positivity of
 the initial density, and the 1D model's rule on max |du0/dx| when
 paper_initial_conditions is set, are checked by dense sampling at 8x
-grid resolution. Every other default is that of its Config field, and
-a key that nothing reads is an error, as an unknown [params] key is.
+grid resolution. The means default to rho = 1 and u = 0; every other
+default is that of its Config field, and a key that nothing reads is an
+error, as an unknown [params] key is.
 """
 
 from dataclasses import dataclass, field, fields
@@ -22,7 +24,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .errors import ParseError, ValidationError, is_number
-from .grids import Grid1D, Grid2D, PlaneWaves
+from .grids import FourierSeries, Grid1D, Grid2D
 from .powerlaw1d import PowerLawModel
 from .semistationary2d import Stokes2DModel
 from .singular1d import SingularModel
@@ -95,29 +97,6 @@ def parse_raw(text):
 
 
 @dataclass
-class FourierField:
-    """mean + sum of plane waves: modes are (k, cos, sin) triples in 1D and
-    (kx, ky, cos, sin) quadruples in 2D; the mean is the leading zero wave."""
-
-    mean: float
-    modes: list = field(default_factory=list)
-
-    def _series(self, coords, d=None):
-        # one wave at a time: validation samples 2D fields on 512 x 512
-        # points, where holding every wave's cos and sin at once would
-        # raise the peak memory of a 2D run
-        coeffs = [(0,) * len(coords) + (self.mean, 0.0), *self.modes]
-        return sum(PlaneWaves([q[:-2]], *coords).series([q], d)
-                   for q in coeffs)
-
-    def eval(self, *coords):
-        return self._series(coords)
-
-    def eval_dx(self, x):
-        return self._series((x,), d=0)
-
-
-@dataclass
 class Config:
     model: str
     n: int = 0
@@ -125,8 +104,8 @@ class Config:
     ny: int = 0
     params: dict = field(default_factory=dict)   # the [params] keys given
     run_params: object = None                    # params of model, built
-    rho0: FourierField = field(default_factory=lambda: FourierField(1.0))
-    u0: FourierField = field(default_factory=lambda: FourierField(0.0))  # 1D
+    rho0: FourierSeries = None   # built from the [initial] keys
+    u0: FourierSeries = None     # 1D only
     paper_initial_conditions: bool = False
     seed: int = 1
     T: float = 0.0
@@ -172,20 +151,20 @@ class Config:
 
     def initial_fields(self, g):
         if self.is_2d:
-            return self.rho0.eval(*g.meshgrid()), None
-        return self.rho0.eval(g.x), self.u0.eval(g.x)
+            return self.rho0.spatial(*g.meshgrid()), None
+        return self.rho0.spatial(g.x), self.u0.spatial(g.x)
 
     def initial_density_range(self, oversample=8):
         """(c1, c2) of the analytic initial density, dense sampling."""
         m = oversample * max(self.n, self.nx, self.ny)
         gx = np.arange(m) / m
-        vals = self.rho0.eval(*np.meshgrid(*[gx] * MODELS[self.model].ndim,
-                                           indexing="ij", copy=False))
+        vals = self.rho0.spatial(*np.meshgrid(
+            *[gx] * MODELS[self.model].ndim, indexing="ij", copy=False))
         return float(np.min(vals)), float(np.max(vals))
 
     def initial_shear_max(self, oversample=8):
         m = oversample * self.n
-        return float(np.max(np.abs(self.u0.eval_dx(np.arange(m) / m))))
+        return float(np.max(np.abs(self.u0.spatial(np.arange(m) / m, d=0))))
 
 
 # [section] -> keys read into the Config field named key, or section_key
@@ -252,27 +231,33 @@ def parse_config(text):
             setattr(cfg, attr, read(f"{section}.{key}", getattr(cfg, attr)))
     if cfg.T < 0:
         errors.append("time.T: final time must be >= 0")
-    outside = [t for t in cfg.snapshot_times if not 0 < t <= cfg.T]
-    if outside:
-        errors.append(f"time.snapshot_times: {outside} outside (0, T = "
-                      f"{cfg.T}]")
+    for where, times in (("time.snapshot_times", cfg.snapshot_times),
+                         ("checks.s_list", cfg.s_list)):
+        outside = [t for t in times if not 0 < t <= cfg.T]
+        if outside:
+            errors.append(f"{where}: {outside} outside (0, T = {cfg.T}]")
     if not all(eta > 0 for eta in cfg.eta):
         errors.append(f"checks.eta: every eta must be positive, got {cfg.eta}")
-    if cfg.bank_size < 1:
-        errors.append(f"checks.bank_size: must be >= 1, got {cfg.bank_size}")
+    for key in ("bank_size", "bank_modes"):
+        value = getattr(cfg, key)
+        if value < 1:
+            errors.append(f"checks.{key}: must be >= 1, got {value}")
 
     width = 4 if cfg.is_2d else 3
-    for name in ("rho",) if cfg.is_2d else ("rho", "u"):
-        where, f = f"initial.{name}_modes", getattr(cfg, name + "0")
-        flat = read(where, f.modes)
+    zero = (0,) * (width - 2)
+    means = {"rho": 1.0} if cfg.is_2d else {"rho": 1.0, "u": 0.0}
+    for name, mean in means.items():
+        where = f"initial.{name}_modes"
+        flat = read(where, [])
         if len(flat) % width:
             errors.append(f"{where}: expected flat " + (
                 "(kx, ky, cos, sin) quadruples" if cfg.is_2d
                 else "(k, cos, sin) triples"))
             flat = []
-        setattr(cfg, name + "0", FourierField(
-            read(f"initial.{name}_mean", f.mean),
-            [tuple(flat[i:i + width]) for i in range(0, len(flat), width)]))
+        mean = read(f"initial.{name}_mean", mean)
+        setattr(cfg, name + "0", FourierSeries(
+            [zero + (mean, 0.0)]
+            + [tuple(flat[i:i + width]) for i in range(0, len(flat), width)]))
 
     cfg.params = raw.get("params", {})
     errors.extend(f"params.{k}: unknown parameter" for k in cfg.params

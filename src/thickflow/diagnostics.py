@@ -2,9 +2,11 @@
 
 Every check produces a CheckReport with the canonical pass rule
 
-    pass  <=>  measured <= bound * (1 + tolerance) + tolerance
+    pass  <=>  measured <= bound * (1 + tolerance) + tolerance,  bound >= 0
+    pass  <=>  measured <= bound * (1 - tolerance) + tolerance,  bound < 0
 
-so reports are pure functions of (trajectory, parameters, tolerances)
+(the relative slack always loosens the bound, whatever its sign), so
+reports are pure functions of (trajectory, parameters, tolerances)
 and re-running them is bit-identical. Bound checks carry a slack
 C (dx + dt) with C = 5 by default: discrete solutions violate continuum
 bounds by consistency error, and the slack must shrink under refinement.
@@ -23,6 +25,13 @@ import numpy as np
 from .grids import integrate
 
 
+def passes(measured, bound, tolerance):
+    """The pass rule: measured <= bound, loosened by tolerance relative to
+    |bound| and absolutely."""
+    slack = 1.0 + tolerance if bound >= 0 else 1.0 - tolerance
+    return measured <= bound * slack + tolerance
+
+
 @dataclass
 class CheckReport:
     check: str
@@ -35,7 +44,7 @@ class CheckReport:
 
     @staticmethod
     def build(check, bound, measured, tolerance, context=None):
-        passed = measured <= bound * (1.0 + tolerance) + tolerance
+        passed = passes(measured, bound, tolerance)
         return CheckReport(check, float(bound), float(measured),
                            float(tolerance), bool(passed),
                            context=context or {})
@@ -111,8 +120,8 @@ def verify_reports(report_paths, policy="strict"):
         if r.skipped:
             skips += 1
         elif not r.passed:
-            if policy == "tolerant" and r.measured <= \
-                    r.bound * (1.0 + 2.0 * r.tolerance) + 2.0 * r.tolerance:
+            if policy == "tolerant" and passes(r.measured, r.bound,
+                                               2.0 * r.tolerance):
                 warnings += 1
             else:
                 failures += 1

@@ -8,6 +8,10 @@ and a symmetric tensor field shape (3, nx, ny) storing (d11, d22, d12).
 All operators are periodic by construction (wrap-around differences),
 so discrete integration by parts holds exactly for the central scheme:
 sum(f * ddx(g)) + sum(ddx(f) * g) == 0 up to roundoff.
+
+FourierSeries is the one scalar Fourier-series type, of the initial data
+(config) and of every scalar test function (banks); PlaneWaves.series is
+the one evaluator it sums with.
 """
 
 from dataclasses import dataclass
@@ -147,8 +151,7 @@ class PlaneWaves:
 
     A wave is (k,) in 1D, with phase (2 pi k) x, or (kx, ky) in 2D, with
     phase 2 pi (kx X + ky Y). series() is the one Fourier-series
-    evaluator of the test functions (banks) and of the initial data
-    (config).
+    evaluator, of FourierSeries and of the 2D velocity test fields.
     """
 
     def __init__(self, waves, *coords):
@@ -177,3 +180,30 @@ class PlaneWaves:
                 w = 2.0 * np.pi * wave[d]
                 out += w * (-c * sin + s * cos)
         return out
+
+
+class FourierSeries:
+    """scale * sum of c cos + s sin of plane waves, in the order of coeffs:
+    (k, c, s) triples in 1D, (kx, ky, c, s) quadruples in 2D, one or more;
+    a mean is a zero wave. spatial and sampled give the same sums, bit for
+    bit: both start from +0.0 and add the terms in the order of coeffs."""
+
+    def __init__(self, coeffs, scale=1.0):
+        self.coeffs = coeffs
+        self.scale = scale
+
+    def waves(self):
+        return {tuple(q[:-2]) for q in self.coeffs}
+
+    def spatial(self, *coords, d=None):
+        """The series at coords, or with d given its derivative along axis
+        d. One wave at a time: config validation samples 2D data on
+        512 x 512 points, where every wave's cos and sin at once would
+        raise the peak memory of a 2D run."""
+        terms = (PlaneWaves([tuple(q[:-2])], *coords).series([q], d)
+                 for q in self.coeffs)
+        return self.scale * sum(terms)
+
+    def sampled(self, waves, d=None):
+        """spatial on the points of waves, a PlaneWaves of self.waves()."""
+        return self.scale * waves.series(self.coeffs, d)

@@ -95,7 +95,8 @@ def renormalized_residual(traj, gamma, phi):
 
 
 def time_mean_values(traj, gamma, s_list):
-    """m(s) for each horizon s (midpoint quadrature over [0, s])."""
+    """m(s) for each horizon s (midpoint quadrature over [0, s]), as
+    Python floats."""
     g = traj.grid
     snaps, w = _midpoint_snapshots(traj)
     base = integrate(traj.snapshots[0].rho**gamma, g)
@@ -108,7 +109,7 @@ def time_mean_values(traj, gamma, s_list):
         if k > len(snaps):
             raise ValueError(f"horizon {s_h} not covered by snapshots")
         vals = [integrate(sn.rho**gamma, g) - base for sn in snaps[:k]]
-        out.append(abs(np.sum(vals) * w / s_h))
+        out.append(float(abs(np.sum(vals) * w / s_h)))
     return out
 
 
@@ -128,6 +129,6 @@ def time_mean_continuity(traj, gamma, s_list):
     return CheckReport.build(
         "time_mean_continuity", bound=0.0, measured=measured,
         tolerance=0.0,
-        context={"s_list": list(s_list), "m": [float(v) for v in m],
+        context={"s_list": list(s_list), "m": m,
                  "monotone_within_slack": monotone_ok,
                  "endpoint_decrease": endpoint_ok})

@@ -58,8 +58,8 @@ class TestParser:
 
     def test_comments_and_lists(self):
         cfg = parse_config(SMALL_RUN + "\n# trailing comment\n")
-        assert cfg.rho0.modes == [(1, 0.15, 0.25)]
-        assert cfg.u0.modes == [(1, 0.0, 0.1)]
+        assert cfg.rho0.coeffs[1:] == [(1, 0.15, 0.25)]
+        assert cfg.u0.coeffs[1:] == [(1, 0.0, 0.1)]
 
     def test_syntax_errors_carry_line_numbers(self):
         with pytest.raises(ParseError, match="line 2"):
@@ -178,6 +178,10 @@ REJECTED = [
     ("[model]\nkind = semistationary2d\n[initial]\nrho_modes = 1, 0, 0.3, 0"
      "\n[params]\na = -1.0",
      "params.a: pressure constant a must be positive"),
+    ("[sweep]\nkind = p\nvalues = 4, 8\n[checks]\nbank_modes = 0",
+     "checks.bank_modes: must be >= 1, got 0"),
+    ("[checks]\ns_list = 0.02, 0.5, 0.0",
+     r"checks.s_list: \[0.5, 0.0\] outside \(0, T = 0.05\]"),
 ]
 REJECTED_IDS = ["eps_without_values", "cross_grids_not_nested",
                 "cross_without_values", "cross_without_eps_values",
@@ -191,7 +195,7 @@ REJECTED_IDS = ["eps_without_values", "cross_grids_not_nested",
                 "snapshots_not_an_int", "time_key_misspelled",
                 "checks_key_misspelled", "output_key_misspelled",
                 "snapshot_time_beyond_T", "singular_a_negative",
-                "2d_a_negative"]
+                "2d_a_negative", "bank_modes_zero", "s_list_outside_0_T"]
 
 
 @pytest.mark.parametrize("sweep, message", REJECTED, ids=REJECTED_IDS)
@@ -296,14 +300,15 @@ def test_fourier_field_equals_per_mode_loops(path):
                             indexing="ij")
         for X, Y in (g.meshgrid(), dense):
             assert np.array_equal(
-                cfg.rho0.eval(X, Y),
-                _fourier_field_2d(cfg.rho0.mean, cfg.rho0.modes, X, Y))
+                cfg.rho0.spatial(X, Y),
+                _fourier_field_2d(cfg.rho0.coeffs[0][-2], cfg.rho0.coeffs[1:],
+                                  X, Y))
         return
     for x in (g.x, np.arange(m) / m):
         for field in (cfg.rho0, cfg.u0):
-            ref = _FourierField1D(field.mean, field.modes)
-            assert np.array_equal(field.eval(x), ref.eval(x))
-            assert np.array_equal(field.eval_dx(x), ref.eval_dx(x))
+            ref = _FourierField1D(field.coeffs[0][-2], field.coeffs[1:])
+            assert np.array_equal(field.spatial(x), ref.eval(x))
+            assert np.array_equal(field.spatial(x, d=0), ref.eval_dx(x))
 
 
 class TestCLI:
@@ -397,6 +402,43 @@ class TestCLI:
         write_reports([rep], d / "checks.json")
         assert main(["verify", str(d), "--quiet", "--policy", "strict"]) == 4
         assert main(["verify", str(d), "--quiet", "--policy", "tolerant"]) == 0
+        # below zero the tolerated slack is bound (1 - 2 tol) + 2 tol
+        rep = CheckReport.build("negative", -2.0, -2.0 + 5e-3, 1e-3)
+        assert not rep.passed
+        write_reports([rep], d / "checks.json")
+        assert main(["verify", str(d), "--quiet", "--policy", "strict"]) == 4
+        assert main(["verify", str(d), "--quiet", "--policy", "tolerant"]) == 0
+        rep = CheckReport.build("negative", -2.0, -2.0 + 7e-3, 1e-3)
+        write_reports([rep], d / "checks.json")
+        assert main(["verify", str(d), "--quiet", "--policy", "tolerant"]) == 4
+
+    def test_run_with_s_list_writes_the_time_mean_report(self, tmp_path):
+        cfgp = tmp_path / "run.cfg"
+        cfgp.write_text(SMALL_RUN.replace("T = 0.05", "T = 0.04")
+                        + "\n[checks]\ns_list = 0.02, 0.01, 0.005\n")
+        out = tmp_path / "out"
+        assert main(["run", str(cfgp), "--output", str(out), "--quiet"]) == 0
+        assert (out / "manifest.json").exists()
+        checks = json.loads((out / "checks.json").read_text())
+        report, = [c for c in checks if c["check"] == "time_mean_continuity"]
+        assert report["context"]["s_list"] == [0.02, 0.01, 0.005]
+        assert len(report["context"]["m"]) == 3
+        assert isinstance(report["context"]["endpoint_decrease"], bool)
+
+    def test_negative_stress_bound_passes_at_equality(self, tmp_path):
+        # without paper_initial_conditions the stress bound is max sigma(0),
+        # here -1.028, and sup over t includes t = 0: measured = bound
+        cfgp = tmp_path / "run.cfg"
+        cfgp.write_text(SMALL_RUN.replace("p = 8.0", "p = 4.0")
+                        .replace("T = 0.05", "T = 0.04")
+                        .replace("paper_initial_conditions = true",
+                                 "paper_initial_conditions = false"))
+        out = tmp_path / "out"
+        assert main(["run", str(cfgp), "--output", str(out), "--quiet"]) == 0
+        report, = [c for c in json.loads((out / "checks.json").read_text())
+                   if c["check"] == "stress_max_principle"]
+        assert report["bound"] < -1.0
+        assert report["measured"] == report["bound"] and report["pass"]
 
     def test_banks_deterministic(self, tmp_path, capsys):
         cfgp = tmp_path / "run.cfg"

@@ -41,6 +41,16 @@ class TestCheckReport:
         for b, m, t in [(2.0, 2.1, 0.01), (0.0, 1e-4, 1e-3), (5.0, 7.0, 0.1)]:
             r3 = CheckReport.build("x", b, m, t)
             assert r3.passed == (m <= b * (1 + t) + t)
+        # a measured value equal to its bound passes whatever the bound's
+        # sign: below zero the rule is measured <= bound (1 - tol) + tol
+        for b in (-0.5, -1.02771, -4.0):
+            assert CheckReport.build("x", b, b, 1e-3).passed
+            assert CheckReport.build("x", b, b * (1 - 1e-3) + 0.9e-3,
+                                     1e-3).passed
+            assert not CheckReport.build("x", b, b * (1 - 1e-3) + 1.1e-3,
+                                         1e-3).passed
+        # a measured value above a negative bound by more than the slack
+        assert not CheckReport.build("x", -2.0, -1.9, 0.01).passed
 
     def test_roundtrip_json(self, tmp_path):
         reps = [CheckReport.build("a", 1.0, 0.5, 1e-2),

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from thickflow.grids import (Grid1D, Grid2D, ddx_2d, ddx_periodic, div_2d,
-                             integrate, sym_grad_2d, sym_grad_norm)
+from thickflow.grids import (FourierSeries, Grid1D, Grid2D, PlaneWaves,
+                             ddx_2d, ddx_periodic, div_2d, integrate,
+                             sym_grad_2d, sym_grad_norm)
 
 
 def test_grid_invariants():
@@ -155,3 +156,22 @@ def test_ddx_periodic_equals_roll_form():
         assert np.array_equal(ddx_periodic(f, g, scheme), expected)
     with pytest.raises(ValueError):
         ddx_periodic(f, g, "upwind")
+
+
+@pytest.mark.parametrize("ndim", [1, 2])
+def test_fourier_series_one_wave_at_a_time_equals_all_at_once(ndim):
+    # a mean (the zero wave) first and a wave repeated: both paths start
+    # from +0.0 and add the terms in the order of coeffs
+    rng = np.random.default_rng(3)
+    if ndim == 1:
+        coords = (Grid1D(40).x,)
+        coeffs = [(0, 1.3, 0.0), (1, 0.0, 0.0), (3, 0.2, -0.7), (1, -0.4, 0.1)]
+    else:
+        coords = Grid2D(12, 10).meshgrid()
+        coeffs = [(0, 0, 1.3, 0.0), (1, -1, 0.0, 0.0), (2, 1, 0.2, -0.7),
+                  (0, 3, -0.4, 0.1)]
+    coeffs += [(*q[:-2], *rng.uniform(-1, 1, 2)) for q in coeffs[1:]]
+    f = FourierSeries(coeffs, scale=0.37)
+    waves = PlaneWaves(f.waves(), *coords)
+    for d in (None, *range(ndim)):
+        assert np.array_equal(f.spatial(*coords, d=d), f.sampled(waves, d))
