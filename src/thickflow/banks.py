@@ -29,7 +29,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grids import FourierSeries, Grid1D, PlaneWaves
+from .grids import (FourierSeries, Grid1D, PlaneWaves, dense_extrema,
+                    sym_grad_norm)
 
 _MASK = (1 << 64) - 1
 
@@ -122,8 +123,8 @@ class TestFunction(FourierSeries):
 
     def max_shear(self, oversample=2048):
         """max |dS/dx| of a 1D function on a dense sample grid."""
-        x = np.arange(oversample) / oversample
-        return float(np.max(np.abs(self.spatial(x, d=0))))
+        return dense_extrema(lambda x: np.abs(self.spatial(x, d=0)),
+                             oversample, 1)[1]
 
 
 @dataclass
@@ -166,10 +167,10 @@ class TestFunction2D:
         return _envelope(t, self.T) * self.scale * (d11 + d22)
 
     def max_sym_grad(self, oversample=256):
-        g = np.arange(oversample) / oversample
-        X, Y = np.meshgrid(g, g, indexing="ij")
-        D = self.spatial_sym_grad(X, Y)
-        return float(np.max(np.sqrt(D[0] ** 2 + D[1] ** 2 + 2 * D[2] ** 2)))
+        """max |DS| of the spatial part on a dense sample grid."""
+        return dense_extrema(
+            lambda X, Y: sym_grad_norm(self.spatial_sym_grad(X, Y)),
+            oversample, 2)[1]
 
 
 def _draw(seed, size, waves, parts=1):

@@ -14,7 +14,10 @@ defaults and ranges are those of the models' params classes, checked by
 building the params of the run and of every sweep member; positivity of
 the initial density, and the 1D model's rule on max |du0/dx| when
 paper_initial_conditions is set, are checked by dense sampling at 8x
-grid resolution. The means default to rho = 1 and u = 0; every other
+grid resolution, in blocks of bounded memory (grids.dense_extrema). The
+[checks] s_list horizons are checked against the run's snapshot times by
+the rule of the time-mean check (transport_check.midpoint_cadence and
+horizon_cells). The means default to rho = 1 and u = 0; every other
 default is that of its Config field, and a key that nothing reads is an
 error, as an unknown [params] key is.
 """
@@ -24,10 +27,11 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .errors import ParseError, ValidationError, is_number
-from .grids import FourierSeries, Grid1D, Grid2D
+from .grids import FourierSeries, Grid1D, Grid2D, dense_extrema
 from .powerlaw1d import PowerLawModel
 from .semistationary2d import Stokes2DModel
 from .singular1d import SingularModel
+from .transport_check import horizon_cells, midpoint_cadence
 
 # model name -> model class, whose params class is its params_class;
 # stepper1d.advance describes the protocol they share
@@ -157,14 +161,11 @@ class Config:
     def initial_density_range(self, oversample=8):
         """(c1, c2) of the analytic initial density, dense sampling."""
         m = oversample * max(self.n, self.nx, self.ny)
-        gx = np.arange(m) / m
-        vals = self.rho0.spatial(*np.meshgrid(
-            *[gx] * MODELS[self.model].ndim, indexing="ij", copy=False))
-        return float(np.min(vals)), float(np.max(vals))
+        return dense_extrema(self.rho0.spatial, m, MODELS[self.model].ndim)
 
     def initial_shear_max(self, oversample=8):
-        m = oversample * self.n
-        return float(np.max(np.abs(self.u0.spatial(np.arange(m) / m, d=0))))
+        return dense_extrema(lambda x: np.abs(self.u0.spatial(x, d=0)),
+                             oversample * self.n, 1)[1]
 
 
 # [section] -> keys read into the Config field named key, or section_key
@@ -236,6 +237,17 @@ def parse_config(text):
         outside = [t for t in times if not 0 < t <= cfg.T]
         if outside:
             errors.append(f"{where}: {outside} outside (0, T = {cfg.T}]")
+    if cfg.s_list and not any(e.startswith(("time.", "checks.s_list"))
+                              for e in errors):
+        # the time-mean check's horizons, on the run's snapshot times:
+        # the schedule and T, which the run always ends with
+        try:
+            count, w = midpoint_cadence(
+                sorted(set(cfg.snapshot_schedule())) + [cfg.T])
+            for s_h in cfg.s_list:
+                horizon_cells(s_h, w, count)
+        except ValueError as e:
+            errors.append(f"checks.s_list: {e}")
     if not all(eta > 0 for eta in cfg.eta):
         errors.append(f"checks.eta: every eta must be positive, got {cfg.eta}")
     for key in ("bank_size", "bank_modes"):

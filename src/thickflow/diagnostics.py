@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grids import integrate
+from .grids import integrate, median
 
 
 def passes(measured, bound, tolerance):
@@ -231,7 +231,7 @@ def check_hoff_uniformity(y_values, params_values, factor=2.0):
     uniform constant is not explicit; flagged as such in the context.
     """
     ys = np.asarray(y_values, dtype=float)
-    med = float(np.median(ys))
+    med = median(ys)
     return CheckReport.build(
         "hoff_uniformity", bound=factor * med, measured=float(np.max(ys)),
         tolerance=0.0,

@@ -12,6 +12,10 @@ sum(f * ddx(g)) + sum(ddx(f) * g) == 0 up to roundoff.
 FourierSeries is the one scalar Fourier-series type, of the initial data
 (config) and of every scalar test function (banks); PlaneWaves.series is
 the one evaluator it sums with.
+
+dense_extrema is the one dense sample, of config validation and of the
+velocity banks' scales. It evaluates its function on blocks of a fixed
+number of points, so its memory does not grow with the sample.
 """
 
 from dataclasses import dataclass
@@ -141,6 +145,43 @@ def sym_grad_norm(D):
     return np.sqrt(D[0] ** 2 + D[1] ** 2 + 2.0 * D[2] ** 2)
 
 
+def median(a):
+    """np.median(a) of a float array, as a float, bit for bit, without
+    the import of numpy.ma that np.median makes: nan when a holds a nan,
+    else the mean of the one or two middle values, summed from +0.0 as
+    np.mean sums."""
+    a = np.ravel(a)
+    h = a.size // 2
+    part = np.partition(a, [max(h - 1, 0), h, -1])
+    if np.isnan(part[-1]):
+        return float(part[-1])
+    if a.size % 2:
+        return float(0.0 + part[h])
+    return float((0.0 + part[h - 1] + part[h]) / 2)
+
+
+# points of a dense sample evaluated at once: 2^15 float64 values are
+# 256 KB, so the temporaries of a block stay in cache
+_BLOCK = 1 << 15
+
+
+def dense_extrema(fn, m, ndim):
+    """(min, max) of fn over the m^ndim points k/m, k = 0..m-1 on each
+    axis, as floats. fn maps one coordinate array per axis to its values
+    elementwise; it is called on blocks of rows of the sample, of about
+    _BLOCK points each, and the extrema of the blocks are those of the
+    whole sample."""
+    x = np.arange(m) / m
+    coords = np.meshgrid(*[x] * ndim, indexing="ij", copy=False)
+    rows = max(1, _BLOCK // m ** (ndim - 1))
+    lows, highs = [], []
+    for i in range(0, m, rows):
+        vals = fn(*(c[i:i + rows] for c in coords))
+        lows.append(np.min(vals))
+        highs.append(np.max(vals))
+    return float(np.min(lows)), float(np.max(highs))
+
+
 def div_2d(u, g):
     """Central-difference divergence of a vector field."""
     return ddx_2d(u[0], g, axis=0) + ddx_2d(u[1], g, axis=1)
@@ -185,8 +226,9 @@ class PlaneWaves:
 class FourierSeries:
     """scale * sum of c cos + s sin of plane waves, in the order of coeffs:
     (k, c, s) triples in 1D, (kx, ky, c, s) quadruples in 2D, one or more;
-    a mean is a zero wave. spatial and sampled give the same sums, bit for
-    bit: both start from +0.0 and add the terms in the order of coeffs."""
+    a mean is a zero wave. The sum starts from +0.0 and adds the terms in
+    the order of coeffs, so a sample does not depend on how many waves
+    or points are evaluated at once."""
 
     def __init__(self, coeffs, scale=1.0):
         self.coeffs = coeffs
@@ -197,12 +239,11 @@ class FourierSeries:
 
     def spatial(self, *coords, d=None):
         """The series at coords, or with d given its derivative along axis
-        d. One wave at a time: config validation samples 2D data on
-        512 x 512 points, where every wave's cos and sin at once would
-        raise the peak memory of a 2D run."""
-        terms = (PlaneWaves([tuple(q[:-2])], *coords).series([q], d)
-                 for q in self.coeffs)
-        return self.scale * sum(terms)
+        d: sampled on the PlaneWaves of its waves at coords. A dense
+        sample passes its points in blocks (dense_extrema), which bounds
+        the memory of every wave's cos and sin at once."""
+        return FourierSeries.sampled(self, PlaneWaves(self.waves(), *coords),
+                                     d)
 
     def sampled(self, waves, d=None):
         """spatial on the points of waves, a PlaneWaves of self.waves()."""

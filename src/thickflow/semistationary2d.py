@@ -37,7 +37,7 @@ import numpy as np
 
 from . import diagnostics as dg
 from .errors import Params, SolverDivergence, VacuumError, solver_rules
-from .grids import ddx_2d, integrate, sym_grad_2d
+from .grids import ddx_2d, integrate, median, sym_grad_2d
 from .stepper1d import advance
 from .trajectory import DiagnosticsRecord, State2D
 
@@ -147,7 +147,7 @@ class _FourierPreconditioner:
         self.i11 = np.where(null, 0.0, a22 / det)
         self.i22 = np.where(null, 0.0, a11 / det)
         self.i12 = np.where(null, 0.0, -a12 / det)
-        w0 = min(max(float(np.median(W)), 1e-3), 1e3)
+        w0 = min(max(median(W), 1e-3), 1e3)
         self.s = np.clip(W, w0 / BAND, BAND * w0) ** -0.5
 
     def apply(self, r):

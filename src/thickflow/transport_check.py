@@ -22,26 +22,45 @@ from .banks import SampledTestFunction, sample_bank
 from .grids import ddx_periodic, div_2d, integrate
 
 
+def midpoint_cadence(times):
+    """(count, w) of the uniform midpoint grid t_k = (k + 1/2) w that the
+    increasing positive times start with: w is the gap of the first two,
+    and count the length of the longest uniformly spaced prefix. Raises
+    ValueError for fewer than 2 times, or off a midpoint grid."""
+    if len(times) < 2:
+        raise ValueError("need at least 2 positive-time snapshots")
+    w = times[1] - times[0]
+    tol = 1e-9 * max(1.0, w)
+    if abs(times[0] - 0.5 * w) > tol:
+        raise ValueError("snapshots are not on a midpoint grid")
+    count = 2
+    while (count < len(times)
+           and abs(times[count] - times[count - 1] - w) <= tol):
+        count += 1
+    return count, w
+
+
+def horizon_cells(s_h, w, count):
+    """The number k of midpoint cells of width w that the horizon s_h
+    spans; raises ValueError unless s_h = k w with 1 <= k <= count."""
+    k = int(round(s_h / w))
+    if abs(k * w - s_h) > 1e-9 * max(1.0, s_h) or k < 1:
+        raise ValueError(
+            f"horizon {s_h} is not a multiple of the snapshot cadence {w}")
+    if k > count:
+        raise ValueError(f"horizon {s_h} not covered by snapshots")
+    return k
+
+
 def _midpoint_snapshots(traj):
     """Snapshots on the uniform midpoint grid t_k = (k + 1/2) w.
 
     Returns (snapshots, w). Trailing extras (the final-time snapshot the
-    runner always appends) are excluded by keeping the longest uniformly
-    spaced prefix.
+    runner always appends) are excluded by midpoint_cadence.
     """
     snaps = [s for s in traj.snapshots if s.t > 0.0]
-    if len(snaps) < 2:
-        raise ValueError("need at least 2 positive-time snapshots")
-    w = snaps[1].t - snaps[0].t
-    if abs(snaps[0].t - 0.5 * w) > 1e-9 * max(1.0, w):
-        raise ValueError("snapshots are not on a midpoint grid")
-    keep = [snaps[0], snaps[1]]
-    for s in snaps[2:]:
-        if abs((s.t - keep[-1].t) - w) <= 1e-9 * max(1.0, w):
-            keep.append(s)
-        else:
-            break
-    return keep, w
+    count, w = midpoint_cadence([s.t for s in snaps])
+    return snaps[:count], w
 
 
 def _sampled(phi, grid):
@@ -102,12 +121,7 @@ def time_mean_values(traj, gamma, s_list):
     base = integrate(traj.snapshots[0].rho**gamma, g)
     out = []
     for s_h in s_list:
-        k = int(round(s_h / w))
-        if abs(k * w - s_h) > 1e-9 * max(1.0, s_h) or k < 1:
-            raise ValueError(
-                f"horizon {s_h} is not a multiple of the snapshot cadence {w}")
-        if k > len(snaps):
-            raise ValueError(f"horizon {s_h} not covered by snapshots")
+        k = horizon_cells(s_h, w, len(snaps))
         vals = [integrate(sn.rho**gamma, g) - base for sn in snaps[:k]]
         out.append(float(abs(np.sum(vals) * w / s_h)))
     return out

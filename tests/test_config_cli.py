@@ -3,6 +3,8 @@ import json
 import math
 import os
 import re
+import subprocess
+import sys
 import time
 
 import numpy as np
@@ -182,6 +184,10 @@ REJECTED = [
      "checks.bank_modes: must be >= 1, got 0"),
     ("[checks]\ns_list = 0.02, 0.5, 0.0",
      r"checks.s_list: \[0.5, 0.0\] outside \(0, T = 0.05\]"),
+    # 8 snapshots to T = 0.04 are 0.005 apart
+    ("[time]\nT = 0.04\n[checks]\ns_list = 0.02, 0.013",
+     r"checks.s_list: horizon 0.013 is not a multiple of the snapshot "
+     r"cadence 0.00499"),
 ]
 REJECTED_IDS = ["eps_without_values", "cross_grids_not_nested",
                 "cross_without_values", "cross_without_eps_values",
@@ -195,7 +201,8 @@ REJECTED_IDS = ["eps_without_values", "cross_grids_not_nested",
                 "snapshots_not_an_int", "time_key_misspelled",
                 "checks_key_misspelled", "output_key_misspelled",
                 "snapshot_time_beyond_T", "singular_a_negative",
-                "2d_a_negative", "bank_modes_zero", "s_list_outside_0_T"]
+                "2d_a_negative", "bank_modes_zero", "s_list_outside_0_T",
+                "s_list_off_the_snapshot_cadence"]
 
 
 @pytest.mark.parametrize("sweep, message", REJECTED, ids=REJECTED_IDS)
@@ -660,3 +667,34 @@ def test_sweep_jobs_flag_matches_sequential(tmp_path):
                  "--jobs", "2"]) == 0
     assert (o1 / "sweep_table.csv").read_bytes() == \
         (o2 / "sweep_table.csv").read_bytes()
+
+
+NO_NUMPY_MA = """
+import sys
+
+sys.path.insert(0, sys.argv[1])
+from thickflow import cli
+
+assert cli.main(["run", sys.argv[2], "--output", sys.argv[4], "--quiet"]) == 0
+assert cli.main(["sweep", sys.argv[3], "--output", sys.argv[5],
+                 "--quiet"]) == 0
+print("numpy.ma" in sys.modules)
+"""
+
+
+def test_run_and_sweep_never_import_numpy_ma(tmp_path):
+    # np.median imported numpy.ma (11-14 ms) in the 2D preconditioner and
+    # the sweep's hoff_uniformity check; grids.median does not
+    run2d = tmp_path / "run2d.cfg"
+    run2d.write_text("[model]\nkind = semistationary2d\n[grid]\nnx = 16\n"
+                     "[initial]\nrho_modes = 1, 0, 0.3, 0.0\n"
+                     "[time]\nT = 0.01\nsnapshots = 3\n")
+    sweep = tmp_path / "sweep.cfg"
+    sweep.write_text(SMALL_RUN.replace("T = 0.05", "T = 0.02")
+                     + "\n[sweep]\nkind = p\nvalues = 4, 8, 16\n")
+    out = subprocess.run(
+        [sys.executable, "-c", NO_NUMPY_MA,
+         os.path.join(os.path.dirname(__file__), "..", "src"), str(run2d),
+         str(sweep), str(tmp_path / "o2"), str(tmp_path / "o1")],
+        capture_output=True, text=True, check=True, timeout=300).stdout.split()
+    assert out == ["False"]

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from thickflow.grids import (FourierSeries, Grid1D, Grid2D, PlaneWaves,
-                             ddx_2d, ddx_periodic, div_2d, integrate,
-                             sym_grad_2d, sym_grad_norm)
+from thickflow.grids import (_BLOCK, FourierSeries, Grid1D, Grid2D,
+                             PlaneWaves, ddx_2d, ddx_periodic, dense_extrema,
+                             div_2d, integrate, median, sym_grad_2d,
+                             sym_grad_norm)
 
 
 def test_grid_invariants():
@@ -174,4 +175,58 @@ def test_fourier_series_one_wave_at_a_time_equals_all_at_once(ndim):
     f = FourierSeries(coeffs, scale=0.37)
     waves = PlaneWaves(f.waves(), *coords)
     for d in (None, *range(ndim)):
+        one_at_a_time = f.scale * sum(
+            PlaneWaves([tuple(q[:-2])], *coords).series([q], d)
+            for q in coeffs)
+        assert np.array_equal(one_at_a_time, f.sampled(waves, d))
         assert np.array_equal(f.spatial(*coords, d=d), f.sampled(waves, d))
+
+
+def test_median_equals_np_median_bit_for_bit():
+    # sizes 1..4097, odd and even, with ties, +-inf, signed zeros and nan
+    rng = np.random.default_rng(17)
+    arrays = [np.array(a) for a in ([-0.0], [-0.0, -0.0], [0.0, -0.0],
+                                    [np.inf, -np.inf], [1.0, np.nan, 2.0],
+                                    [1e308, 1e308])]
+    for i in range(1400):
+        n = i + 1 if i < 40 else int(rng.integers(1, 4098))
+        a = rng.normal(size=n) * 10.0 ** rng.integers(-5, 5)
+        if i % 3 == 0:
+            at = rng.integers(0, n, size=max(1, n // 10))
+            a[at] = rng.choice([np.inf, -np.inf, 0.0, -0.0], size=at.size)
+        if i % 7 == 0:
+            a = np.round(a)
+        arrays.append(a)
+    with np.errstate(invalid="ignore", over="ignore"):
+        for a in arrays:
+            expected = np.median(a)
+            got = median(a)
+            assert type(got) is float
+            assert np.array_equal(got, expected, equal_nan=True)
+            assert np.signbit(got) == np.signbit(expected)
+
+
+@pytest.mark.parametrize("m, ndim, sizes", [
+    (40000, 1, [32768, 7232]), (2048, 1, [2048]),
+    (200, 2, [163 * 200, 37 * 200]), (64, 2, [4096]), (1, 2, [1])])
+def test_dense_extrema_equal_the_whole_sample_in_bounded_blocks(m, ndim,
+                                                                 sizes):
+    # blocks of whole rows of at most _BLOCK points; 40000 points, or 200
+    # rows of 200, leave a shorter last block
+    assert _BLOCK == 32768
+    waves = [(1,), (3,)] if ndim == 1 else [(1, -2), (2, 1)]
+    f = FourierSeries([(0,) * ndim + (1.0, 0.0)]
+                      + [(*w, 0.3, -0.45) for w in waves], scale=0.9)
+    blocks = []
+
+    def fn(*coords):
+        blocks.append(coords[0].size)
+        return f.spatial(*coords, d=0)
+
+    x = np.arange(m) / m
+    whole = fn(*np.meshgrid(*[x] * ndim, indexing="ij"))
+    blocks.clear()
+    lo, hi = dense_extrema(fn, m, ndim)
+    assert type(lo) is float and type(hi) is float
+    assert (lo, hi) == (np.min(whole), np.max(whole))
+    assert blocks == sizes
