@@ -249,7 +249,8 @@ def cmd_verify(args):
 
 
 def cmd_banks(args):
-    from .banks import scalar_bank_1d, velocity_bank_1d, velocity_bank_2d
+    from .banks import (scalar_bank_1d, scalar_bank_2d, velocity_bank_1d,
+                        velocity_bank_2d)
 
     cfg = _load(args.config)
     if cfg is None:
@@ -265,6 +266,12 @@ def cmd_banks(args):
             {"coeffs": b.coeffs, "scale": b.scale}
             for b in velocity_bank_1d(cfg.seed, cfg.T, size=cfg.bank_size,
                                       modes=cfg.bank_modes)],
+        # as _transport_checks draws it for a 2D run's weak-form checks
+        "scalar_2d": [
+            {"coeffs": b.coeffs, "scale": b.scale}
+            for b in scalar_bank_2d(cfg.seed, cfg.T,
+                                    size=min(cfg.bank_size, 10),
+                                    modes=cfg.bank_modes)],
         "velocity_2d": [
             {"coeffs1": b.coeffs1, "coeffs2": b.coeffs2, "scale": b.scale}
             for b in velocity_bank_2d(cfg.seed, cfg.T, size=cfg.bank_size)],

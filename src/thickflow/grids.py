@@ -93,11 +93,13 @@ def integrate(f, g):
     return float(np.sum(f) * g.dx * g.dy)
 
 
-def ddx_2d(f, g, axis, scheme="central"):
-    """Periodic difference of a 2D scalar field along one axis."""
+def ddx_2d(f, g, axis, scheme="central", out=None):
+    """Periodic difference of a 2D scalar field along one axis, written
+    into out when given (a float array of f's shape, not f itself)."""
     h = g.dx if axis == 0 else g.dy
     f = np.asarray(f)
-    out = np.empty(f.shape, dtype=np.result_type(f, 1.0))
+    if out is None:
+        out = np.empty(f.shape, dtype=np.result_type(f, 1.0))
     # difference along the first axis of a (transposed) view
     a, d = (f, out) if axis == 0 else (f.T, out.T)
     _wrap_diff(a, d, scheme, h)
@@ -134,10 +136,13 @@ def sym_grad_2d(u, g):
     The trace d11 + d22 equals the central-difference divergence exactly.
     """
     u1, u2 = u[0], u[1]
-    d11 = ddx_2d(u1, g, axis=0)
-    d22 = ddx_2d(u2, g, axis=1)
-    d12 = 0.5 * (ddx_2d(u1, g, axis=1) + ddx_2d(u2, g, axis=0))
-    return np.stack([d11, d22, d12])
+    D = np.empty((3,) + u1.shape, dtype=np.result_type(u1, 1.0))
+    ddx_2d(u1, g, axis=0, out=D[0])
+    ddx_2d(u2, g, axis=1, out=D[1])
+    ddx_2d(u1, g, axis=1, out=D[2])
+    D[2] += ddx_2d(u2, g, axis=0)
+    D[2] *= 0.5
+    return D
 
 
 def sym_grad_norm(D):

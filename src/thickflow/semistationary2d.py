@@ -24,9 +24,11 @@ s = W^(-1/2) pointwise, the iterate's viscosity W = (|Dv|^2 +
 delta^2)^((p-2)/2) clipped to a factor BAND about its median; Newton
 is avoided because the Hessian degenerates wherever |Du| is small at
 large p. Each iterate's strain Dv and log(|Dv|^2 + delta^2) are
-computed once and shared by J, grad J and the weight of H0, and H0 is
-applied to the two fields of an iteration with one batched pair of
-FFTs.
+computed once and shared by J, grad J and the weight of H0. The
+L-BFGS matrix is kept in the compact form of Byrd, Nocedal &
+Schnabel (lbfgs.CompactInverse), so an iteration applies H0 once, to
+its gradient, and takes H0 y of the newest pair as the difference of
+two H0 g.
 """
 
 import math
@@ -38,6 +40,7 @@ import numpy as np
 from . import diagnostics as dg
 from .errors import Params, SolverDivergence, VacuumError, solver_rules
 from .grids import ddx_2d, integrate, median, sym_grad_2d
+from .lbfgs import CompactInverse
 from .stepper1d import advance
 from .trajectory import DiagnosticsRecord, State2D
 
@@ -105,12 +108,16 @@ def functional(v, rho_gamma_a, g, p, delta, memo=None):
 def functional_gradient(v, rho_gamma_a, g, p, delta, memo=None):
     """Discrete adjoint gradient of J: -div(W Dv) + grad(a rho^gamma)."""
     D, log_t = _shared(memo, _strain, v, g, delta)
-    W = _weight(log_t, p)
-    s11, s22, s12 = W * D[0], W * D[1], W * D[2]
-    r1, r2 = _shared(memo, _grad, rho_gamma_a, g)
-    g1 = -(ddx_2d(s11, g, axis=0) + ddx_2d(s12, g, axis=1)) + r1
-    g2 = -(ddx_2d(s12, g, axis=0) + ddx_2d(s22, g, axis=1)) + r2
-    return np.stack([g1, g2])
+    s11, s22, s12 = _weight(log_t, p) * D
+    r = _shared(memo, _grad, rho_gamma_a, g)
+    # component k is -(d/dx sigma_k1 + d/dy sigma_k2) + r_k, in place
+    out = np.empty((2,) + D.shape[1:])
+    for k, (sx, sy) in enumerate(((s11, s12), (s12, s22))):
+        ddx_2d(sx, g, axis=0, out=out[k])
+        out[k] += ddx_2d(sy, g, axis=1)
+        np.negative(out[k], out=out[k])
+        out[k] += r[k]
+    return out
 
 
 # the checks' gradient: bound once, so that a profiler wrapping the
@@ -193,18 +200,26 @@ def _dot(a, b):
     return float(np.dot(a.ravel(), b.ravel()))
 
 
+MEMORY = 12  # L-BFGS pairs kept
+
+
 def solve_momentum(rho, params, g, u_init=None):
     """Minimize J over periodic velocity fields in the flat-mode gauge.
 
     First-order method (the Hessian degenerates wherever |Du| is small
     at large p, so Newton is avoided): limited-memory BFGS with Armijo
-    backtracking on J. The two-loop recursion starts from gamma_k H0,
-    H0 = s P1 s the viscosity-weighted Fourier p = 2 inverse (see
-    _FourierPreconditioner: s = W^(-1/2), W clipped to a factor BAND
-    about its median) and gamma_k = s'y / y'H0 y from the newest pair
-    (Nocedal & Wright, Numerical Optimization, 2nd ed., eq. 7.20,
-    preconditioned). H0 is built from the iterate's W at the start and
-    at each restart; H0 q and H0 y come from one batched call.
+    backtracking on J, of the newest MEMORY pairs. The direction is
+    -H grad J, H the L-BFGS matrix from gamma_k H0 in the compact form
+    of lbfgs.CompactInverse: H0 = s P1 s the viscosity-weighted Fourier
+    p = 2 inverse (see _FourierPreconditioner: s = W^(-1/2), W clipped
+    to a factor BAND about its median) and gamma_k = s'y / y'H0 y from the
+    newest pair (Nocedal & Wright, Numerical Optimization, 2nd ed., eq.
+    7.20, preconditioned). H0 is built from the iterate's W at the start
+    and at each restart, which empties the pairs. Between restarts it
+    does not change, so H0 y = H0 g_new - H0 g_old, and each iteration
+    applies H0 once, to its gradient; after a restart H0 g is applied
+    anew with the new H0. A pair is stored if it passes the curvature
+    test and y'H0 y > 0.
 
     J and grad J cannot see the flat modes (the constant and, on even
     axes, the Nyquist modes), and s P1 s does not keep them out of the
@@ -226,7 +241,8 @@ def solve_momentum(rho, params, g, u_init=None):
     once: functional at a trial point leaves them in the solve's memo,
     and functional_gradient and the weight of H0 at the accepted point
     read them there; grad(a rho^gamma) is computed once per solve. Every
-    inner product is one BLAS dot. Returns the minimizer; raises
+    inner product is one BLAS dot, and every product with all the stored
+    pairs one BLAS matrix-vector product. Returns the minimizer; raises
     SolverDivergence with the iteration trace if the gradient norm fails
     to reach newton_tol.
     """
@@ -249,34 +265,29 @@ def solve_momentum(rho, params, g, u_init=None):
     grad = functional_gradient(u, rga, g, p, delta, memo)
     gn = gnorm(grad)
     precond = make_precond(u)
-    memory = []  # (s, y, 1/<y, s>) pairs, most recent last
+    pairs = CompactInverse(MEMORY, u.size)
+    pending = None  # the last step's (s, y, s'y) and H0 g before it
     trace = [gn]
 
     for it in range(params.newton_max_iter):
         if gn < params.newton_tol:
             return _remove_flat_modes(u)
-        # two-loop recursion with gamma_k H0
-        q = grad.copy()
-        alphas = []
-        for s, y, irho in reversed(memory):
-            a_k = irho * _dot(s, q)
-            alphas.append(a_k)
-            q -= a_k * y
-        if memory:
-            _, y, irho = memory[-1]
-            z, Py = precond.apply(np.stack([q, y]))
-            z /= irho * _dot(y, Py)
-        else:
-            z = precond.apply(q)
-        for (s, y, irho), a_k in zip(memory, reversed(alphas)):
-            b_k = irho * _dot(y, z)
-            z += (a_k - b_k) * s
-        d = -z
+        h = precond.apply(grad)
+        if pending is not None:
+            # H0 has not changed since the last step, so H0 y is the
+            # difference of the two H0 g
+            step, yk, ys, h_old = pending
+            w = h - h_old
+            yw = _dot(yk, w)
+            if yw > 0:
+                pairs.add(step, yk, w, ys, yw)
+        d = -pairs.apply(grad, h)
         slope = _dot(grad, d) * area
         if slope >= 0:  # curvature info stale; restart
-            memory.clear()
+            pairs.clear()
             precond = make_precond(u)
-            d = -precond.apply(grad)
+            h = precond.apply(grad)
+            d = -h
             slope = _dot(grad, d) * area
         alpha = 1.0
         grad_new = None
@@ -303,10 +314,9 @@ def solve_momentum(rho, params, g, u_init=None):
             grad_new = functional_gradient(u, rga, g, p, delta, memo)
         yk = grad_new - grad
         ys = _dot(yk, step)
+        pending = None
         if ys > 1e-14 * math.sqrt(_dot(yk, yk) * _dot(step, step)):
-            memory.append((step, yk, 1.0 / ys))
-            if len(memory) > 12:
-                memory.pop(0)
+            pending = step, yk, ys, h
         grad = grad_new
         gn = gnorm(grad)
         trace.append(gn)

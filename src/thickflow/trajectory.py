@@ -94,7 +94,7 @@ def snapshot_midpoints(traj):
         yield dt, 0.5 * (s0.t + s1.t), 0.5 * (s0.rho + s1.rho), u_mid, udot
 
 
-_CHUNK = 1024  # snapshot rows converted to Python floats at a time
+_CHUNK = 1024  # snapshot rows formatted by one % operation
 
 
 def _row_format(n):
@@ -116,18 +116,22 @@ def _format_coords(coords):
 
 
 def _write_snapshot(path, header, t, coords, columns):
-    """Rows t, coordinates, columns. t is formatted once for the file (its
-    digits hold no %); the columns are converted to Python floats a chunk
-    at a time, so no whole-snapshot copy is kept."""
-    fmt = ",".join([FMT % t, "%s", _row_format(len(columns))])
-    columns = [c.ravel() for c in columns]
+    """Rows t, coordinates, columns, _CHUNK rows per % operation.
 
-    def rows():
+    t and the coordinates are formatted already, and their digits hold
+    no %, so they go into each chunk's template as text; the template
+    of C rows is prefix + (tail + prefix).join(coords) + tail, and its
+    values are the chunk's rows of one column_stack of the columns.
+    """
+    prefix = FMT % t + ","
+    tail = "," + _row_format(len(columns)) + "\n"
+    values = np.column_stack([c.ravel() for c in columns])
+    with open(path, "w") as f:
+        f.write(header + "\n")
         for i in range(0, len(coords), _CHUNK):
-            yield from zip(coords[i:i + _CHUNK],
-                           *[c[i:i + _CHUNK].tolist() for c in columns])
-
-    _write_csv(path, header, fmt, rows())
+            template = prefix + (tail + prefix).join(coords[i:i + _CHUNK]) \
+                + tail
+            f.write(template % tuple(values[i:i + _CHUNK].ravel().tolist()))
 
 
 def write_diag_csv(traj, path, maxabs_name="dudx_maxabs"):

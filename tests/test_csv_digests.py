@@ -12,11 +12,14 @@ time of the last accepted step, where that lies inside the barrier; that
 moved the snapshots by at most 5.6e-17 in u, 2.2e-16 in rho, 3.6e-15 in
 dudx and 1.1e-11 in sigma, and dudx_maxabs in diag.csv by 9.0e-14,
 within the Newton tolerance. The 2D digest was
-computed when the L-BFGS initial inverse Hessian took the iterate's
-viscosity field in place of its median and the solve took the
-flat-mode gauge; that changed the iterates, and so the bytes, by at
-most 2.9e-7 in divu and 1.5e-8 in u1 and u2, within the solver
-tolerance. All were computed with numpy 2.4.6 on an x86-64 CPU with
+computed when the L-BFGS matrix of the momentum solve came to be kept
+in the compact form, with H0 y the difference of two H0 g, in place of
+the two-loop recursion: the same matrix, rounded differently. Against
+the former bytes, that moved u1 and u2 by at most 6.8e-9, Du_norm by
+6.0e-8, divu by 9.7e-8 and rho by 5.4e-10 in the snapshots, and in
+diag.csv sigma_max by 1.8e-8, Du_maxnorm by 4.9e-9, hoff_cum by 1.3e-10
+and energy by 1.1e-11, within the solver tolerance; the 4 momentum
+solves took 131 L-BFGS iterations, against 135. All were computed with numpy 2.4.6 on an x86-64 CPU with
 AVX-512. Another numpy build or CPU may round exp, log and the FFT
 differently, and then the digests change for a reason that is not in
 this code. The sweep takes 653 Newton
@@ -94,8 +97,8 @@ DIGESTS = {
              "ba1b8b0e9997a312b46682ebb1df792b",
     SINGULAR: "05cd4cf285d7bf14f28496d68a38b223"
               "49410ba23da3ca408c078febb7861d14",
-    STOKES_2D: "4145359213a6d1f654737df158ae01d1"
-               "f68cdabaf4a21760437a17a2bc336bf2",
+    STOKES_2D: "bb7b1f26d1e9d1cfa97d6b77031e24be"
+               "1d495123182b00a1d64d59a136718b4a",
 }
 
 

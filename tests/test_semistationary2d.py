@@ -4,13 +4,19 @@ import pytest
 from thickflow import semistationary2d
 from thickflow.errors import SolverDivergence, StepFailure
 from thickflow.grids import Grid2D, div_2d, integrate
-from thickflow.semistationary2d import (Stokes2DModel, Stokes2DParams,
+from thickflow.lbfgs import CompactInverse
+from thickflow.semistationary2d import (MEMORY, Stokes2DModel,
+                                        Stokes2DParams,
                                         _FourierPreconditioner,
                                         _remove_flat_modes, check_gauge,
                                         check_linf_growth, check_stationarity,
                                         flat_mode_means, functional,
                                         functional_gradient, solve_momentum,
                                         transport_density)
+
+# an overflow or invalid value in the solver, in its pair store too, is
+# a fault here, not a warning
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 
 def cos_bump(g, amp=0.5):
@@ -239,6 +245,93 @@ class TestPreconditioner:
         # a cold start: W ~ delta^(p-2) everywhere, w0 clipped to 1e-3
         s0 = _FourierPreconditioner(g, np.full((16, 16), 1e-48)).s
         assert np.all(s0 == (1e-3 / 3) ** -0.5)
+
+
+def two_loop(pairs, q, precond):
+    """H q by the two-loop recursion (Nocedal & Wright, Numerical
+    Optimization, 2nd ed., Algorithm 7.4) from gamma H0, gamma = s'y /
+    y'H0 y of the newest pair, with H0 y applied to y itself."""
+    q = q.copy()
+    alphas = []
+    for s, y in reversed(pairs):
+        alphas.append(np.sum(s * q) / np.sum(y * s))
+        q -= alphas[-1] * y
+    s, y = pairs[-1]
+    z = np.sum(s * y) / np.sum(y * precond.apply(y)) * precond.apply(q)
+    for (s, y), a in zip(pairs, reversed(alphas)):
+        z += (a - np.sum(y * z) / np.sum(y * s)) * s
+    return z
+
+
+class TestCompactInverse:
+    def test_equals_the_two_loop_recursion(self):
+        # pairs of J on a 16 x 16 grid, each w = H0 y the difference of
+        # two H0 g as in the solve; 20 pairs, so the ring of 12 wraps
+        g = Grid2D(16, 16)
+        p, delta = 6.0, 1e-8
+        rng = np.random.default_rng(8)
+        rga = cos_bump(g, 0.4) ** 2
+        v = 0.05 * rng.normal(size=(2, 16, 16))
+        grad = functional_gradient(v, rga, g, p, delta)
+        pc = _FourierPreconditioner(g, np.exp(rng.normal(size=(16, 16))))
+        h = pc.apply(grad)
+        H = CompactInverse(MEMORY, v.size)
+        pairs = []
+        for k in range(20):
+            s = _remove_flat_modes(0.01 * rng.normal(size=v.shape))
+            grad_new = functional_gradient(v + s, rga, g, p, delta)
+            h_new = pc.apply(grad_new)
+            y, w = grad_new - grad, h_new - h
+            H.add(s, y, w, np.sum(s * y), np.sum(y * w))
+            pairs = (pairs + [(s, y)])[-MEMORY:]
+            assert len(H.order) == len(pairs)
+            for q in (grad_new, rng.normal(size=v.shape)):
+                want = two_loop(pairs, q, pc)
+                got = H.apply(q, pc.apply(q))
+                assert np.max(np.abs(got - want)) \
+                    <= 1e-10 * np.max(np.abs(want))
+            v, grad, h = v + s, grad_new, h_new
+
+    def test_forced_restart_empties_the_pairs_and_rebuilds_H0(
+            self, monkeypatch):
+        # the sixth direction is turned uphill, which forces a restart
+        applied, added, built = [], [], []
+
+        class Uphill(CompactInverse):
+            def apply(self, q, h):
+                applied.append(len(self.order))
+                Hq = super().apply(q, h)
+                return -Hq if len(applied) == 6 else Hq
+
+            def add(self, s, y, w, sy, yw):
+                added.append((len(applied), y, w))
+                super().add(s, y, w, sy, yw)
+
+        init = _FourierPreconditioner.__init__
+
+        def build(pc, *args):
+            built.append(pc)
+            init(pc, *args)
+
+        monkeypatch.setattr(semistationary2d, "CompactInverse", Uphill)
+        monkeypatch.setattr(_FourierPreconditioner, "__init__", build)
+        g = Grid2D(16, 16)
+        pr = Stokes2DParams(p=8.0, gamma=2.0)
+        rho = nonsymmetric_density(g)
+        u = solve_momentum(rho, pr, g)
+        # one H0 at the start and one at the restart; the pairs held
+        # before it are gone, and the next direction has only the step
+        # taken after it
+        assert len(built) == 2
+        assert applied[5] == 5 and applied[6] == 1
+        # that pair's w is H0 y of the rebuilt H0, not of the first
+        _, y, w = next(a for a in added if a[0] == 6)
+        assert np.max(np.abs(w - built[1].apply(y))) \
+            <= 1e-8 * np.max(np.abs(w))
+        assert np.max(np.abs(w - built[0].apply(y))) \
+            > 1e-3 * np.max(np.abs(w))
+        grad = functional_gradient(u, pr.a * rho**pr.gamma, g, pr.p, pr.delta)
+        assert np.sqrt(np.sum(grad**2) * g.dx * g.dy) < pr.newton_tol
 
 
 class TestTransport:

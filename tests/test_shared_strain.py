@@ -3,7 +3,9 @@ log(|Dv|^2 + delta^2) once: functional and functional_gradient share
 them, and grad(a rho^gamma), through a memo dict that the solve owns and
 passes in. With or without a memo, in either call order, each must
 return the bits of its former stand-alone expression, kept here; the
-batched preconditioner must return the bits of its one-field form."""
+batched preconditioner must return the bits of its one-field form.
+sym_grad_2d and functional_gradient write their components into one
+array in place of stacking them, with the bits of the stacked form."""
 
 import numpy as np
 import pytest
@@ -18,6 +20,14 @@ pytestmark = pytest.mark.filterwarnings("error")
 G = Grid2D(16, 12)
 
 
+def former_sym_grad(u, g):
+    """sym_grad_2d as three arrays stacked."""
+    d11 = ddx_2d(u[0], g, axis=0)
+    d22 = ddx_2d(u[1], g, axis=1)
+    d12 = 0.5 * (ddx_2d(u[0], g, axis=1) + ddx_2d(u[1], g, axis=0))
+    return np.stack([d11, d22, d12])
+
+
 def former_weight(D, p, delta):
     t = D[0] ** 2 + D[1] ** 2 + 2.0 * D[2] ** 2 + delta * delta
     with np.errstate(divide="ignore", over="ignore"):
@@ -25,7 +35,7 @@ def former_weight(D, p, delta):
 
 
 def former_functional(v, rga, g, p, delta):
-    D = sym_grad_2d(v, g)
+    D = former_sym_grad(v, g)
     t = D[0] ** 2 + D[1] ** 2 + 2.0 * D[2] ** 2 + delta * delta
     with np.errstate(divide="ignore", over="ignore"):
         dens = np.exp(0.5 * p * np.log(np.maximum(t, 1e-320))) / p
@@ -33,7 +43,7 @@ def former_functional(v, rga, g, p, delta):
 
 
 def former_gradient(v, rga, g, p, delta):
-    D = sym_grad_2d(v, g)
+    D = former_sym_grad(v, g)
     W = former_weight(D, p, delta)
     s11, s22, s12 = W * D[0], W * D[1], W * D[2]
     g1 = -(ddx_2d(s11, g, axis=0) + ddx_2d(s12, g, axis=1)) \
@@ -127,6 +137,17 @@ def test_solution_returned_in_place_has_no_stale_strain():
     assert np.array_equal(got, functional_gradient(u.copy(), rga, g, pr.p,
                                                    pr.delta))
     assert np.array_equal(got, former_gradient(u, rga, g, pr.p, pr.delta))
+
+
+@pytest.mark.parametrize("n", [(16, 12), (9, 8), (8, 17)])
+def test_sym_grad_in_one_array_keeps_every_bit(n):
+    g = Grid2D(*n)
+    rng = np.random.default_rng(n[0])
+    for u in (rng.normal(size=(2, *n)), 1e150 * rng.normal(size=(2, *n)),
+              rng.integers(-9, 9, size=(2, *n))):
+        D = sym_grad_2d(u, g)
+        assert D.shape == (3, *n) and D.dtype == np.float64
+        assert np.array_equal(D, former_sym_grad(u, g))
 
 
 @pytest.mark.parametrize("w", [1e-3, 0.7, 1e3])

@@ -3,8 +3,9 @@ import pytest
 
 from thickflow.grids import (Grid1D, Grid2D, ddx_periodic, div_2d,
                              sym_grad_2d, sym_grad_norm)
-from thickflow.trajectory import (DiagnosticsRecord, State1D, State2D,
-                                  Trajectory, write_diag_csv,
+from thickflow.trajectory import (_CHUNK, DiagnosticsRecord, State1D,
+                                  State2D, Trajectory, _format_coords,
+                                  _write_snapshot, write_diag_csv,
                                   write_snapshots_1d, write_snapshots_2d)
 
 # -0.0, the smallest subnormal, a huge value and whole numbers
@@ -80,3 +81,48 @@ def test_diag_csv_equal_per_value_form(tmp_path):
     rows = [[getattr(r, name) for name in DiagnosticsRecord.CSV_FIELDS]
             for r in records]
     assert _read(path) == _per_value_csv(",".join(fields), rows)
+
+
+# where %.17g is hardest to match: -0.0, the smallest subnormal, a tiny
+# and a huge normal number, 1e16 and 1e17 (where %g turns to exponent
+# form), whole numbers and 2^53 + 1, which rounds on its way to a float
+EDGE = [-0.0, 5e-324, 1e-300, 1e16, 1e17, 1e300, 3.0, -2.0, 0.0]
+EDGE_INTS = [0, -1, 7, 10**16, 10**17, 2**53 + 1]
+
+
+def _former_snapshot(header, t, coords, columns):
+    """The former writer's bytes: one % operation per row, the columns
+    converted to Python numbers."""
+    fmt = ",".join(["%.17g" % t, "%s", ",".join(["%.17g"] * len(columns))])
+    rows = zip(coords, *[c.ravel().tolist() for c in columns])
+    return header + "\n" + "".join(fmt % row + "\n" for row in rows)
+
+
+def _edge_columns(rng, shape, k):
+    """k columns: edge values and random floats, one of whole numbers
+    stored as integers and one of integers beside floats' rows."""
+    cols = [_field(rng, shape) for _ in range(k - 1)]
+    for c in cols:
+        c.flat[:len(EDGE)] = EDGE
+        c.flat[-len(EDGE):] = [-e for e in EDGE]
+    ints = rng.integers(-10**6, 10**6, size=shape)
+    ints.flat[:len(EDGE_INTS)] = EDGE_INTS
+    return cols + [ints]
+
+
+@pytest.mark.parametrize("ndim", [1, 2])
+def test_snapshot_bytes_equal_the_former_per_row_form(tmp_path, ndim):
+    # more rows than two chunks, and not a multiple of one
+    g = Grid1D(2 * _CHUNK + 37) if ndim == 1 else Grid2D(45, 50)
+    coords = _format_coords([g.x] if ndim == 1 else g.meshgrid())
+    shape = (g.n,) if ndim == 1 else (g.nx, g.ny)
+    rng = np.random.default_rng(6 + ndim)
+    for t, k in [(0.0, 4), (np.float64(1e16), 5), (1e-300, 1), (3, 2)]:
+        columns = _edge_columns(rng, shape, k)
+        header = ",".join(["t"] + [f"c{i}" for i in range(k)])
+        path = tmp_path / f"snap_{k}.csv"
+        # all-integer columns convert to Python ints, as the former did
+        for cols in (columns, columns[-1:] * k):
+            _write_snapshot(path, header, t, coords, cols)
+            assert _read(path) \
+                == _former_snapshot(header, t, coords, cols).split("\n")
