@@ -17,6 +17,7 @@ vanishes (with its first derivative) at t = 0 and t = T and peaks at 1.
 Velocity-type test fields are the same objects rescaled so the shear
 constraint holds with margin: max |dv/dx| = 0.99 in 1D, max |Dv| = 0.99
 in 2D (maxima taken over a dense sample grid and the envelope peak).
+check_bank is the one rule for the bank a check draws from a config.
 
 A scalar test function, in 1D and in 2D, is one grids.FourierSeries, and
 every spatial part is evaluated by grids.PlaneWaves.series. sample_bank
@@ -33,6 +34,11 @@ from .grids import (FourierSeries, Grid1D, PlaneWaves, dense_extrema,
                     sym_grad_norm)
 
 _MASK = (1 << 64) - 1
+
+# the weak-form checks draw at most this many scalar members
+WEAK_FORM_SIZE = 10
+# the 2D velocity bank's modes, whatever bank_modes; C11 relies on them
+VELOCITY_2D_MODES = 2
 
 
 class SplitMix64:
@@ -98,8 +104,8 @@ def sample_bank(bank, grid):
 class TestFunction(FourierSeries):
     """phi(t, x) = env(t) * S(x), S the FourierSeries of coeffs and scale."""
 
-    def __init__(self, coeffs, T, scale=1.0):
-        super().__init__(coeffs, scale)
+    def __init__(self, coeffs, T):
+        super().__init__(coeffs)
         self.T = T
 
     def sampled(self, waves):
@@ -121,10 +127,10 @@ class TestFunction(FourierSeries):
     def dx(self, t, x):
         return _envelope(t, self.T) * self.spatial(x, d=0)
 
-    def max_shear(self, oversample=2048):
-        """max |dS/dx| of a 1D function on a dense sample grid."""
+    def max_shear(self):
+        """max |dS/dx| of a 1D function on a dense sample of 2048 points."""
         return dense_extrema(lambda x: np.abs(self.spatial(x, d=0)),
-                             oversample, 1)[1]
+                             2048, 1)[1]
 
 
 @dataclass
@@ -166,11 +172,11 @@ class TestFunction2D:
         d22 = waves.series(self.coeffs2, d=1)
         return _envelope(t, self.T) * self.scale * (d11 + d22)
 
-    def max_sym_grad(self, oversample=256):
-        """max |DS| of the spatial part on a dense sample grid."""
+    def max_sym_grad(self):
+        """max |DS| of the spatial part on a dense 256 x 256 sample grid."""
         return dense_extrema(
             lambda X, Y: sym_grad_norm(self.spatial_sym_grad(X, Y)),
-            oversample, 2)[1]
+            256, 2)[1]
 
 
 def _draw(seed, size, waves, parts=1):
@@ -189,31 +195,51 @@ def _waves(modes, ndim=1):
             for ky in range(-modes, modes + 1) if (kx, ky) > (0, 0)]
 
 
-def scalar_bank_2d(seed, T, size=10, modes=2):
+def scalar_bank_2d(seed, T, size, modes):
     """Seeded bank of scalar 2D space-time test functions."""
     return [TestFunction(c, T) for c, in _draw(seed, size, _waves(modes, 2))]
 
 
-def scalar_bank_1d(seed, T, size=10, modes=3):
+def scalar_bank_1d(seed, T, size, modes):
     """Seeded bank of scalar space-time test functions (weak-form checks)."""
     return [TestFunction(c, T) for c, in _draw(seed, size, _waves(modes))]
 
 
-def velocity_bank_1d(seed, T, size=20, modes=3, margin=0.99):
+def _rescaled(bank, max_grad):
+    """bank, each member scaled so that max_grad of it is the constraint
+    margin 0.99."""
+    for v in bank:
+        m = max_grad(v)
+        v.scale = 0.99 / m if m > 0 else 0.0
+    return bank
+
+
+def velocity_bank_1d(seed, T, size, modes):
     """The draw of scalar_bank_1d, rescaled so max |dv/dx| equals the
     constraint margin."""
-    bank = [TestFunction(c, T) for c, in _draw(seed, size, _waves(modes))]
-    for v in bank:
-        m = v.max_shear()
-        v.scale = margin / m if m > 0 else 0.0
-    return bank
+    return _rescaled([TestFunction(c, T)
+                      for c, in _draw(seed, size, _waves(modes))],
+                     TestFunction.max_shear)
 
 
-def velocity_bank_2d(seed, T, size=20, modes=2, margin=0.99):
-    """Seeded 2D bank rescaled so max |Dv| equals the constraint margin."""
-    bank = [TestFunction2D(c1, c2, T)
-            for c1, c2 in _draw(seed, size, _waves(modes, 2), parts=2)]
-    for v in bank:
-        m = v.max_sym_grad()
-        v.scale = margin / m if m > 0 else 0.0
-    return bank
+def velocity_bank_2d(seed, T, size):
+    """Seeded 2D bank on VELOCITY_2D_MODES modes, rescaled so max |Dv|
+    equals the constraint margin."""
+    return _rescaled([TestFunction2D(c1, c2, T) for c1, c2 in _draw(
+        seed, size, _waves(VELOCITY_2D_MODES, 2), parts=2)],
+        TestFunction2D.max_sym_grad)
+
+
+def check_bank(cfg, kind, ndim):
+    """The bank of kind "scalar" (weak-form checks) or "velocity"
+    (variational inequality) in ndim = 1 or 2 that the checks of cfg's
+    runs draw. The makers are looked up when called, so that wrappers set
+    on this module after import (perfbench's tracer) draw."""
+    if kind == "scalar":
+        maker = scalar_bank_1d if ndim == 1 else scalar_bank_2d
+        return maker(cfg.seed, cfg.T, min(cfg.bank_size, WEAK_FORM_SIZE),
+                     cfg.bank_modes)
+    if ndim == 1:
+        return velocity_bank_1d(cfg.seed, cfg.T, cfg.bank_size,
+                                cfg.bank_modes)
+    return velocity_bank_2d(cfg.seed, cfg.T, cfg.bank_size)

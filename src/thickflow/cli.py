@@ -58,7 +58,7 @@ def _standard_checks(cfg, traj, model):
 
 def _transport_checks(cfg, traj):
     """Weak-form transport reports appended to the run's check stream."""
-    from .banks import sample_bank, scalar_bank_1d, scalar_bank_2d
+    from .banks import check_bank, sample_bank
     from .diagnostics import CheckReport, _consistency_tol
     from .transport_check import (continuity_residual, renormalized_residual,
                                   time_mean_continuity)
@@ -67,9 +67,8 @@ def _transport_checks(cfg, traj):
         return []
     reports = []
     try:
-        maker = scalar_bank_2d if cfg.is_2d else scalar_bank_1d
-        bank = sample_bank(maker(cfg.seed, cfg.T, size=min(cfg.bank_size, 10),
-                                 modes=cfg.bank_modes), traj.grid)
+        bank = sample_bank(check_bank(cfg, "scalar", 2 if cfg.is_2d else 1),
+                           traj.grid)
         tol = 2.0 * _consistency_tol(traj, cfg.tol_c)
         worst_c = max(continuity_residual(traj, phi) for phi in bank)
         worst_r = max(renormalized_residual(traj, traj.params.gamma, phi)
@@ -184,7 +183,7 @@ def cmd_sweep(args):
     from . import diagnostics as dg
     from .limits import (assemble_sweep_report, cross_model_distance,
                          variational_residual_1d)
-    from .banks import velocity_bank_1d
+    from .banks import check_bank
 
     cfg = _load(args.config)
     if cfg is None:
@@ -205,14 +204,13 @@ def cmd_sweep(args):
     reports = []
     kind = "eps" if cfg.sweep_kind == "eps" else "p"
     trajs = results[kind]
-    rep = assemble_sweep_report(kind, list(trajs), trajs, gamma, etas=cfg.eta)
+    rep = assemble_sweep_report(kind, list(trajs), trajs, gamma, cfg.eta)
     if kind == "p":
         ys = [rep.hoff[str(v)] for v in rep.param_values]
         reports.append(dg.check_hoff_uniformity(ys, rep.param_values))
         finest = trajs[rep.param_values[-1]]
-        bank = velocity_bank_1d(cfg.seed, cfg.T, size=cfg.bank_size,
-                                modes=cfg.bank_modes)
-        reports.append(variational_residual_1d(finest, bank, finest.params))
+        reports.append(variational_residual_1d(
+            finest, check_bank(cfg, "velocity", 1), finest.params))
     if cfg.sweep_kind == "cross":
         eps_trajs = results["eps"]
         rep.cross_distance = cross_model_distance(
@@ -249,33 +247,19 @@ def cmd_verify(args):
 
 
 def cmd_banks(args):
-    from .banks import (scalar_bank_1d, scalar_bank_2d, velocity_bank_1d,
-                        velocity_bank_2d)
+    """Dump the banks the checks of cfg's runs draw (banks.check_bank)."""
+    from .banks import check_bank
 
     cfg = _load(args.config)
     if cfg is None:
         return 2
-    out = {
-        "seed": cfg.seed,
-        "T": cfg.T,
-        "scalar_1d": [
-            {"coeffs": b.coeffs, "scale": b.scale}
-            for b in scalar_bank_1d(cfg.seed, cfg.T, size=cfg.bank_size,
-                                    modes=cfg.bank_modes)],
-        "velocity_1d": [
-            {"coeffs": b.coeffs, "scale": b.scale}
-            for b in velocity_bank_1d(cfg.seed, cfg.T, size=cfg.bank_size,
-                                      modes=cfg.bank_modes)],
-        # as _transport_checks draws it for a 2D run's weak-form checks
-        "scalar_2d": [
-            {"coeffs": b.coeffs, "scale": b.scale}
-            for b in scalar_bank_2d(cfg.seed, cfg.T,
-                                    size=min(cfg.bank_size, 10),
-                                    modes=cfg.bank_modes)],
-        "velocity_2d": [
-            {"coeffs1": b.coeffs1, "coeffs2": b.coeffs2, "scale": b.scale}
-            for b in velocity_bank_2d(cfg.seed, cfg.T, size=cfg.bank_size)],
-    }
+    out = {"seed": cfg.seed, "T": cfg.T}
+    for kind in ("scalar", "velocity"):
+        for ndim in (1, 2):
+            # each member's coefficients and scale; its T is the dump's
+            out[f"{kind}_{ndim}d"] = [
+                {k: v for k, v in vars(b).items() if k != "T"}
+                for b in check_bank(cfg, kind, ndim)]
     text = json.dumps(out, indent=1, sort_keys=True)
     if args.output:
         os.makedirs(args.output, exist_ok=True)

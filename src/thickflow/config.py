@@ -158,14 +158,14 @@ class Config:
             return self.rho0.spatial(*g.meshgrid()), None
         return self.rho0.spatial(g.x), self.u0.spatial(g.x)
 
-    def initial_density_range(self, oversample=8):
+    def initial_density_range(self):
         """(c1, c2) of the analytic initial density, dense sampling."""
-        m = oversample * max(self.n, self.nx, self.ny)
+        m = 8 * max(self.n, self.nx, self.ny)
         return dense_extrema(self.rho0.spatial, m, MODELS[self.model].ndim)
 
-    def initial_shear_max(self, oversample=8):
+    def initial_shear_max(self):
         return dense_extrema(lambda x: np.abs(self.u0.spatial(x, d=0)),
-                             oversample * self.n, 1)[1]
+                             8 * self.n, 1)[1]
 
 
 # [section] -> keys read into the Config field named key, or section_key

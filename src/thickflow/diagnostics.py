@@ -8,8 +8,9 @@ Every check produces a CheckReport with the canonical pass rule
 (the relative slack always loosens the bound, whatever its sign), so
 reports are pure functions of (trajectory, parameters, tolerances)
 and re-running them is bit-identical. Bound checks carry a slack
-C (dx + dt) with C = 5 by default: discrete solutions violate continuum
-bounds by consistency error, and the slack must shrink under refinement.
+C (dx + dt) with C the config's [checks] tol_c: discrete solutions
+violate continuum bounds by consistency error, and the slack must shrink
+under refinement.
 
 Checks whose mathematical precondition fails (for example the stress
 maximum principle needs p >= 1 + gamma) are reported as skipped, which
@@ -50,11 +51,9 @@ class CheckReport:
                            context=context or {})
 
     @staticmethod
-    def skip(check, reason, context=None):
-        ctx = dict(context or {})
-        ctx["reason"] = reason
-        return CheckReport(check, math.nan, math.nan, 0.0,
-                           passed=True, skipped=True, context=ctx)
+    def skip(check, reason):
+        return CheckReport(check, math.nan, math.nan, 0.0, passed=True,
+                           skipped=True, context={"reason": reason})
 
     def to_dict(self):
         return {
@@ -136,12 +135,12 @@ def _consistency_tol(traj, tol_c):
     return tol_c * (traj.grid.dx + dt_typ)
 
 
-def check_stress_max_principle(traj, params, tol_c=5.0, paper_initial=True):
+def check_stress_max_principle(traj, params, tol_c, paper_initial):
     """Stress maximum principle: max_x sigma(t) <= max_x sigma(0) <= mu.
 
     Skipped when p < 1 + gamma (the hypothesis of the proof). Under
-    max-principle initial data (|du0/dx| <= 1, rho0 >= c1 > 0) the bound is mu itself; otherwise the
-    initial stress maximum is used.
+    paper_initial data (|du0/dx| <= 1, rho0 >= c1 > 0) the bound is mu
+    itself; otherwise the initial stress maximum is used.
     """
     if not params.max_principle_precondition:
         return CheckReport.skip(
@@ -169,7 +168,7 @@ def density_upper_bound(t, params, c2, e0):
     return c2 * np.exp(e0 / mu + rate * t)
 
 
-def check_density_bounds(traj, params, c1, c2, tol_c=5.0):
+def check_density_bounds(traj, params, c1, c2, tol_c):
     """Pointwise density bounds with the explicit closed-form estimates.
 
     Lower: c1 e^{-2t} / max(1, (a/mu)^(1/gamma) c2). Upper:
@@ -193,7 +192,7 @@ def check_density_bounds(traj, params, c1, c2, tol_c=5.0):
                  "lower_violation": lower_viol, "upper_violation": upper_viol})
 
 
-def check_energy_inequality(traj, tol=1e-6):
+def check_energy_inequality(traj, tol):
     """sup_t [E(t) + cumulative dissipation] <= E(0) (1 + tol)."""
     e0 = traj.records[0].energy
     measured = max(r.energy + r.dissipation_cum for r in traj.records)
@@ -202,8 +201,9 @@ def check_energy_inequality(traj, tol=1e-6):
         context={"E0": e0, "records": len(traj.records)})
 
 
-def check_conservation(traj, mass_tol=1e-12, momentum_tol=1e-8):
-    """Relative drift of total mass and momentum over the whole run.
+def check_conservation(traj):
+    """Relative drift of total mass and momentum over the whole run,
+    against 1e-12 and 1e-8.
 
     Momentum drift is measured relative to max(|M0|, mass) so it stays
     well-defined for runs started at zero net momentum.
@@ -212,9 +212,8 @@ def check_conservation(traj, mass_tol=1e-12, momentum_tol=1e-8):
     mass_drift = max(abs(r.mass - r0.mass) for r in traj.records) / abs(r0.mass)
     scale = max(abs(r0.momentum), r0.mass)
     mom_drift = max(abs(r.momentum - r0.momentum) for r in traj.records) / scale
-    rep_mass = CheckReport.build("mass_conservation", 0.0, mass_drift, mass_tol)
-    rep_mom = CheckReport.build("momentum_conservation", 0.0, mom_drift,
-                                momentum_tol)
+    rep_mass = CheckReport.build("mass_conservation", 0.0, mass_drift, 1e-12)
+    rep_mom = CheckReport.build("momentum_conservation", 0.0, mom_drift, 1e-8)
     return [rep_mass, rep_mom]
 
 
@@ -224,8 +223,8 @@ def hoff_value(traj):
     return r.hoff_cum + r.lpnorm_term
 
 
-def check_hoff_uniformity(y_values, params_values, factor=2.0):
-    """Across a sweep: max_p Y(T) <= factor * median_p Y(T).
+def check_hoff_uniformity(y_values, params_values):
+    """Across a sweep: max_p Y(T) <= 2 median_p Y(T).
 
     The factor-2 band is an artifact-chosen proxy for an estimate whose
     uniform constant is not explicit; flagged as such in the context.
@@ -233,7 +232,7 @@ def check_hoff_uniformity(y_values, params_values, factor=2.0):
     ys = np.asarray(y_values, dtype=float)
     med = median(ys)
     return CheckReport.build(
-        "hoff_uniformity", bound=factor * med, measured=float(np.max(ys)),
+        "hoff_uniformity", bound=2.0 * med, measured=float(np.max(ys)),
         tolerance=0.0,
         context={"values": dict(zip(map(str, params_values), ys.tolist())),
                  "median": med,

@@ -93,16 +93,16 @@ def integrate(f, g):
     return float(np.sum(f) * g.dx * g.dy)
 
 
-def ddx_2d(f, g, axis, scheme="central", out=None):
-    """Periodic difference of a 2D scalar field along one axis, written
-    into out when given (a float array of f's shape, not f itself)."""
+def ddx_2d(f, g, axis, out=None):
+    """Periodic central difference of a 2D scalar field along axis, into
+    out when given (a float array of f's shape, not f itself)."""
     h = g.dx if axis == 0 else g.dy
     f = np.asarray(f)
     if out is None:
         out = np.empty(f.shape, dtype=np.result_type(f, 1.0))
     # difference along the first axis of a (transposed) view
     a, d = (f, out) if axis == 0 else (f.T, out.T)
-    _wrap_diff(a, d, scheme, h)
+    _wrap_diff(a, d, "central", h)
     return out
 
 

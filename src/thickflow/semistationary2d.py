@@ -445,7 +445,7 @@ class Stokes2DModel:
                        forcing=forcing)
 
 
-def check_linf_growth(traj, tol_c=5.0):
+def check_linf_growth(traj, tol_c):
     """max rho(t) against max rho(0) e^t, with slack tol_c (dx + dt)."""
     tol = dg._consistency_tol(traj, tol_c)
     rho0_max = traj.records[0].rho_max
@@ -455,9 +455,9 @@ def check_linf_growth(traj, tol_c=5.0):
         context={"rho0_max": rho0_max, "T": traj.records[-1].t})
 
 
-def check_gauge(traj, tol=1e-12):
+def check_gauge(traj):
     """The flat-mode gauge of the snapshots: max |flat_mode_means(u)|
-    relative to max |u|, against 0 with tolerance tol.
+    relative to max |u|, against 0 with tolerance 1e-12.
 
     This, not |int rho u|, is what the 2D system fixes. Its momentum
     balance has no time derivative, so int rho u is not an invariant:
@@ -474,7 +474,7 @@ def check_gauge(traj, tol=1e-12):
             means = float(np.max(np.abs(flat_mode_means(snap.u))))
             worst = max(worst, means / scale)
     return dg.CheckReport.build(
-        check="flat_mode_gauge_2d", bound=0.0, measured=worst, tolerance=tol,
+        check="flat_mode_gauge_2d", bound=0.0, measured=worst, tolerance=1e-12,
         context={"snapshots": len(traj.snapshots)})
 
 

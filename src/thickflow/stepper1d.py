@@ -150,16 +150,15 @@ _END_BLOCKS_MIN_N = 2048
 _Z_TINY = 1e-290
 
 
-def _decay_length(ratios, chunk=64):
-    """Rows, in whole chunks, until the running product of ratios drops
-    below 1e-300, or None if it does not. (One log per chunk: the log of
-    every ratio costs more than a dgtsv row.)"""
-    k = ratios.size // chunk
+def _decay_length(ratios):
+    """Rows, in whole chunks of 64, until the running product of ratios
+    drops below 1e-300, or None if it does not. (One log per chunk: the
+    log of every ratio costs more than a dgtsv row.)"""
+    k = ratios.size // 64
     with np.errstate(divide="ignore"):
-        logs = np.cumsum(np.log(ratios[:k * chunk].reshape(k, chunk)
-                                .prod(axis=1)))
+        logs = np.cumsum(np.log(ratios[:k * 64].reshape(k, 64).prod(axis=1)))
     below = np.flatnonzero(logs < np.log(1e-300))
-    return int(below[0] + 1) * chunk if below.size else None
+    return int(below[0] + 1) * 64 if below.size else None
 
 
 def _z_end_blocks(dl, d, du, u_diag, gamma, alpha):

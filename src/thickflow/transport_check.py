@@ -63,53 +63,43 @@ def _midpoint_snapshots(traj):
     return snaps[:count], w
 
 
-def _sampled(phi, grid):
-    if isinstance(phi, SampledTestFunction):
-        return phi
-    return sample_bank([phi], grid)[0]
-
-
 def continuity_residual(traj, phi):
     """|int int rho dphi/dt + rho u . grad phi| over the snapshot grid.
 
     phi is a scalar test function, or the same sampled on traj.grid by
     sample_bank.
     """
-    g = traj.grid
-    phi = _sampled(phi, g)
-    snaps, w = _midpoint_snapshots(traj)
-    total = 0.0
-    for s in snaps:
-        grad = phi.grad(s.t)
-        if s.rho.ndim == 1:
-            flux = s.rho * s.u * grad[0]
-        else:
-            flux = s.rho * (s.u[0] * grad[0] + s.u[1] * grad[1])
-        total += w * integrate(s.rho * phi.dt(s.t) + flux, g)
-    return abs(total)
+    return _weak_residual(traj, 1.0, phi)
 
 
 def renormalized_residual(traj, gamma, phi):
     """Weak residual of d/dt rho^g + div(rho^g u) + (g-1) rho^g div u = 0.
 
-    phi as in continuity_residual. For gamma = 1 this reduces exactly to
+    phi as in continuity_residual. For gamma = 1 this is exactly
     continuity_residual.
     """
+    return _weak_residual(traj, gamma, phi)
+
+
+def _weak_residual(traj, gamma, phi):
+    """renormalized_residual; its (g-1) term is skipped at gamma = 1."""
     g = traj.grid
-    phi = _sampled(phi, g)
+    if not isinstance(phi, SampledTestFunction):
+        phi = sample_bank([phi], g)[0]
     snaps, w = _midpoint_snapshots(traj)
     total = 0.0
     for s in snaps:
-        rg = s.rho**gamma
+        rg = s.rho if gamma == 1.0 else s.rho**gamma
         grad = phi.grad(s.t)
         if s.rho.ndim == 1:
-            divu = ddx_periodic(s.u, g)
             flux = rg * s.u * grad[0]
         else:
-            divu = div_2d(s.u, g)
             flux = rg * (s.u[0] * grad[0] + s.u[1] * grad[1])
-        total += w * integrate(rg * phi.dt(s.t) + flux
-                               - (gamma - 1.0) * rg * divu * phi.eval(s.t), g)
+        integrand = rg * phi.dt(s.t) + flux
+        if gamma != 1.0:
+            divu = ddx_periodic(s.u, g) if s.rho.ndim == 1 else div_2d(s.u, g)
+            integrand -= (gamma - 1.0) * rg * divu * phi.eval(s.t)
+        total += w * integrate(integrand, g)
     return abs(total)
 
 

@@ -11,7 +11,7 @@ import numpy as np
 sys.path.insert(0, "tests")
 import _reference as R
 
-from thickflow.banks import velocity_bank_1d, velocity_bank_2d
+from thickflow.banks import check_bank
 from thickflow.diagnostics import (check_density_bounds,
                                    check_stress_max_principle, hoff_value)
 from thickflow.limits import (assemble_sweep_report, cross_model_distance,
@@ -42,7 +42,7 @@ for p in R.P_VALUES:
     md, pd = drift(strong[p])
     print(f"p={p}: wall={time.time()-t0:.1f}s massd={md:.2e} momd={pd:.2e} "
           f"exc={energy_excess(strong[p]):.2e}")
-rep_s = assemble_sweep_report("p", list(strong), strong, 2.0)
+rep_s = assemble_sweep_report("p", list(strong), strong, 2.0, cfg_s.eta)
 print("viol005:", [rep_s.violation[str(p)]["0.05"] for p in rep_s.param_values])
 print("compl  :", [round(rep_s.complementarity[str(p)], 6) for p in rep_s.param_values])
 print("pair_X :", rep_s.pairwise_entropy)
@@ -53,26 +53,29 @@ print("== criterion 3/4 on strong sweep ==")
 c1, c2 = cfg_s.initial_density_range()
 for p in (8.0,):
     pr = cfg_s.build_params("powerlaw1d", p=p)
-    repd = check_density_bounds(strong[p], pr, c1, c2)
-    reps = check_stress_max_principle(strong[p], pr)
+    repd = check_density_bounds(strong[p], pr, c1, c2, cfg_s.tol_c)
+    reps = check_stress_max_principle(strong[p], pr, cfg_s.tol_c,
+                                      cfg_s.paper_initial_conditions)
     print(f"p={p}: density viol={repd.measured:.3e} (tol {repd.tolerance:.3e}) "
           f"stress={reps.measured:.4f} vs mu={reps.bound}")
 
 print("== refinement n=512 (criteria 3, 4) ==")
 fine8 = R.run_powerlaw(cfg_s, p=8.0, n=512)
 pr8 = cfg_s.build_params("powerlaw1d", p=8.0)
-repd_f = check_density_bounds(fine8, pr8, c1, c2)
-reps_f = check_stress_max_principle(fine8, pr8)
+repd_f = check_density_bounds(fine8, pr8, c1, c2, cfg_s.tol_c)
+reps_f = check_stress_max_principle(fine8, pr8, cfg_s.tol_c,
+                                    cfg_s.paper_initial_conditions)
 print(f"fine: density viol={repd_f.measured:.3e} stress={reps_f.measured:.4f}")
-repd_c = check_density_bounds(strong[8.0], pr8, c1, c2)
-reps_c = check_stress_max_principle(strong[8.0], pr8)
+repd_c = check_density_bounds(strong[8.0], pr8, c1, c2, cfg_s.tol_c)
+reps_c = check_stress_max_principle(strong[8.0], pr8, cfg_s.tol_c,
+                                    cfg_s.paper_initial_conditions)
 print("density excess coarse/fine:",
       max(0, repd_c.measured), max(0, repd_f.measured))
 print("stress excess coarse/fine:",
       max(0, reps_c.measured - 1.0), max(0, reps_f.measured - 1.0))
 
 print("== criterion 11 (1D bank) ==")
-bank = velocity_bank_1d(cfg_s.seed, cfg_s.T, size=20, modes=3)
+bank = check_bank(cfg_s, "velocity", 1)
 rep_vi = variational_residual_1d(strong[64.0], bank, cfg_s.build_params("powerlaw1d", p=64.0))
 print(f"min residual = {rep_vi.context['residuals_min']:.6f}, "
       f"tol = {rep_vi.tolerance:.6f}, pass={rep_vi.passed}")
@@ -88,7 +91,7 @@ cfg_sh = R.shared_config()
 shared = {}
 for p in R.P_VALUES:
     shared[p] = R.run_powerlaw(cfg_sh, p=p)
-rep_sh = assemble_sweep_report("p", list(shared), shared, 2.0)
+rep_sh = assemble_sweep_report("p", list(shared), shared, 2.0, cfg_sh.eta)
 print("shared pair_u:", rep_sh.pairwise_u)
 
 sing = {}
@@ -121,14 +124,14 @@ for p in R.P_VALUES_2D:
     md, _ = drift(two[p])
     print(f"p={p}: wall={time.time()-t0:.0f}s exc={energy_excess(two[p]):.2e} "
           f"massd={md:.2e} maxDu={max(r.dudx_maxabs for r in two[p].records):.4f}")
-rep2 = assemble_sweep_report("p", list(two), two, 2.0)
+rep2 = assemble_sweep_report("p", list(two), two, 2.0, cfg2.eta)
 print("2D viol005:", [rep2.violation[str(p)]["0.05"] for p in rep2.param_values])
 from thickflow.semistationary2d import check_linf_growth
 
-rep_linf = check_linf_growth(two[16.0])
+rep_linf = check_linf_growth(two[16.0], cfg2.tol_c)
 print(f"linf growth ratio={rep_linf.measured:.4f} tol={rep_linf.tolerance:.4f}")
 
-bank2 = velocity_bank_2d(cfg2.seed, cfg2.T, size=20)
+bank2 = check_bank(cfg2, "velocity", 2)
 rep_vi2 = variational_residual_2d(two[16.0], bank2, cfg2.build_params("semistationary2d", p=16.0))
 print(f"2D VI min residual = {rep_vi2.context['residuals_min']:.6f}, "
       f"tol = {rep_vi2.tolerance:.6f}, pass={rep_vi2.passed}")

@@ -10,7 +10,7 @@ constraint-layer-resolving grids, and the 2D sweep.
 import numpy as np
 
 import _reference as R
-from thickflow.banks import velocity_bank_1d, velocity_bank_2d
+from thickflow.banks import check_bank
 from thickflow.diagnostics import (check_density_bounds,
                                    check_stress_max_principle, hoff_value)
 from thickflow.limits import (assemble_sweep_report, cross_model_distance,
@@ -103,12 +103,14 @@ def test_c04_stress_max_principle(strong_sweep, strong_p8_fine):
     excesses = {}
     for p, traj in trajs.items():
         pr = cfg.build_params("powerlaw1d", p=p)
-        rep = check_stress_max_principle(traj, pr, tol_c=cfg.tol_c)
+        rep = check_stress_max_principle(traj, pr, cfg.tol_c,
+                                         cfg.paper_initial_conditions)
         assert not rep.skipped  # all sweep members have p >= 1 + gamma
         assert rep.passed, f"stress bound failed at p={p}"
         excesses[p] = max(0.0, rep.measured - rep.bound)
     pr8 = cfg.build_params("powerlaw1d", p=8.0)
-    fine = check_stress_max_principle(strong_p8_fine[1], pr8, tol_c=cfg.tol_c)
+    fine = check_stress_max_principle(strong_p8_fine[1], pr8, cfg.tol_c,
+                                      cfg.paper_initial_conditions)
     shrink_ok = max(0.0, fine.measured - fine.bound) <= excesses[8.0] + 1e-12
     _report(4, "stress maximum principle", shrink_ok,
             f"max excess over mu: {max(excesses.values()):.2e}, "
@@ -149,7 +151,8 @@ def test_c07_entropy_gap(strong_sweep_report):
 
 def test_c08_cross_model_agreement(shared_sweep, singular_runs):
     cfg, trajs = shared_sweep
-    rep = assemble_sweep_report("p", list(trajs), trajs, cfg.params["gamma"])
+    rep = assemble_sweep_report("p", list(trajs), trajs, cfg.params["gamma"],
+                                cfg.eta)
     gap = rep.pairwise_u[-1]
     dist = cross_model_distance(trajs[64.0], singular_runs[1e-3])
     ok = dist <= 5.0 * gap
@@ -175,14 +178,12 @@ def test_c10_barrier_invariant(singular_runs):
 
 def test_c11_variational_inequalities(strong_sweep, sweep_2d):
     cfg, trajs = strong_sweep
-    bank = velocity_bank_1d(cfg.seed, cfg.T, size=cfg.bank_size,
-                            modes=cfg.bank_modes)
-    rep1 = variational_residual_1d(trajs[64.0], bank,
+    rep1 = variational_residual_1d(trajs[64.0], check_bank(cfg, "velocity", 1),
                                    cfg.build_params("powerlaw1d", p=64.0))
     cfg2, trajs2 = sweep_2d
-    bank2 = velocity_bank_2d(cfg2.seed, cfg2.T, size=cfg2.bank_size)
     rep2 = variational_residual_2d(
-        trajs2[16.0], bank2, cfg2.build_params("semistationary2d", p=16.0))
+        trajs2[16.0], check_bank(cfg2, "velocity", 2),
+        cfg2.build_params("semistationary2d", p=16.0))
     ok = rep1.passed and rep2.passed
     _report(11, "variational inequalities", ok,
             f"1D min residual {rep1.context['residuals_min']:.4f} "

@@ -17,12 +17,15 @@ CONFIGS = os.path.join(os.path.dirname(__file__), "..", "configs")
 # variational inequality (C11), so a change of these bytes changes what
 # the checks test against; it must be deliberate, and re-pinned here.
 # Re-pinned when the dump gained "scalar_2d", the bank of a 2D run's
-# weak-form checks; every other key kept its bytes.
+# weak-form checks; every other key kept its bytes. Re-pinned when the
+# dump came to draw every bank through banks.check_bank: "scalar_1d" now
+# holds the first min(bank_size, 10) = 10 of its former 20 members, the
+# bank a 1D run's weak-form checks draw; every other key kept its bytes.
 BANK_DIGESTS = {
     "demo_1d.cfg":
-        "9e28e7a7c48777a8aff11416810bba745eb093a53b4cbf54cdbf032f394714f5",
+        "bd66bbd9c7c7cb4a2bf57ea0b35bd0339f652654eba3e5ad1ca79ca840f0d1f5",
     "reference_2d.cfg":
-        "91dfbecd4c7f4a8a9f6f6068b0a4ee9ed5905e948680ae9978b7637d97f78e63",
+        "186dfdb77766e092a32321486241e3a2b06761aa9722ef734d98f286e79e2ea5",
 }
 
 
@@ -84,6 +87,27 @@ def test_banks_bytes_pinned(capsys, name):
     assert hashlib.sha256(out).hexdigest() == BANK_DIGESTS[name]
 
 
+RUN_1D = """
+[model]
+kind = powerlaw1d
+[grid]
+n = 32
+[params]
+p = 8.0
+a = 2.0
+gamma = 2.0
+[initial]
+rho_modes = 1, 0.15, 0.25
+u_modes = 1, 0.0, 0.1
+seed = 5
+[time]
+T = 0.02
+snapshots = 4
+[checks]
+bank_size = 12
+bank_modes = 1
+"""
+
 RUN_2D = """
 [model]
 kind = semistationary2d
@@ -105,32 +129,35 @@ bank_modes = 1
 """
 
 
-def test_banks_dumps_the_2d_scalar_bank_of_the_weak_form_checks(
-        monkeypatch, capsys, tmp_path):
-    # the bank a 2D run's transport checks draw, captured from the run
+@pytest.mark.parametrize("ndim", [1, 2])
+def test_banks_dumps_the_scalar_bank_of_the_weak_form_checks(
+        ndim, monkeypatch, capsys, tmp_path):
+    # the bank a run's transport checks draw, captured from the run
     drawn = []
 
     def spy(*args, **kwargs):
         drawn.append(real(*args, **kwargs))
         return drawn[-1]
 
-    real = banks.scalar_bank_2d
-    monkeypatch.setattr(banks, "scalar_bank_2d", spy)
-    cfg = tmp_path / "run2d.cfg"
-    cfg.write_text(RUN_2D)
+    maker = f"scalar_bank_{ndim}d"
+    real = getattr(banks, maker)
+    monkeypatch.setattr(banks, maker, spy)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(RUN_1D if ndim == 1 else RUN_2D)
     assert main(["run", str(cfg), "--output", str(tmp_path / "out"),
                  "--quiet"]) == 0
     assert len(drawn) == 1
     assert main(["banks", str(cfg)]) == 0
     dump = json.loads(capsys.readouterr().out)
-    assert dump["scalar_2d"] == [
+    assert dump[f"scalar_{ndim}d"] == [
         {"coeffs": [list(q) for q in phi.coeffs], "scale": phi.scale}
         for phi in drawn[0]]
     # min(bank_size, 10) members on the waves of bank_modes = 1
     assert len(drawn[0]) == 10
-    assert {tuple(q[:2]) for phi in drawn[0] for q in phi.coeffs} \
-        == set(_waves(1, 2))
-    # the velocity bank keeps the default modes, which C11 draws
-    assert len(dump["velocity_2d"]) == 12
+    assert {tuple(q[:-2]) for phi in drawn[0] for q in phi.coeffs} \
+        == set(_waves(1, ndim))
+    # the velocity banks have bank_size members; the 2D one keeps the
+    # modes C11 draws
+    assert len(dump["velocity_1d"]) == len(dump["velocity_2d"]) == 12
     for v in dump["velocity_2d"]:
         assert [tuple(q[:2]) for q in v["coeffs1"]] == _waves(2, 2)

@@ -84,18 +84,20 @@ class TestCauchyStress:
 class TestStressMaxPrinciple:
     def test_steady_state_passes(self):
         traj, g = steady_traj()
-        rep = check_stress_max_principle(traj, params(p=4.0))
+        rep = check_stress_max_principle(traj, params(p=4.0), 5.0, True)
         assert rep.passed and not rep.skipped
 
     def test_precondition_skip(self):
         traj, g = steady_traj()
-        rep = check_stress_max_principle(traj, params(p=2.5, gamma=2.0))
+        rep = check_stress_max_principle(traj, params(p=2.5, gamma=2.0),
+                                         5.0, True)
         assert rep.skipped
         assert rep.passed  # skips are not failures
 
     def test_bound_is_mu_under_compliant_data(self):
         traj, g = steady_traj()
-        rep = check_stress_max_principle(traj, params(p=4.0, mu=1.0))
+        rep = check_stress_max_principle(traj, params(p=4.0, mu=1.0),
+                                         5.0, True)
         assert rep.bound == 1.0
 
 
@@ -115,14 +117,14 @@ class TestDensityBounds:
 
     def test_constant_state_passes(self):
         traj, g = steady_traj()
-        rep = check_density_bounds(traj, params(p=4.0), 1.0, 1.0)
+        rep = check_density_bounds(traj, params(p=4.0), 1.0, 1.0, 5.0)
         assert rep.passed
 
 
 class TestEnergyAndConservation:
     def test_steady(self):
         traj, g = steady_traj()
-        rep = check_energy_inequality(traj)
+        rep = check_energy_inequality(traj, 1e-6)
         assert rep.passed
         for r in check_conservation(traj):
             assert r.passed
@@ -135,7 +137,7 @@ class TestEnergyAndConservation:
         traj = PowerLawModel.run(pr, g, rho0, u0, 0.2, snapshot_times=[0.2])
         energies = [r.energy for r in traj.records]
         assert all(b <= a + 1e-12 for a, b in zip(energies[:-1], energies[1:]))
-        assert check_energy_inequality(traj).passed
+        assert check_energy_inequality(traj, 1e-6).passed
 
 
 class TestHoff:

@@ -134,15 +134,9 @@ def test_ddx_2d_equals_roll_form():
     g = Grid2D(16, 12)
     f = np.random.default_rng(5).normal(size=(16, 12))
     for axis, h in ((0, g.dx), (1, g.dy)):
-        ahead = np.roll(f, -1, axis=axis)
-        behind = np.roll(f, 1, axis=axis)
-        rolled = {"central": (ahead - behind) / (2.0 * h),
-                  "forward": (ahead - f) / h,
-                  "backward": (f - behind) / h}
-        for scheme, expected in rolled.items():
-            assert np.array_equal(ddx_2d(f, g, axis, scheme), expected)
-    with pytest.raises(ValueError):
-        ddx_2d(f, g, 0, "upwind")
+        expected = (np.roll(f, -1, axis=axis) - np.roll(f, 1, axis=axis)) \
+            / (2.0 * h)
+        assert np.array_equal(ddx_2d(f, g, axis), expected)
 
 
 def test_ddx_periodic_equals_roll_form():

@@ -19,6 +19,9 @@ from thickflow.singular1d import SingularModel, SingularParams
 from thickflow.trajectory import (DiagnosticsRecord, State1D, State2D,
                                   Trajectory)
 
+# the etas of a config's [checks] section, as Config defaults them
+ETAS = [0.01, 0.05, 0.1]
+
 
 class TestViolationMeasure:
     def test_below_threshold(self):
@@ -143,7 +146,7 @@ class TestBanks:
             assert v.max_sym_grad() == pytest.approx(0.99, rel=1e-2)
 
     def test_envelope_vanishes_at_endpoints(self):
-        bank = velocity_bank_1d(seed=7, T=0.5, size=2)
+        bank = velocity_bank_1d(seed=7, T=0.5, size=2, modes=3)
         x = np.linspace(0, 1, 7)
         for v in bank:
             assert np.max(np.abs(v.eval(0.0, x))) == 0.0
@@ -165,7 +168,8 @@ class TestSweepDeterminism:
                          PowerLawParams(p=p, a=2.0, gamma=2.0), g, rho0, u0,
                          0.04, snapshot_times=snaps)
                      for p in (4.0, 8.0)}
-            return assemble_sweep_report("p", list(trajs), trajs, 2.0)
+            return assemble_sweep_report("p", list(trajs), trajs, 2.0,
+                                         ETAS)
 
         r1, r2 = build(), build()
         assert r1.to_dict() == r2.to_dict()
@@ -177,7 +181,7 @@ class TestSweepDeterminism:
         traj = PowerLawModel.run(PowerLawParams(p=4.0, a=1.0), g,
                                  np.ones(g.n), np.zeros(g.n), 0.02,
                                  snapshot_times=[0.02])
-        rep = assemble_sweep_report("p", [4.0], {4.0: traj}, 2.0)
+        rep = assemble_sweep_report("p", [4.0], {4.0: traj}, 2.0, ETAS)
         assert rep.pairwise_u == []
         assert rep.u_dist["4.0"] == 0.0
 
@@ -430,7 +434,7 @@ def test_sweep_measures_keep_the_former_bits(kind):
 
 def test_sweep_report_dict_has_the_json_keys():
     trajs = _sweep_trajectories("p")
-    rep = assemble_sweep_report("p", list(trajs), trajs, 2.0)
+    rep = assemble_sweep_report("p", list(trajs), trajs, 2.0, ETAS)
     assert list(rep.to_dict()) == [
         "kind", "param_values", "u_dist", "rho_dist", "violation",
         "complementarity", "entropy_gap", "hoff", "aux_uniform",

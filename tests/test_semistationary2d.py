@@ -417,12 +417,12 @@ class TestRun2D:
         pr = Stokes2DParams(p=8.0, gamma=2.0, cfl=0.1)
         traj = Stokes2DModel.run(pr, g, cos_bump(g, 0.5), None, 0.1,
                                  snapshot_times=[0.1])
-        rep = check_linf_growth(traj)
+        rep = check_linf_growth(traj, tol_c=5.0)
         assert rep.passed
         # constant trajectory: ratio e^-t <= 1
         traj_c = Stokes2DModel.run(pr, g, np.full((32, 32), 2.0), None, 0.05,
                                    snapshot_times=[0.05])
-        rep_c = check_linf_growth(traj_c)
+        rep_c = check_linf_growth(traj_c, tol_c=5.0)
         assert rep_c.passed
         assert rep_c.measured <= 1.0
 

@@ -134,18 +134,29 @@ def test_tracer_records_the_layers_it_names(tmp_path):
     assert len(limits) == 2     # assemble_sweep_report, variational_residual_1d
     assert all(c[1:] == ["cli.main"] for c in limits)
 
+    def main_of(sid):
+        """The id of the cli.main span that span sid is nested in."""
+        while span_of[sid][0] != "cli.main":
+            sid = span_of[sid][1]
+        return sid
+
     # every run and sweep member writes its CSVs through the wrapped
     # trajectory writers: a writer bound at import would record no span
-    mains = [sid for sid, (name, _) in span_of.items() if name == "cli.main"]
+    mains = sorted(sid for sid, (name, _) in span_of.items()
+                   if name == "cli.main")
     assert len(mains) == 4
     by_main = {sid: set() for sid in mains}
     for sid, (name, _) in span_of.items():
-        path = [sid]
-        while path[-1] in span_of and span_of[path[-1]][0] != "cli.main":
-            path.append(span_of[path[-1]][1])
-        if path[-1] in by_main:
-            by_main[path[-1]].add(name)
+        by_main[main_of(sid)].add(name)
     assert all("trajectory.write" in names for names in by_main.values())
+
+    # the banks.s metric: each run's weak-form draw, and the sweep's two
+    # member draws and its velocity draw, record one banks span, and no
+    # bank maker draws inside another
+    banks = [sid for sid, (name, _) in span_of.items() if name == "banks"]
+    assert [sum(main_of(sid) == m for sid in banks) for m in mains] \
+        == [1, 1, 1, 3]
+    assert all(chain(sid)[1] != "banks" for sid in banks)
 
     # the 2D run's momentum solves and transports run inside its member
     for name in ("semistationary2d.solve", "semistationary2d.transport"):

@@ -30,7 +30,7 @@ def steady_run(T=0.1, nsnap=32):
 class TestContinuityResidual:
     def test_steady_trajectory_vanishes(self):
         traj = steady_run()
-        for phi in scalar_bank_1d(seed=11, T=0.1, size=3):
+        for phi in scalar_bank_1d(seed=11, T=0.1, size=3, modes=3):
             assert continuity_residual(traj, phi) < 1e-10
 
     def test_reference_run_consistency_band(self):
@@ -38,12 +38,13 @@ class TestContinuityResidual:
         dts = [r.dt for r in traj.records if r.dt > 0]
         scale = traj.grid.dx + max(dts) + (0.1 / 64) ** 2
         worst = max(continuity_residual(traj, phi)
-                    for phi in scalar_bank_1d(seed=11, T=0.1, size=10))
+                    for phi in scalar_bank_1d(seed=11, T=0.1, size=10,
+                                               modes=3))
         # consistency constant frozen from the first verified run
         assert worst <= 2.0 * scale
 
     def test_refinement_shrinks_residual(self):
-        bank_kw = dict(seed=11, T=0.1)
+        bank_kw = dict(seed=11, T=0.1, modes=3)
         traj1, _ = reference_run(n=128, nsnap=32)
         traj2, _ = reference_run(n=256, nsnap=64)
         w1 = max(continuity_residual(traj1, phi)
@@ -57,7 +58,7 @@ class TestContinuityResidual:
         # compact-support rule; instead check the residual is invariant
         # under scaling both phi and the tolerance consistently
         traj = steady_run()
-        phi = scalar_bank_1d(seed=3, T=0.1, size=1)[0]
+        phi = scalar_bank_1d(seed=3, T=0.1, size=1, modes=3)[0]
         r1 = continuity_residual(traj, phi)
         phi.coeffs = [(k, 2 * c, 2 * s) for k, c, s in phi.coeffs]
         r2 = continuity_residual(traj, phi)
@@ -67,12 +68,12 @@ class TestContinuityResidual:
 class TestRenormalizedResidual:
     def test_constant_trajectory(self):
         traj = steady_run()
-        for phi in scalar_bank_1d(seed=5, T=0.1, size=3):
+        for phi in scalar_bank_1d(seed=5, T=0.1, size=3, modes=3):
             assert renormalized_residual(traj, 2.0, phi) < 1e-10
 
     def test_gamma_one_reduces_to_continuity(self):
         traj, _ = reference_run(n=128, nsnap=32)
-        for phi in scalar_bank_1d(seed=5, T=0.1, size=5):
+        for phi in scalar_bank_1d(seed=5, T=0.1, size=5, modes=3):
             a = renormalized_residual(traj, 1.0, phi)
             b = continuity_residual(traj, phi)
             assert a == pytest.approx(b, rel=1e-12, abs=1e-15)
@@ -82,7 +83,8 @@ class TestRenormalizedResidual:
         dts = [r.dt for r in traj.records if r.dt > 0]
         scale = traj.grid.dx + max(dts)
         worst = max(renormalized_residual(traj, 2.0, phi)
-                    for phi in scalar_bank_1d(seed=5, T=0.1, size=10))
+                    for phi in scalar_bank_1d(seed=5, T=0.1, size=10,
+                                               modes=3))
         assert worst <= 6.0 * scale
 
 
@@ -139,7 +141,7 @@ def test_2d_continuity_residual_small():
                              rho0, None, T, snaps)
     dts = [r.dt for r in traj.records if r.dt > 0]
     scale = g.dx + max(dts)
-    for phi in scalar_bank_2d(seed=17, T=T, size=4):
+    for phi in scalar_bank_2d(seed=17, T=T, size=4, modes=2):
         assert continuity_residual(traj, phi) <= 2.0 * scale
         assert renormalized_residual(traj, 2.0, phi) <= 6.0 * scale
 
@@ -197,10 +199,10 @@ def test_sampled_residuals_equal_per_snapshot_form(dim):
 
     if dim == 1:
         traj = _random_trajectory(Grid1D(60), (60,), (60,))
-        bank = scalar_bank_1d(seed=23, T=1.0, size=10)
+        bank = scalar_bank_1d(seed=23, T=1.0, size=10, modes=3)
     else:
         traj = _random_trajectory(Grid2D(18, 20), (18, 20), (2, 18, 20))
-        bank = scalar_bank_2d(seed=23, T=1.0, size=10)
+        bank = scalar_bank_2d(seed=23, T=1.0, size=10, modes=2)
     for gamma in (1.0, 1.4, 2.0):
         for phi, sampled in zip(bank, sample_bank(bank, traj.grid)):
             cont, ren = _reference_residuals(traj, gamma, phi)
@@ -209,3 +211,7 @@ def test_sampled_residuals_equal_per_snapshot_form(dim):
             assert continuity_residual(traj, sampled) == cont
             assert renormalized_residual(traj, gamma, phi) == ren
             assert renormalized_residual(traj, gamma, sampled) == ren
+            if gamma == 1.0:
+                # continuity is the renormalized residual at gamma = 1
+                assert continuity_residual(traj, phi) == \
+                    renormalized_residual(traj, 1.0, phi)
