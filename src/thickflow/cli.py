@@ -200,17 +200,16 @@ def cmd_sweep(args):
         print(f"solver failure: {type(e).__name__}: {e}", file=sys.stderr)
         return 3
 
-    gamma = cfg.run_params.gamma
     reports = []
     kind = "eps" if cfg.sweep_kind == "eps" else "p"
     trajs = results[kind]
-    rep = assemble_sweep_report(kind, list(trajs), trajs, gamma, cfg.eta)
+    rep = assemble_sweep_report(kind, trajs, cfg.eta)
     if kind == "p":
         ys = [rep.hoff[str(v)] for v in rep.param_values]
         reports.append(dg.check_hoff_uniformity(ys, rep.param_values))
         finest = trajs[rep.param_values[-1]]
         reports.append(variational_residual_1d(
-            finest, check_bank(cfg, "velocity", 1), finest.params))
+            finest, check_bank(cfg, "velocity", 1)))
     if cfg.sweep_kind == "cross":
         eps_trajs = results["eps"]
         rep.cross_distance = cross_model_distance(

@@ -18,16 +18,8 @@ class VacuumError(ThickflowError):
 
 
 class NewtonDivergence(ThickflowError):
-    """Implicit viscous solve failed to reach the residual tolerance.
-
-    Carries the last residual norm and the damping history so failed
-    runs can be diagnosed from the CLI error report.
-    """
-
-    def __init__(self, message, last_residual=None, damping_history=None):
-        super().__init__(message)
-        self.last_residual = last_residual
-        self.damping_history = damping_history or []
+    """Implicit viscous solve failed to reach the residual tolerance;
+    the message gives the last residual norm."""
 
 
 class ConstraintViolation(ThickflowError):
@@ -40,10 +32,6 @@ class ConstraintViolation(ThickflowError):
 
 class SolverDivergence(ThickflowError):
     """Velocity minimization in the 2D solver failed to converge."""
-
-    def __init__(self, message, trace=None):
-        super().__init__(message)
-        self.trace = trace or []
 
 
 class StepFailure(ThickflowError):

@@ -28,17 +28,14 @@ class Grid1D:
     """Uniform periodic grid on the unit torus, n >= 8 cells."""
 
     n: int
-    length: float = 1.0
 
     def __post_init__(self):
         if self.n < 8:
             raise ValueError(f"grid needs n >= 8 cells, got {self.n}")
-        if self.length <= 0:
-            raise ValueError("domain length must be positive")
 
     @property
     def dx(self):
-        return self.length / self.n
+        return 1.0 / self.n
 
     @property
     def x(self):
@@ -52,7 +49,6 @@ class Grid2D:
 
     nx: int
     ny: int
-    length: float = 1.0
 
     def __post_init__(self):
         if self.nx < 8 or self.ny < 8:
@@ -60,11 +56,11 @@ class Grid2D:
 
     @property
     def dx(self):
-        return self.length / self.nx
+        return 1.0 / self.nx
 
     @property
     def dy(self):
-        return self.length / self.ny
+        return 1.0 / self.ny
 
     @property
     def x(self):

@@ -157,17 +157,19 @@ class SweepReport:
                     self.entropy_gap[key])])
 
 
-def assemble_sweep_report(kind, values, trajectories, gamma, etas):
+def assemble_sweep_report(kind, trajectories, etas):
     """Deterministic sequential reduction over sorted parameter values.
 
     For kind == "p" the finest value is the largest p; for "eps" the
-    smallest eps. trajectories maps value -> Trajectory; the violation
-    measure is taken at each of etas.
+    smallest eps. trajectories maps value -> Trajectory; the pressure
+    exponent gamma of the distances is the finest run's, and the
+    violation measure is taken at each of etas.
     """
     from .diagnostics import hoff_value
 
-    values = sorted(values, reverse=(kind == "eps"))
+    values = sorted(trajectories, reverse=(kind == "eps"))
     ref = trajectories[values[-1]]
+    gamma = ref.params.gamma
     rep = SweepReport(kind=kind, param_values=list(values))
     for v in values:
         traj = trajectories[v]
@@ -221,7 +223,7 @@ def _variational_report(check, traj, mins):
                  "E0": e0})
 
 
-def variational_residual_1d(traj, bank, params):
+def variational_residual_1d(traj, bank):
     """Theorem-form variational inequality on a 1D trajectory.
 
     For each admissible test field v (|dv/dx| <= 0.99) evaluates
@@ -234,7 +236,7 @@ def variational_residual_1d(traj, bank, params):
     the exact solution makes every entry >= 0 up to consistency error.
     """
     g = traj.grid
-    a, gamma = params.a, params.gamma
+    a, gamma = traj.params.a, traj.params.gamma
     mids = [(dt, tm, u_mid, ddx_periodic(u_mid, g), rho_mid * udot,
              a * rho_mid**gamma)
             for dt, tm, rho_mid, u_mid, udot in snapshot_midpoints(traj)]
@@ -249,10 +251,10 @@ def variational_residual_1d(traj, bank, params):
     return _variational_report("variational_inequality_1d", traj, mins)
 
 
-def variational_residual_2d(traj, bank, params):
+def variational_residual_2d(traj, bank):
     """Limit-form inequality int int rho^gamma (div u - div v) >= 0
     for admissible v (|Dv| <= 0.99), on a 2D trajectory."""
-    g = traj.grid
+    g, params = traj.grid, traj.params
     X, Y = g.meshgrid()
     mids = [(dt, tm, params.a * rho_mid**params.gamma, div_2d(u_mid, g))
             for dt, tm, rho_mid, u_mid, _ in snapshot_midpoints(traj)]

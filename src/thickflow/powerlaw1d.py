@@ -16,11 +16,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import diagnostics as dg
-from .errors import FluxOverflow, Params, VacuumError, solver_rules
+from .errors import FluxOverflow, Params, solver_rules
 from .grids import integrate
 from .stepper1d import (Model1D, advance, barotropic_llf_update,
-                        implicit_shear_solve, material_derivative)
-from .trajectory import State1D
+                        implicit_shear_solve)
 
 _LOG_CLAMP = np.log(1e300)
 
@@ -139,26 +138,13 @@ class PowerLawModel(Model1D):
     def step(self, state, dt, forcing=None, prev=None):
         g, pr = self.g, self.params
         rho1, m1 = barotropic_llf_update(state.rho, state.u, pr.a, pr.gamma, dt, g)
-        if forcing is not None:
-            f_rho, f_mom = forcing
-            rho1 = rho1 + dt * f_rho(state.t, g.x)
-            m1 = m1 + dt * f_mom(state.t, g.x)
-        if np.min(rho1) <= 0:
-            raise VacuumError(f"density reached {float(np.min(rho1)):.3e} "
-                              f"after transport at t = {state.t:.6g}")
-        u_star = m1 / rho1
+        rho1, u_star = self._after_transport(state, dt, forcing, rho1, m1)
         # Newton starts at u^n; prev goes unused, because at large p
         # Newton takes more iterations from the extrapolation in time
         u_new, info = implicit_shear_solve(
             state.u, u_star, rho1, dt, g, self.flux, self.dflux,
             pr.newton_tol, pr.newton_max_iter, potential=self.potential)
-        new_state = State1D(rho1, u_new, state.t + dt)
-        udot = material_derivative(u_new, state.u, dt, g)
-        inc = {
-            # scheme-exact dissipation integrand mu (s^2+d^2)^((p-2)/2) s^2
-            "dissipation": dt * integrate(info["flux"] * info["shear"], g),
-            "hoff": dt * integrate(rho1 * udot**2, g),
-        }
+        new_state, inc = self._accept(state, dt, rho1, u_new, info)
         return new_state, inc, info
 
     def checks(self, cfg, traj):

@@ -243,8 +243,8 @@ def solve_momentum(rho, params, g, u_init=None):
     read them there; grad(a rho^gamma) is computed once per solve. Every
     inner product is one BLAS dot, and every product with all the stored
     pairs one BLAS matrix-vector product. Returns the minimizer; raises
-    SolverDivergence with the iteration trace if the gradient norm fails
-    to reach newton_tol.
+    SolverDivergence, whose message gives the gradient norm, if that
+    norm fails to reach newton_tol.
     """
     p, delta, a = params.p, params.delta, params.a
     rga = a * rho**params.gamma
@@ -267,7 +267,6 @@ def solve_momentum(rho, params, g, u_init=None):
     precond = make_precond(u)
     pairs = CompactInverse(MEMORY, u.size)
     pending = None  # the last step's (s, y, s'y) and H0 g before it
-    trace = [gn]
 
     for it in range(params.newton_max_iter):
         if gn < params.newton_tol:
@@ -306,7 +305,7 @@ def solve_momentum(rho, params, g, u_init=None):
             alpha *= 0.5
         else:
             raise SolverDivergence(
-                f"line search stalled at |grad J| = {gn:.3e}", trace=trace)
+                f"line search stalled at |grad J| = {gn:.3e}")
         step = alpha * d
         u = u_new
         J = J_new
@@ -319,11 +318,10 @@ def solve_momentum(rho, params, g, u_init=None):
             pending = step, yk, ys, h
         grad = grad_new
         gn = gnorm(grad)
-        trace.append(gn)
 
     raise SolverDivergence(
         f"|grad J| = {gn:.3e} > tol {params.newton_tol:.1e} "
-        f"after {params.newton_max_iter} iterations", trace=trace)
+        f"after {params.newton_max_iter} iterations")
 
 
 def _upwind_flux(rho, un, axis, g):

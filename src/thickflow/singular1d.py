@@ -21,11 +21,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import diagnostics as dg
-from .errors import ConstraintViolation, Params, VacuumError, solver_rules
+from .errors import ConstraintViolation, Params, solver_rules
 from .grids import integrate
 from .stepper1d import (Model1D, advance, barotropic_llf_update, face_shear,
-                        implicit_shear_solve, material_derivative)
-from .trajectory import State1D
+                        implicit_shear_solve)
 
 
 @dataclass
@@ -110,14 +109,7 @@ class SingularModel(Model1D):
         if np.max(np.abs(s0)) >= 1.0:
             raise ConstraintViolation("entry state violates |du/dx| < 1")
         rho1, m1 = barotropic_llf_update(state.rho, state.u, pr.a, pr.gamma, dt, g)
-        if forcing is not None:
-            f_rho, f_mom = forcing
-            rho1 = rho1 + dt * f_rho(state.t, g.x)
-            m1 = m1 + dt * f_mom(state.t, g.x)
-        if np.min(rho1) <= 0:
-            raise VacuumError(f"density reached {float(np.min(rho1)):.3e} "
-                              f"after transport at t = {state.t:.6g}")
-        u_star = m1 / rho1
+        rho1, u_star = self._after_transport(state, dt, forcing, rho1, m1)
         # Newton starts at the linear extrapolation in time of the last
         # accepted step when that lies inside the barrier, else at u^n,
         # which was accepted and so is feasible
@@ -134,13 +126,8 @@ class SingularModel(Model1D):
         s = info["shear"]
         if np.max(np.abs(s)) >= 1.0:
             raise ConstraintViolation("scheme bug: accepted state at the barrier")
-        new_state = State1D(rho1, u_new, state.t + dt)
-        udot = material_derivative(u_new, state.u, dt, g)
-        inc = {
-            "dissipation": dt * integrate(info["flux"] * s, g),
-            "hoff": dt * integrate(rho1 * udot**2, g),
-            "aux": dt * pr.eps * integrate(1.0 / np.sqrt(1.0 - s * s), g),
-        }
+        new_state, inc = self._accept(state, dt, rho1, u_new, info)
+        inc["aux"] = dt * pr.eps * integrate(1.0 / np.sqrt(1.0 - s * s), g)
         return new_state, inc, info
 
     def checks(self, cfg, traj):

@@ -25,12 +25,17 @@ Splitting per step (first order in time):
 Its time loop, advance, drives all three solvers, the 2D one
 (semistationary2d.Stokes2DModel) included, by the protocol it describes.
 
-Both the power-law and the singular-viscosity solver step with this
-module; they differ only in the shear flux, its derivative, the Newton
-step-length safeguard (fraction-to-boundary for the barrier flux) and
-where Newton starts. advance hands each step the velocity u^(n-1) and
-the step dt_prev of the last accepted step. The singular model starts
-Newton at their linear extrapolation in time,
+Both 1D models step with this module. Model1D holds the one copy of
+the stages their steps share: the forcing, the vacuum check and
+u* = m / rho after the transport, and the accepted state and its record
+increments after the solve. Each step keeps its calls of
+barotropic_llf_update and implicit_shear_solve, and each run its call
+of advance, because the benchmark's tracer (perfbench/tracer.py) wraps
+these by name in the model's module. The models differ in the shear
+flux, its derivative, the singular model's barrier checks, aux record
+and fraction-to-boundary Newton safeguard, and where Newton starts.
+advance hands each step u^(n-1) and dt_prev of the last accepted step.
+The singular model starts Newton at their linear extrapolation in time,
 u^n + (dt / dt_prev) (u^n - u^(n-1)), when its face shear lies inside
 the barrier, and at u^n otherwise: u^n was accepted, so it is feasible,
 which u* need not be. The power-law model starts at u^n: where its flux
@@ -346,8 +351,7 @@ def implicit_shear_solve(u_init, u_star, rho, dt, g, flux, dflux,
         delta_max = float(np.abs(delta).max())
         if not math.isfinite(delta_max):
             raise NewtonDivergence(
-                f"non-finite Newton direction at residual {rnorm:.3e}",
-                last_residual=rnorm, damping_history=damping_history)
+                f"non-finite Newton direction at residual {rnorm:.3e}")
         if delta_max <= 1e-15 * u_scale:
             # update below floating-point representability: near the shear
             # barrier one ulp of u can move the scaled residual above tol,
@@ -387,8 +391,7 @@ def implicit_shear_solve(u_init, u_star, rho, dt, g, flux, dflux,
             alpha *= 0.5
         else:
             raise NewtonDivergence(
-                f"no merit decrease at residual {rnorm:.3e}",
-                last_residual=rnorm, damping_history=damping_history)
+                f"no merit decrease at residual {rnorm:.3e}")
         u, s, f, r, rnorm, phi = u_new, s_new, f_new, r_new, rn_new, phi_new
         res_history.append(rnorm)
         damping_history.append(alpha)
@@ -398,8 +401,7 @@ def implicit_shear_solve(u_init, u_star, rho, dt, g, flux, dflux,
             return result(at_floor=True)
 
     raise NewtonDivergence(
-        f"residual {rnorm:.3e} > tol {tol:.1e} after {max_iter} iterations",
-        last_residual=rnorm, damping_history=damping_history)
+        f"residual {rnorm:.3e} > tol {tol:.1e} after {max_iter} iterations")
 
 
 class Model1D:
@@ -449,6 +451,25 @@ class Model1D:
         pr = self.params
         lam = max_signal_speed(state.rho, state.u, pr.a, pr.gamma)
         return pr.cfl * self.g.dx / max(lam, 1e-300)
+
+    def _after_transport(self, state, dt, forcing, rho1, m1):
+        """(rho*, u* = m / rho): forcing added, vacuum raises."""
+        if forcing is not None:
+            f_rho, f_mom = forcing
+            rho1 = rho1 + dt * f_rho(state.t, self.g.x)
+            m1 = m1 + dt * f_mom(state.t, self.g.x)
+        if np.min(rho1) <= 0:
+            raise VacuumError(f"density reached {float(np.min(rho1)):.3e} "
+                              f"after transport at t = {state.t:.6g}")
+        return rho1, m1 / rho1
+
+    def _accept(self, state, dt, rho1, u_new, info):
+        """The state at t + dt and its dissipation and Hoff increments."""
+        g = self.g
+        udot = material_derivative(u_new, state.u, dt, g)
+        inc = {"dissipation": dt * integrate(info["flux"] * info["shear"], g),
+               "hoff": dt * integrate(rho1 * udot**2, g)}
+        return State1D(rho1, u_new, state.t + dt), inc
 
     def record(self, state, dt, acc, info):
         s = face_shear(state.u, self.g) if info is None else info["shear"]

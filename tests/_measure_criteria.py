@@ -42,7 +42,7 @@ for p in R.P_VALUES:
     md, pd = drift(strong[p])
     print(f"p={p}: wall={time.time()-t0:.1f}s massd={md:.2e} momd={pd:.2e} "
           f"exc={energy_excess(strong[p]):.2e}")
-rep_s = assemble_sweep_report("p", list(strong), strong, 2.0, cfg_s.eta)
+rep_s = assemble_sweep_report("p", strong, cfg_s.eta)
 print("viol005:", [rep_s.violation[str(p)]["0.05"] for p in rep_s.param_values])
 print("compl  :", [round(rep_s.complementarity[str(p)], 6) for p in rep_s.param_values])
 print("pair_X :", rep_s.pairwise_entropy)
@@ -76,7 +76,7 @@ print("stress excess coarse/fine:",
 
 print("== criterion 11 (1D bank) ==")
 bank = check_bank(cfg_s, "velocity", 1)
-rep_vi = variational_residual_1d(strong[64.0], bank, cfg_s.build_params("powerlaw1d", p=64.0))
+rep_vi = variational_residual_1d(strong[64.0], bank)
 print(f"min residual = {rep_vi.context['residuals_min']:.6f}, "
       f"tol = {rep_vi.tolerance:.6f}, pass={rep_vi.passed}")
 
@@ -91,7 +91,7 @@ cfg_sh = R.shared_config()
 shared = {}
 for p in R.P_VALUES:
     shared[p] = R.run_powerlaw(cfg_sh, p=p)
-rep_sh = assemble_sweep_report("p", list(shared), shared, 2.0, cfg_sh.eta)
+rep_sh = assemble_sweep_report("p", shared, cfg_sh.eta)
 print("shared pair_u:", rep_sh.pairwise_u)
 
 sing = {}
@@ -124,7 +124,7 @@ for p in R.P_VALUES_2D:
     md, _ = drift(two[p])
     print(f"p={p}: wall={time.time()-t0:.0f}s exc={energy_excess(two[p]):.2e} "
           f"massd={md:.2e} maxDu={max(r.dudx_maxabs for r in two[p].records):.4f}")
-rep2 = assemble_sweep_report("p", list(two), two, 2.0, cfg2.eta)
+rep2 = assemble_sweep_report("p", two, cfg2.eta)
 print("2D viol005:", [rep2.violation[str(p)]["0.05"] for p in rep2.param_values])
 from thickflow.semistationary2d import check_linf_growth
 
@@ -132,7 +132,7 @@ rep_linf = check_linf_growth(two[16.0], cfg2.tol_c)
 print(f"linf growth ratio={rep_linf.measured:.4f} tol={rep_linf.tolerance:.4f}")
 
 bank2 = check_bank(cfg2, "velocity", 2)
-rep_vi2 = variational_residual_2d(two[16.0], bank2, cfg2.build_params("semistationary2d", p=16.0))
+rep_vi2 = variational_residual_2d(two[16.0], bank2)
 print(f"2D VI min residual = {rep_vi2.context['residuals_min']:.6f}, "
       f"tol = {rep_vi2.tolerance:.6f}, pass={rep_vi2.passed}")
 

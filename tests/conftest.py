@@ -21,8 +21,7 @@ def strong_sweep_report(strong_sweep):
     from thickflow.limits import assemble_sweep_report
 
     cfg, trajs = strong_sweep
-    return assemble_sweep_report("p", list(trajs), trajs,
-                                 cfg.params["gamma"], etas=cfg.eta)
+    return assemble_sweep_report("p", trajs, etas=cfg.eta)
 
 
 @pytest.fixture(scope="session")

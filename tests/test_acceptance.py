@@ -151,8 +151,7 @@ def test_c07_entropy_gap(strong_sweep_report):
 
 def test_c08_cross_model_agreement(shared_sweep, singular_runs):
     cfg, trajs = shared_sweep
-    rep = assemble_sweep_report("p", list(trajs), trajs, cfg.params["gamma"],
-                                cfg.eta)
+    rep = assemble_sweep_report("p", trajs, cfg.eta)
     gap = rep.pairwise_u[-1]
     dist = cross_model_distance(trajs[64.0], singular_runs[1e-3])
     ok = dist <= 5.0 * gap
@@ -178,12 +177,10 @@ def test_c10_barrier_invariant(singular_runs):
 
 def test_c11_variational_inequalities(strong_sweep, sweep_2d):
     cfg, trajs = strong_sweep
-    rep1 = variational_residual_1d(trajs[64.0], check_bank(cfg, "velocity", 1),
-                                   cfg.build_params("powerlaw1d", p=64.0))
+    rep1 = variational_residual_1d(trajs[64.0], check_bank(cfg, "velocity", 1))
     cfg2, trajs2 = sweep_2d
     rep2 = variational_residual_2d(
-        trajs2[16.0], check_bank(cfg2, "velocity", 2),
-        cfg2.build_params("semistationary2d", p=16.0))
+        trajs2[16.0], check_bank(cfg2, "velocity", 2))
     ok = rep1.passed and rep2.passed
     _report(11, "variational inequalities", ok,
             f"1D min residual {rep1.context['residuals_min']:.4f} "

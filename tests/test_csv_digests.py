@@ -120,3 +120,49 @@ def test_numeric_csvs_keep_their_bytes(tmp_path, command, text):
     out = tmp_path / "out"
     assert main([command, str(cfg), "--output", str(out), "--quiet"]) == 0
     assert csv_digest(out) == DIGESTS[text]
+
+
+# Two small sweeps of gamma = 1.4, whose sweep-level JSON artifacts no
+# CSV digest covers: the sweep report's density and entropy distances
+# use the runs' gamma, and checks.json holds the Hoff uniformity and the
+# variational inequality of the finest run.
+SWEEP_MEMBERS = """
+[model]
+kind = powerlaw1d
+[grid]
+n = 32
+[params]
+a = 2.0
+gamma = 1.4
+[initial]
+rho_modes = 1, 0.15, 0.25
+u_modes = 1, 0.0, 0.1
+paper_initial_conditions = true
+seed = 11
+[time]
+T = 0.02
+snapshots = 4
+"""
+
+SWEEP_JSON_DIGESTS = {
+    "kind = p\nvalues = 4, 8, 16\n":
+        "b2d767cf7189215ea31025719398df09"
+        "5651b7781f529d9be0a8770488b7bc37",
+    "kind = cross\nvalues = 4, 8\neps_values = 0.5, 0.2\neps_n = 64\n":
+        "c670cdb212af799170d4d36f08d2e56e"
+        "b2a18974898c3af3908eabf977a3ce6e",
+}
+
+
+@pytest.mark.parametrize("sweep", list(SWEEP_JSON_DIGESTS),
+                         ids=["p", "cross"])
+def test_sweep_jsons_keep_their_bytes(tmp_path, sweep):
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(SWEEP_MEMBERS + "[sweep]\n" + sweep)
+    out = tmp_path / "out"
+    assert main(["sweep", str(cfg), "--output", str(out), "--quiet"]) == 0
+    h = hashlib.sha256()
+    for name in ("checks.json", "sweep_report.json"):
+        h.update(name.encode() + b"\0")
+        h.update((out / name).read_bytes())
+    assert h.hexdigest() == SWEEP_JSON_DIGESTS[sweep]

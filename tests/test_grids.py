@@ -9,7 +9,7 @@ from thickflow.grids import (_BLOCK, FourierSeries, Grid1D, Grid2D,
 
 def test_grid_invariants():
     g = Grid1D(64)
-    assert abs(g.dx * g.n - g.length) < 1e-14
+    assert abs(g.dx * g.n - 1.0) < 1e-14
     with pytest.raises(ValueError):
         Grid1D(4)
 

@@ -168,8 +168,7 @@ class TestSweepDeterminism:
                          PowerLawParams(p=p, a=2.0, gamma=2.0), g, rho0, u0,
                          0.04, snapshot_times=snaps)
                      for p in (4.0, 8.0)}
-            return assemble_sweep_report("p", list(trajs), trajs, 2.0,
-                                         ETAS)
+            return assemble_sweep_report("p", trajs, ETAS)
 
         r1, r2 = build(), build()
         assert r1.to_dict() == r2.to_dict()
@@ -181,7 +180,7 @@ class TestSweepDeterminism:
         traj = PowerLawModel.run(PowerLawParams(p=4.0, a=1.0), g,
                                  np.ones(g.n), np.zeros(g.n), 0.02,
                                  snapshot_times=[0.02])
-        rep = assemble_sweep_report("p", [4.0], {4.0: traj}, 2.0, ETAS)
+        rep = assemble_sweep_report("p", {4.0: traj}, ETAS)
         assert rep.pairwise_u == []
         assert rep.u_dist["4.0"] == 0.0
 
@@ -257,9 +256,10 @@ def _ref_complementarity(traj):
     return float(np.mean(vals)) if vals else 0.0
 
 
-def _ref_sweep_report(kind, values, trajectories, gamma, etas):
-    values = sorted(values, reverse=(kind == "eps"))
+def _ref_sweep_report(kind, trajectories, etas):
+    values = sorted(trajectories, reverse=(kind == "eps"))
     ref = trajectories[values[-1]]
+    gamma = ref.params.gamma
     out = {"kind": kind, "param_values": list(values), "u_dist": {},
            "rho_dist": {}, "violation": {}, "complementarity": {},
            "entropy_gap": {}, "hoff": {}, "aux_uniform": {},
@@ -417,9 +417,8 @@ def test_sweep_measures_keep_the_former_bits(kind):
     trajs = _sweep_trajectories(kind)
     etas = [0.01, 0.05, 0.1, 0.3]
     sweep_kind = "eps" if kind == "eps" else "p"
-    rep = assemble_sweep_report(sweep_kind, list(trajs), trajs, 1.4,
-                                etas=etas).to_dict()
-    ref = _ref_sweep_report(sweep_kind, list(trajs), trajs, 1.4, etas)
+    rep = assemble_sweep_report(sweep_kind, trajs, etas=etas).to_dict()
+    ref = _ref_sweep_report(sweep_kind, trajs, etas)
     assert rep.keys() == ref.keys()
     assert rep == ref
     if kind != "eps":
@@ -434,7 +433,7 @@ def test_sweep_measures_keep_the_former_bits(kind):
 
 def test_sweep_report_dict_has_the_json_keys():
     trajs = _sweep_trajectories("p")
-    rep = assemble_sweep_report("p", list(trajs), trajs, 2.0, ETAS)
+    rep = assemble_sweep_report("p", trajs, ETAS)
     assert list(rep.to_dict()) == [
         "kind", "param_values", "u_dist", "rho_dist", "violation",
         "complementarity", "entropy_gap", "hoff", "aux_uniform",
@@ -457,7 +456,7 @@ def test_cross_distance_keeps_the_former_bits():
 def test_1d_midpoint_residuals_keep_the_former_bits(kind):
     bank = velocity_bank_1d(seed=5, T=TIMES[-1], size=6, modes=3)
     for traj in _sweep_trajectories(kind).values():
-        rep = variational_residual_1d(traj, bank, traj.params)
+        rep = variational_residual_1d(traj, bank)
         measured, rmin = _ref_variational_1d(traj, bank, traj.params)
         assert (rep.measured, rep.context["residuals_min"]) == \
             (measured, rmin)
@@ -469,7 +468,7 @@ def test_1d_midpoint_residuals_keep_the_former_bits(kind):
 def test_2d_variational_residual_keeps_the_former_bits():
     bank = velocity_bank_2d(seed=5, T=TIMES[-1], size=4)
     for traj in _sweep_trajectories("2d").values():
-        rep = variational_residual_2d(traj, bank, traj.params)
+        rep = variational_residual_2d(traj, bank)
         measured, rmin = _ref_variational_2d(traj, bank, traj.params)
         assert rep.check == "variational_inequality_2d"
         assert (rep.measured, rep.context) == (measured, {

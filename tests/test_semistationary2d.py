@@ -464,7 +464,7 @@ class TestStepRetry:
         def flaky(rho, params, g, u_init=None):
             calls.append(u_init)
             if fails(len(calls)):
-                raise SolverDivergence("injected", trace=[1.0])
+                raise SolverDivergence("injected")
             return solve(rho, params, g, u_init=u_init)
 
         monkeypatch.setattr(semistationary2d, "solve_momentum", flaky)

@@ -168,7 +168,7 @@ def _traced_run(monkeypatch, fail_call=None):
     def traced_solve(u_init, *args, **kwargs):
         tries[-1]["u_init"] = u_init.copy()
         if len(tries) - 1 == fail_call:
-            raise NewtonDivergence("injected", last_residual=1.0)
+            raise NewtonDivergence("injected")
         return solve(u_init, *args, **kwargs)
 
     monkeypatch.setattr(SingularModel, "step", traced_step)

@@ -392,7 +392,7 @@ def test_dt_halving_retry_conserves_mass_and_momentum(monkeypatch):
     def failing_solve(u_init, u_star, rho, dt, *args, **kwargs):
         calls.append(dt)
         if len(calls) in (2, 3):
-            raise NewtonDivergence("injected", last_residual=1.0)
+            raise NewtonDivergence("injected")
         return solve(u_init, u_star, rho, dt, *args, **kwargs)
 
     monkeypatch.setattr(powerlaw1d, "implicit_shear_solve", failing_solve)
