@@ -5,8 +5,13 @@
     thickflow verify <dir> [--policy strict|tolerant] [--quiet]
     thickflow banks <config> [--output DIR]
 
-A sweep runs its members one after another; --jobs is accepted and
-changes nothing.
+A sweep runs each member into its own directory. With --jobs N above 1
+it runs them in min(N, members) worker processes forked from this one
+(POSIX only; without fork they run here, one after another), costliest
+first. The progress lines, check tables, reports and artifacts come out
+in config order with the same bytes whatever N is. With N above 1 the
+members run in the workers, so a profiler or tracer inside this process
+sees only the parent's share of the sweep.
 
 Exit codes: 0 success, 2 config error, 3 solver failure, 4 check
 failure. Numeric CSV output is formatted with 17 significant digits,
@@ -14,6 +19,7 @@ so re-running an identical config reproduces byte-identical files.
 """
 
 import argparse
+import contextlib
 import glob
 import json
 import os
@@ -161,21 +167,84 @@ def cmd_run(args):
     return run_experiment(cfg, outdir, quiet=args.quiet)
 
 
-def _sweep_runs(cfg, outdir, quiet):
-    """Run the sweep members of cfg, built when it was loaded, one after
-    another, writing each member's artifacts; returns {"p": {p: traj},
+def _sweep_member(cfg, outdir, i):
+    """Run member i of cfg's sweep and write its artifacts quietly;
+    returns its trajectory and check reports."""
+    key, v, model, params, g = cfg.sweep_members[i]
+    traj, run_s = _timed(_run_model_with, cfg, model, params, g)
+    reports = _write_run_artifacts(
+        cfg, traj, os.path.join(outdir, f"{key}_{v:g}"), True, run_s)
+    return traj, reports
+
+
+_forked_sweep = None    # (cfg, outdir) of the sweep a worker process runs
+
+
+def _serve_sweep(cfg, outdir):
+    """Worker initializer; under fork its arguments are not pickled."""
+    global _forked_sweep
+    _forked_sweep = (cfg, outdir)
+
+
+def _forked_member(i):
+    return _sweep_member(*_forked_sweep, i)
+
+
+@contextlib.contextmanager
+def _forked_members(cfg, outdir, workers):
+    """_sweep_member(cfg, outdir, .) served by `workers` processes forked
+    from this one, which start from the loaded config and code (spawn
+    would import them again); the executor forks them all before it
+    starts a thread. Members are handed out costliest first: more cells,
+    then the later member, as sweeps usually list p rising or eps
+    falling. On the way out, members not yet started are cancelled and
+    those started are waited for, so no member directory is left
+    half-written."""
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    members = cfg.sweep_members
+    order = sorted(range(len(members)), key=lambda i: (-members[i][4].n, -i))
+    pool = ProcessPoolExecutor(workers, multiprocessing.get_context("fork"),
+                               _serve_sweep, (cfg, outdir))
+    try:
+        futures = {i: pool.submit(_forked_member, i) for i in order}
+        yield lambda i: futures[i].result()
+    finally:
+        pool.shutdown(cancel_futures=True)
+
+
+def _sweep_runs(cfg, outdir, quiet, jobs):
+    """Run the sweep members of cfg, built when it was loaded, writing
+    each member's artifacts: in min(jobs, members) forked processes if
+    that is above 1 and this platform forks, else one after another
+    here. Progress lines and check tables are printed here, in config
+    order, so stdout does not depend on jobs. Returns {"p": {p: traj},
     "eps": {eps: traj}} for the families the sweep has, and whether a
-    member's checks failed."""
+    member's checks failed. A solver error is that of the first failing
+    member in config order, its message prefixed with the member."""
+    from .diagnostics import format_report_table
+
+    members = cfg.sweep_members
+    workers = min(jobs, len(members))
+    if workers > 1 and hasattr(os, "fork"):
+        pool = _forked_members(cfg, outdir, workers)
+    else:
+        pool = contextlib.nullcontext(lambda i: _sweep_member(cfg, outdir, i))
     results = {}
     member_failed = False
-    for key, v, model, params, g in cfg.sweep_members:
-        label = f"{key}_{v:g}"
-        _say(quiet, f"[sweep] running {label} (n = {g.n}) ...")
-        traj, run_s = _timed(_run_model_with, cfg, model, params, g)
-        reports = _write_run_artifacts(cfg, traj, os.path.join(outdir, label),
-                                       quiet, run_s)
-        member_failed |= _any_failed(reports)
-        results.setdefault(key, {})[v] = traj
+    with pool as member:
+        for i, (key, v, _, _, g) in enumerate(members):
+            label = f"{key}_{v:g}"
+            _say(quiet, f"[sweep] running {label} (n = {g.n}) ...")
+            try:
+                traj, reports = member(i)
+            except _SOLVER_ERRORS as e:
+                e.args = (f"{label}: {e}",)
+                raise
+            _say(quiet, format_report_table(reports))
+            member_failed |= _any_failed(reports)
+            results.setdefault(key, {})[v] = traj
     return results, member_failed
 
 
@@ -195,7 +264,8 @@ def cmd_sweep(args):
     outdir = args.output or cfg.output_dir or "out"
     os.makedirs(outdir, exist_ok=True)
     try:
-        results, member_failed = _sweep_runs(cfg, outdir, args.quiet)
+        results, member_failed = _sweep_runs(cfg, outdir, args.quiet,
+                                              args.jobs)
     except _SOLVER_ERRORS as e:
         print(f"solver failure: {type(e).__name__}: {e}", file=sys.stderr)
         return 3
@@ -282,7 +352,8 @@ def main(argv=None):
     p_sweep.add_argument("config")
     p_sweep.add_argument("--output", default="")
     p_sweep.add_argument("--jobs", type=int, default=1,
-                         help="accepted; members run one after another")
+                         help="worker processes to run the members in, "
+                              "forked (POSIX); output does not depend on it")
     p_sweep.add_argument("--quiet", action="store_true")
 
     p_ver = sub.add_parser("verify", help="aggregate check reports")
@@ -296,6 +367,8 @@ def main(argv=None):
     p_banks.add_argument("--output", default="")
 
     args = ap.parse_args(argv)
+    if args.command == "sweep" and args.jobs < 1:
+        p_sweep.error(f"argument --jobs: must be at least 1, got {args.jobs}")
     cmd = {"run": cmd_run, "sweep": cmd_sweep, "verify": cmd_verify,
            "banks": cmd_banks}[args.command]
     return cmd(args)

@@ -1,6 +1,7 @@
 import glob
 import json
 import math
+import multiprocessing
 import os
 import re
 import subprocess
@@ -526,6 +527,14 @@ class TestCLI:
         assert main(["verify", str(out), "--quiet"]) == 4
         assert main(["run", str(cfgp), "--output", str(tmp_path / "run"),
                      "--quiet"]) == 4
+        # the same in forked workers, which inherit the injected check
+        forked = tmp_path / "forked"
+        assert main(["sweep", str(cfgp), "--output", str(forked), "--quiet",
+                     "--jobs", "2"]) == 4
+        assert multiprocessing.active_children() == []
+        assert main(["verify", str(forked), "--quiet"]) == 4
+        assert (forked / "sweep_report.json").read_bytes() == \
+            (out / "sweep_report.json").read_bytes()
 
     def test_2d_run_csv_schema(self, tmp_path):
         cfg = """
@@ -657,16 +666,97 @@ eps_n = 128
     assert math.isfinite(rep["cross_distance"])
 
 
-def test_sweep_jobs_flag_matches_sequential(tmp_path):
-    cfg = SMALL_RUN + "\n[sweep]\nkind = p\nvalues = 4, 8\n"
+def _files(outdir):
+    """Relative path -> bytes of every file under outdir; a manifest
+    without its wall_time_s, which times the run."""
+    files = {}
+    for path in sorted(outdir.rglob("*")):
+        if path.is_file():
+            data = path.read_bytes()
+            if path.name == "manifest.json":
+                manifest = json.loads(data)
+                del manifest["wall_time_s"]
+                data = json.dumps(manifest, sort_keys=True).encode()
+            files[str(path.relative_to(outdir))] = data
+    return files
+
+
+def test_sweep_writes_the_same_bytes_whatever_jobs(tmp_path, capsys):
+    # three members on two workers: p_16 is handed out first, p_4 last
     cfgp = tmp_path / "sweep.cfg"
-    cfgp.write_text(cfg)
-    o1, o2 = tmp_path / "s1", tmp_path / "s2"
-    assert main(["sweep", str(cfgp), "--output", str(o1), "--quiet"]) == 0
-    assert main(["sweep", str(cfgp), "--output", str(o2), "--quiet",
-                 "--jobs", "2"]) == 0
-    assert (o1 / "sweep_table.csv").read_bytes() == \
-        (o2 / "sweep_table.csv").read_bytes()
+    cfgp.write_text(SMALL_RUN + "\n[sweep]\nkind = p\nvalues = 4, 8, 16\n")
+    files, stdout = {}, {}
+    for jobs in ("1", "2"):
+        out = tmp_path / f"jobs{jobs}"
+        assert main(["sweep", str(cfgp), "--output", str(out),
+                     "--jobs", jobs]) == 0
+        assert multiprocessing.active_children() == []
+        files[jobs], stdout[jobs] = _files(out), capsys.readouterr().out
+    assert {"checks.json", "sweep_report.json", "sweep_table.csv",
+            "p_16/diag.csv", "p_16/manifest.json"} <= set(files["1"])
+    assert files["2"] == files["1"]
+    assert stdout["2"] == stdout["1"]
+    assert stdout["1"].count("[sweep] running p_") == 3
+
+
+def test_sweep_workers_never_outnumber_the_members(tmp_path, monkeypatch,
+                                                   capsys):
+    import concurrent.futures
+
+    real, asked = concurrent.futures.ProcessPoolExecutor, []
+
+    def spy(workers, *args):
+        asked.append(workers)
+        assert workers <= 2     # start no more than two processes
+        return real(workers, *args)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", spy)
+    cfgp = tmp_path / "sweep.cfg"
+    cfgp.write_text(SMALL_RUN + "\n[sweep]\nkind = p\nvalues = 4, 8\n")
+    assert main(["sweep", str(cfgp), "--output", str(tmp_path / "a"),
+                 "--quiet", "--jobs", "64"]) == 0
+    assert asked == [2]
+    assert multiprocessing.active_children() == []
+    # where the platform cannot fork, the members run in this process
+    monkeypatch.delattr(os, "fork")
+    assert main(["sweep", str(cfgp), "--output", str(tmp_path / "b"),
+                 "--quiet", "--jobs", "2"]) == 0
+    assert asked == [2]
+    assert _files(tmp_path / "b") == _files(tmp_path / "a")
+    for jobs in ("0", "-1"):
+        with pytest.raises(SystemExit) as exit_:
+            main(["sweep", str(cfgp), "--jobs", jobs])
+        assert exit_.value.code == 2
+        assert "--jobs: must be at least 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"], ids=["jobs1", "jobs2"])
+def test_sweep_exit_3_names_the_first_failing_member(tmp_path, monkeypatch,
+                                                     capsys, jobs):
+    from thickflow import cli
+    from thickflow.errors import NewtonDivergence
+
+    run = cli._run_model_with
+
+    def failing_run(cfg, model, params, g):
+        # p_16 is handed out first under --jobs 2; p_8 comes first in
+        # the config
+        if params.p in (8.0, 16.0):
+            raise NewtonDivergence("injected")
+        return run(cfg, model, params, g)
+
+    monkeypatch.setattr(cli, "_run_model_with", failing_run)
+    cfgp = tmp_path / "sweep.cfg"
+    cfgp.write_text(SMALL_RUN + "\n[sweep]\nkind = p\nvalues = 4, 8, 16\n")
+    out = tmp_path / "sw"
+    assert main(["sweep", str(cfgp), "--output", str(out), "--quiet",
+                 "--jobs", jobs]) == 3
+    assert multiprocessing.active_children() == []
+    assert capsys.readouterr().err == \
+        "solver failure: NewtonDivergence: p_8: injected\n"
+    # the member that ran is complete; the failing ones left nothing
+    assert sorted(p.name for p in out.iterdir()) == ["p_4"]
+    assert (out / "p_4" / "manifest.json").exists()
 
 
 NO_NUMPY_MA = """

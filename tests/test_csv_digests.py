@@ -112,7 +112,7 @@ def csv_digest(outdir):
 
 
 @pytest.mark.parametrize("command, text", [
-    ("sweep", SWEEP_P), ("run", SINGULAR),
+    ("run", SINGULAR),
     pytest.param("run", STOKES_2D, id="run-semistationary2d")])
 def test_numeric_csvs_keep_their_bytes(tmp_path, command, text):
     cfg = tmp_path / "c.cfg"
@@ -120,6 +120,17 @@ def test_numeric_csvs_keep_their_bytes(tmp_path, command, text):
     out = tmp_path / "out"
     assert main([command, str(cfg), "--output", str(out), "--quiet"]) == 0
     assert csv_digest(out) == DIGESTS[text]
+
+
+# the same bytes whether the members run here or in forked workers
+@pytest.mark.parametrize("jobs", ["1", "2"], ids=["jobs1", "jobs2"])
+def test_sweep_csvs_keep_their_bytes(tmp_path, jobs):
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(SWEEP_P)
+    out = tmp_path / "out"
+    assert main(["sweep", str(cfg), "--output", str(out), "--quiet",
+                 "--jobs", jobs]) == 0
+    assert csv_digest(out) == DIGESTS[SWEEP_P]
 
 
 # Two small sweeps of gamma = 1.4, whose sweep-level JSON artifacts no
@@ -154,13 +165,15 @@ SWEEP_JSON_DIGESTS = {
 }
 
 
+@pytest.mark.parametrize("jobs", ["1", "2"], ids=["jobs1", "jobs2"])
 @pytest.mark.parametrize("sweep", list(SWEEP_JSON_DIGESTS),
                          ids=["p", "cross"])
-def test_sweep_jsons_keep_their_bytes(tmp_path, sweep):
+def test_sweep_jsons_keep_their_bytes(tmp_path, sweep, jobs):
     cfg = tmp_path / "c.cfg"
     cfg.write_text(SWEEP_MEMBERS + "[sweep]\n" + sweep)
     out = tmp_path / "out"
-    assert main(["sweep", str(cfg), "--output", str(out), "--quiet"]) == 0
+    assert main(["sweep", str(cfg), "--output", str(out), "--quiet",
+                 "--jobs", jobs]) == 0
     h = hashlib.sha256()
     for name in ("checks.json", "sweep_report.json"):
         h.update(name.encode() + b"\0")
