@@ -8,18 +8,22 @@
 A sweep runs each member into its own directory. With --jobs N above 1
 it runs them in min(N, members) worker processes forked from this one
 (POSIX only; without fork they run here, one after another), costliest
-first. The progress lines, check tables, reports and artifacts come out
-in config order with the same bytes whatever N is. With N above 1 the
-members run in the workers, so a profiler or tracer inside this process
-sees only the parent's share of the sweep.
+first. A worker gets its member as a task: the config and output
+directory, pickled, and the member's index; it sends back the member's
+trajectory and check reports. The progress lines, check tables, reports
+and artifacts come out in config order with the same bytes whatever N
+is. With N above 1 the members run in the workers, so a profiler or
+tracer inside this process sees only the parent's share of the sweep.
 
-Exit codes: 0 success, 2 config error, 3 solver failure, 4 check
-failure. Numeric CSV output is formatted with 17 significant digits,
-so re-running an identical config reproduces byte-identical files.
+Exit codes: 0 success, 2 config error, 3 solver failure (in a run or
+while writing its artifacts), 4 check failure. Numeric CSV output is
+formatted with 17 significant digits, so re-running an identical config
+reproduces byte-identical files.
 """
 
 import argparse
 import contextlib
+import functools
 import glob
 import json
 import os
@@ -69,8 +73,10 @@ def _transport_checks(cfg, traj):
     from .transport_check import (continuity_residual, renormalized_residual,
                                   time_mean_continuity)
 
-    if len([s for s in traj.snapshots if s.t > 0]) < 3:
-        return []
+    positive = sum(s.t > 0 for s in traj.snapshots)
+    if positive < 3:
+        return [CheckReport.skip("transport_checks", "needs 3 snapshots at "
+                                 f"t > 0, the run has {positive}")]
     reports = []
     try:
         bank = sample_bank(check_bank(cfg, "scalar", 2 if cfg.is_2d else 1),
@@ -91,39 +97,19 @@ def _transport_checks(cfg, traj):
     return reports
 
 
-def run_experiment(cfg, output_dir, quiet=True):
-    """Run one configured model and persist all artifacts.
-
-    Returns the CLI exit status (0 ok, 3 solver failure, 4 check
-    failure); identical configs produce bit-identical numeric outputs.
-    """
-    try:
-        traj, run_s = _timed(_run_model, cfg)
-    except _SOLVER_ERRORS as e:
-        print(f"solver failure: {type(e).__name__}: {e}", file=sys.stderr)
-        return 3
-    reports = _write_run_artifacts(cfg, traj, output_dir, quiet, run_s)
-    return 4 if _any_failed(reports) else 0
-
-
 def _any_failed(reports):
     return any((not r.passed) and (not r.skipped) for r in reports)
 
 
-def _timed(fn, *args):
-    """fn(*args) and the seconds it took."""
-    t0 = time.perf_counter()
-    result = fn(*args)
-    return result, time.perf_counter() - t0
-
-
-def _write_run_artifacts(cfg, traj, outdir, quiet, run_s):
-    """Write snapshots, diag.csv, checks.json and manifest.json of the
-    run traj of model traj.model; the manifest's wall_time_s is run_s,
-    the seconds of the model run, plus the time spent here."""
+def _run_and_write(cfg, outdir, quiet, run, *args):
+    """run(cfg, *args), then the snapshots, diag.csv, checks.json and
+    manifest.json of its trajectory written to outdir, made only once the
+    run has returned; the manifest's wall_time_s times both. Returns the
+    trajectory and its check reports."""
     from . import diagnostics as dg
 
     t0 = time.perf_counter()
+    traj = run(cfg, *args)
     os.makedirs(outdir, exist_ok=True)
     model = MODELS[traj.model](traj.params, traj.grid)
     artifacts = model.write_csvs(traj, outdir)
@@ -139,13 +125,13 @@ def _write_run_artifacts(cfg, traj, outdir, quiet, run_s):
         "version": __version__,
         "model": traj.model,
         "config": cfg.raw_text,
-        "wall_time_s": run_s + (time.perf_counter() - t0),
+        "wall_time_s": time.perf_counter() - t0,
         "artifacts": sorted(os.path.basename(a) for a in artifacts),
     }
     with open(os.path.join(outdir, "manifest.json"), "w") as f:
         json.dump(manifest, f, indent=1, sort_keys=True)
         f.write("\n")
-    return reports
+    return traj, reports
 
 
 def _load(path):
@@ -164,81 +150,62 @@ def cmd_run(args):
     if cfg is None:
         return 2
     outdir = args.output or cfg.output_dir or "out"
-    return run_experiment(cfg, outdir, quiet=args.quiet)
+    try:
+        _, reports = _run_and_write(cfg, outdir, args.quiet, _run_model)
+    except _SOLVER_ERRORS as e:
+        print(f"solver failure: {type(e).__name__}: {e}", file=sys.stderr)
+        return 3
+    return 4 if _any_failed(reports) else 0
 
 
 def _sweep_member(cfg, outdir, i):
     """Run member i of cfg's sweep and write its artifacts quietly;
     returns its trajectory and check reports."""
     key, v, model, params, g = cfg.sweep_members[i]
-    traj, run_s = _timed(_run_model_with, cfg, model, params, g)
-    reports = _write_run_artifacts(
-        cfg, traj, os.path.join(outdir, f"{key}_{v:g}"), True, run_s)
-    return traj, reports
-
-
-_forked_sweep = None    # (cfg, outdir) of the sweep a worker process runs
-
-
-def _serve_sweep(cfg, outdir):
-    """Worker initializer; under fork its arguments are not pickled."""
-    global _forked_sweep
-    _forked_sweep = (cfg, outdir)
-
-
-def _forked_member(i):
-    return _sweep_member(*_forked_sweep, i)
-
-
-@contextlib.contextmanager
-def _forked_members(cfg, outdir, workers):
-    """_sweep_member(cfg, outdir, .) served by `workers` processes forked
-    from this one, which start from the loaded config and code (spawn
-    would import them again); the executor forks them all before it
-    starts a thread. Members are handed out costliest first: more cells,
-    then the later member, as sweeps usually list p rising or eps
-    falling. On the way out, members not yet started are cancelled and
-    those started are waited for, so no member directory is left
-    half-written."""
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-
-    members = cfg.sweep_members
-    order = sorted(range(len(members)), key=lambda i: (-members[i][4].n, -i))
-    pool = ProcessPoolExecutor(workers, multiprocessing.get_context("fork"),
-                               _serve_sweep, (cfg, outdir))
-    try:
-        futures = {i: pool.submit(_forked_member, i) for i in order}
-        yield lambda i: futures[i].result()
-    finally:
-        pool.shutdown(cancel_futures=True)
+    return _run_and_write(cfg, os.path.join(outdir, f"{key}_{v:g}"), True,
+                          _run_model_with, model, params, g)
 
 
 def _sweep_runs(cfg, outdir, quiet, jobs):
     """Run the sweep members of cfg, built when it was loaded, writing
     each member's artifacts: in min(jobs, members) forked processes if
     that is above 1 and this platform forks, else one after another
-    here. Progress lines and check tables are printed here, in config
-    order, so stdout does not depend on jobs. Returns {"p": {p: traj},
-    "eps": {eps: traj}} for the families the sweep has, and whether a
-    member's checks failed. A solver error is that of the first failing
-    member in config order, its message prefixed with the member."""
+    here. The workers start from the loaded code (spawn would import it
+    again), all forked before the executor starts a thread, and are
+    handed members costliest first: more cells, then the later member,
+    as sweeps usually list p rising or eps falling. On the way out,
+    members not yet started are cancelled and those started are waited
+    for, so no member directory is left half-written.
+
+    Progress lines and check tables are printed here, in config order,
+    so stdout does not depend on jobs. Returns {"p": {p: traj}, "eps":
+    {eps: traj}} for the families the sweep has, and whether a member's
+    checks failed. A solver error is that of the first failing member in
+    config order, its message prefixed with the member."""
     from .diagnostics import format_report_table
 
     members = cfg.sweep_members
     workers = min(jobs, len(members))
-    if workers > 1 and hasattr(os, "fork"):
-        pool = _forked_members(cfg, outdir, workers)
-    else:
-        pool = contextlib.nullcontext(lambda i: _sweep_member(cfg, outdir, i))
+    member = functools.partial(_sweep_member, cfg, outdir)
     results = {}
     member_failed = False
-    with pool as member:
+    with contextlib.ExitStack() as stack:
+        futures = {}
+        if workers > 1 and hasattr(os, "fork"):
+            import multiprocessing
+            from concurrent.futures import ProcessPoolExecutor
+
+            pool = ProcessPoolExecutor(workers,
+                                       multiprocessing.get_context("fork"))
+            stack.callback(pool.shutdown, cancel_futures=True)
+            order = sorted(range(len(members)),
+                           key=lambda i: (-members[i][4].n, -i))
+            futures = {i: pool.submit(member, i) for i in order}
         for i, (key, v, _, _, g) in enumerate(members):
             label = f"{key}_{v:g}"
             _say(quiet, f"[sweep] running {label} (n = {g.n}) ...")
             try:
-                traj, reports = member(i)
+                traj, reports = futures[i].result() if futures else member(i)
             except _SOLVER_ERRORS as e:
                 e.args = (f"{label}: {e}",)
                 raise

@@ -232,6 +232,8 @@ def parse_config(text):
             setattr(cfg, attr, read(f"{section}.{key}", getattr(cfg, attr)))
     if cfg.T < 0:
         errors.append("time.T: final time must be >= 0")
+    if cfg.snapshots < 1:
+        errors.append(f"time.snapshots: must be >= 1, got {cfg.snapshots}")
     for where, times in (("time.snapshot_times", cfg.snapshot_times),
                          ("checks.s_list", cfg.s_list)):
         outside = [t for t in times if not 0 < t <= cfg.T]
@@ -288,6 +290,10 @@ def parse_config(text):
     cfg.run_params = build(model, "params.")
 
     kind = "" if cfg.is_2d else cfg.sweep_kind
+    # a p sweep reads neither eps key, and an eps sweep its eps from
+    # values: given, those keys are unknown
+    used.difference_update({"p": ("sweep.eps_values", "sweep.eps_n"),
+                            "eps": ("sweep.eps_values",)}.get(kind, ()))
     if cfg.sweep_kind and (cfg.is_2d or kind not in ("p", "eps", "cross")):
         errors.append(f"sweep.kind: expected p | eps | cross of a 1D model, "
                       f"got {cfg.sweep_kind!r} of {model}")

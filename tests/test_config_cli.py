@@ -189,6 +189,15 @@ REJECTED = [
     ("[time]\nT = 0.04\n[checks]\ns_list = 0.02, 0.013",
      r"checks.s_list: horizon 0.013 is not a multiple of the snapshot "
      r"cadence 0.00499"),
+    # each kind reads only its own keys: 7 would be no valid grid.n
+    ("[sweep]\nkind = p\nvalues = 4, 8\neps_values = 0.1\neps_n = 7",
+     "sweep.eps_n: unknown key"),
+    ("[sweep]\nkind = p\nvalues = 4, 8\neps_values = 0.1",
+     "sweep.eps_values: unknown key"),
+    ("[sweep]\nkind = eps\nvalues = 0.5\neps_values = 0.2",
+     "sweep.eps_values: unknown key"),
+    ("[time]\nsnapshots = 0", "time.snapshots: must be >= 1, got 0"),
+    ("[time]\nsnapshots = -3", "time.snapshots: must be >= 1, got -3"),
 ]
 REJECTED_IDS = ["eps_without_values", "cross_grids_not_nested",
                 "cross_without_values", "cross_without_eps_values",
@@ -203,7 +212,9 @@ REJECTED_IDS = ["eps_without_values", "cross_grids_not_nested",
                 "checks_key_misspelled", "output_key_misspelled",
                 "snapshot_time_beyond_T", "singular_a_negative",
                 "2d_a_negative", "bank_modes_zero", "s_list_outside_0_T",
-                "s_list_off_the_snapshot_cadence"]
+                "s_list_off_the_snapshot_cadence", "p_sweep_eps_n",
+                "p_sweep_eps_values", "eps_sweep_eps_values",
+                "snapshots_zero", "snapshots_negative"]
 
 
 @pytest.mark.parametrize("sweep, message", REJECTED, ids=REJECTED_IDS)
@@ -372,15 +383,49 @@ class TestCLI:
         assert main(["run", str(cfgp), "--quiet"]) == 2
 
     def test_solver_failure_exit_3(self, tmp_path):
-        cfg = SMALL_RUN.replace("p = 8.0", "p = 64.0") \
-                       .replace("a = 2.0", "a = 8.0") \
-                       .replace("[time]", "[params_extra]")
         cfg = SMALL_RUN.replace("p = 8.0",
                                 "p = 64.0\nnewton_max_iter = 1\na = 8.0")
         cfgp = tmp_path / "hard.cfg"
         cfgp.write_text(cfg)
         assert main(["run", str(cfgp), "--quiet",
                      "--output", str(tmp_path / "o")]) == 3
+
+    @pytest.mark.parametrize("command", ["run", "sweep"])
+    def test_solver_error_while_writing_exits_3(self, tmp_path, monkeypatch,
+                                                capsys, command):
+        # the artifacts are part of the run: a solver error raised while
+        # they are written is a solver failure, in a run as in a member
+        from thickflow.errors import FluxOverflow
+        from thickflow.powerlaw1d import PowerLawModel
+
+        def overflowing_write(self, traj, outdir):
+            raise FluxOverflow("injected")
+
+        monkeypatch.setattr(PowerLawModel, "write_csvs", overflowing_write)
+        cfgp = tmp_path / "c.cfg"
+        cfgp.write_text(SMALL_RUN.replace("T = 0.05", "T = 0.01")
+                        + "\n[sweep]\nkind = p\nvalues = 4\n")
+        jobs = ["--jobs", "1"] if command == "sweep" else []
+        assert main([command, str(cfgp), "--output", str(tmp_path / "o"),
+                     "--quiet"] + jobs) == 3
+        member = "p_4: " if command == "sweep" else ""
+        assert capsys.readouterr().err == \
+            f"solver failure: FluxOverflow: {member}injected\n"
+
+    def test_too_few_snapshots_skip_the_weak_form_checks(self, tmp_path,
+                                                         capsys):
+        # one scheduled snapshot and T: two at t > 0, where the weak-form
+        # checks need three
+        cfgp = tmp_path / "c.cfg"
+        cfgp.write_text(SMALL_RUN.replace("snapshots = 8", "snapshots = 1"))
+        out = tmp_path / "o"
+        assert main(["run", str(cfgp), "--output", str(out), "--quiet"]) == 0
+        reports = json.loads((out / "checks.json").read_text())
+        assert [(r["check"], r["context"]["reason"]) for r in reports
+                if r["skipped"]] == [
+            ("transport_checks", "needs 3 snapshots at t > 0, the run has 2")]
+        assert main(["verify", str(out)]) == 0
+        assert capsys.readouterr().out.endswith(", 1 skipped\n")
 
     def test_verify_exit_codes(self, tmp_path):
         from thickflow.diagnostics import CheckReport, write_reports

@@ -1,6 +1,8 @@
 """Every name a thickflow module imports is used in that module or listed
 in its __all__ (the package's re-exports). A deletion that leaves an
-import behind fails here. Only the standard library's ast is used."""
+import behind fails here. No module rebinds a module-level name from
+inside a function (a global statement): state a function needs comes in
+as an argument. Only the standard library's ast is used."""
 
 import ast
 from pathlib import Path
@@ -30,6 +32,13 @@ def test_every_imported_name_is_used():
     unused = {path.name: names for path in sorted(SRC.glob("*.py"))
               if (names := _unused_imports(ast.parse(path.read_text())))}
     assert unused == {}
+
+
+def test_no_module_has_a_global_statement():
+    found = {path.name for path in sorted(SRC.glob("*.py"))
+             if any(isinstance(node, ast.Global)
+                    for node in ast.walk(ast.parse(path.read_text())))}
+    assert found == set()
 
 
 def test_an_unused_import_is_found():
