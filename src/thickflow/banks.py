@@ -130,7 +130,7 @@ class TestFunction(FourierSeries):
     def max_shear(self):
         """max |dS/dx| of a 1D function on a dense sample of 2048 points."""
         return dense_extrema(lambda x: np.abs(self.spatial(x, d=0)),
-                             2048, 1)[1]
+                             [2048])[1]
 
 
 @dataclass
@@ -176,7 +176,7 @@ class TestFunction2D:
         """max |DS| of the spatial part on a dense 256 x 256 sample grid."""
         return dense_extrema(
             lambda X, Y: sym_grad_norm(self.spatial_sym_grad(X, Y)),
-            256, 2)[1]
+            [256, 256])[1]
 
 
 def _draw(seed, size, waves, parts=1):

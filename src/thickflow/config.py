@@ -14,10 +14,10 @@ defaults and ranges are those of the models' params classes, checked by
 building the params of the run and of every sweep member; positivity of
 the initial density, and the 1D model's rule on max |du0/dx| when
 paper_initial_conditions is set, are checked by dense sampling at 8x
-grid resolution, in blocks of bounded memory (grids.dense_extrema). The
-[checks] s_list horizons are checked against the run's snapshot times by
-the rule of the time-mean check (transport_check.midpoint_cadence and
-horizon_cells). The means default to rho = 1 and u = 0; every other
+the grid resolution of each axis, in blocks of bounded memory
+(grids.dense_extrema). The [checks] s_list horizons are checked against
+the run's snapshot times by the rule of the time-mean check
+(transport_check.midpoint_cadence and horizon_cells). The means default to rho = 1 and u = 0; every other
 default is that of its Config field, and a key that nothing reads is an
 error, as an unknown [params] key is.
 """
@@ -160,12 +160,12 @@ class Config:
 
     def initial_density_range(self):
         """(c1, c2) of the analytic initial density, dense sampling."""
-        m = 8 * max(self.n, self.nx, self.ny)
-        return dense_extrema(self.rho0.spatial, m, MODELS[self.model].ndim)
+        counts = (self.nx, self.ny) if self.is_2d else (self.n,)
+        return dense_extrema(self.rho0.spatial, [8 * m for m in counts])
 
     def initial_shear_max(self):
         return dense_extrema(lambda x: np.abs(self.u0.spatial(x, d=0)),
-                             8 * self.n, 1)[1]
+                             [8 * self.n])[1]
 
 
 # [section] -> keys read into the Config field named key, or section_key
@@ -294,7 +294,7 @@ def parse_config(text):
     # values: given, those keys are unknown
     used.difference_update({"p": ("sweep.eps_values", "sweep.eps_n"),
                             "eps": ("sweep.eps_values",)}.get(kind, ()))
-    if cfg.sweep_kind and (cfg.is_2d or kind not in ("p", "eps", "cross")):
+    if "sweep" in raw and (cfg.is_2d or kind not in ("p", "eps", "cross")):
         errors.append(f"sweep.kind: expected p | eps | cross of a 1D model, "
                       f"got {cfg.sweep_kind!r} of {model}")
     for key in ("values", "eps_values"):

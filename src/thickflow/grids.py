@@ -18,6 +18,7 @@ velocity banks' scales. It evaluates its function on blocks of a fixed
 number of points, so its memory does not grow with the sample.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -166,17 +167,17 @@ def median(a):
 _BLOCK = 1 << 15
 
 
-def dense_extrema(fn, m, ndim):
-    """(min, max) of fn over the m^ndim points k/m, k = 0..m-1 on each
-    axis, as floats. fn maps one coordinate array per axis to its values
-    elementwise; it is called on blocks of rows of the sample, of about
-    _BLOCK points each, and the extrema of the blocks are those of the
-    whole sample."""
-    x = np.arange(m) / m
-    coords = np.meshgrid(*[x] * ndim, indexing="ij", copy=False)
-    rows = max(1, _BLOCK // m ** (ndim - 1))
+def dense_extrema(fn, counts):
+    """(min, max) of fn over the points k/m, k = 0..m-1, on each axis, m
+    that axis's entry of counts, as floats. fn maps one coordinate array
+    per axis to its values elementwise; it is called on blocks of rows of
+    the sample, of about _BLOCK points each, and the extrema of the
+    blocks are those of the whole sample."""
+    coords = np.meshgrid(*[np.arange(m) / m for m in counts], indexing="ij",
+                         copy=False)
+    rows = max(1, _BLOCK // math.prod(counts[1:]))
     lows, highs = [], []
-    for i in range(0, m, rows):
+    for i in range(0, counts[0], rows):
         vals = fn(*(c[i:i + rows] for c in coords))
         lows.append(np.min(vals))
         highs.append(np.max(vals))

@@ -115,7 +115,7 @@ def _entropy_gap_time_mean(pairs, gamma, g):
 
 @dataclass
 class SweepReport:
-    kind: str                       # "p" | "eps" | "cross"
+    kind: str       # "p" | "eps"; a cross sweep's is "p", cross_distance set
     param_values: list
     u_dist: dict = field(default_factory=dict)
     rho_dist: dict = field(default_factory=dict)

@@ -178,6 +178,51 @@ def run_2d_ref(cfg, p=None):
                              cfg.snapshot_schedule())
 
 
+# the session fixtures of the acceptance gate (conftest.py), which
+# _measure_criteria.py builds too; a fixture's parameters name the
+# fixtures it is built from
+
+
+def strong_sweep():
+    """Strong-forcing p-sweep: (config, {p: Trajectory})."""
+    cfg = strong_config()
+    return cfg, {p: run_powerlaw(cfg, p=p) for p in P_VALUES}
+
+
+def strong_sweep_report(strong_sweep):
+    from thickflow.limits import assemble_sweep_report
+
+    cfg, trajs = strong_sweep
+    return assemble_sweep_report("p", trajs, etas=cfg.eta)
+
+
+def strong_p8_fine(strong_sweep):
+    """The strong-forcing config at p = 8 and n = 512 (refinement pair)."""
+    cfg, _ = strong_sweep
+    return cfg, run_powerlaw(cfg, p=8.0, n=512)
+
+
+def shared_sweep():
+    """Moderate-forcing p-sweep on the dataset shared with the singular
+    family (cross-model comparison)."""
+    cfg = shared_config()
+    return cfg, {p: run_powerlaw(cfg, p=p) for p in P_VALUES}
+
+
+def singular_runs():
+    """{eps: Trajectory} at the resolution the constraint layer needs."""
+    return {eps: run_singular_ref(singular_config(eps)) for eps in EPS_VALUES}
+
+
+def sweep_2d():
+    cfg = config_2d()
+    return cfg, {p: run_2d_ref(cfg, p=p) for p in P_VALUES_2D}
+
+
+FIXTURES = (strong_sweep, strong_sweep_report, strong_p8_fine, shared_sweep,
+            singular_runs, sweep_2d)
+
+
 def mms_convergence_errors(p=4.0, a=1.0, gamma=2.0, T=0.1, ns=(128, 256, 512)):
     """L2 errors against a prescribed smooth solution with symbolically
     derived forcing; the oracle is the closed form itself."""

@@ -198,6 +198,14 @@ REJECTED = [
      "sweep.eps_values: unknown key"),
     ("[time]\nsnapshots = 0", "time.snapshots: must be >= 1, got 0"),
     ("[time]\nsnapshots = -3", "time.snapshots: must be >= 1, got -3"),
+    # a [sweep] without kind has no member to read its keys
+    ("[sweep]\nvalues = 4, 8\neps_n = 7",
+     r"sweep.kind: expected p \| eps \| cross of a 1D model, got '' of "
+     "powerlaw1d"),
+    ("[model]\nkind = semistationary2d\n[initial]\nrho_modes = 1, 0, 0.3, 0"
+     "\n[sweep]\nvalues = 4, 8",
+     r"sweep.kind: expected p \| eps \| cross of a 1D model, got '' of "
+     "semistationary2d"),
 ]
 REJECTED_IDS = ["eps_without_values", "cross_grids_not_nested",
                 "cross_without_values", "cross_without_eps_values",
@@ -214,7 +222,8 @@ REJECTED_IDS = ["eps_without_values", "cross_grids_not_nested",
                 "2d_a_negative", "bank_modes_zero", "s_list_outside_0_T",
                 "s_list_off_the_snapshot_cadence", "p_sweep_eps_n",
                 "p_sweep_eps_values", "eps_sweep_eps_values",
-                "snapshots_zero", "snapshots_negative"]
+                "snapshots_zero", "snapshots_negative", "sweep_without_kind",
+                "sweep_2d_without_kind"]
 
 
 @pytest.mark.parametrize("sweep, message", REJECTED, ids=REJECTED_IDS)

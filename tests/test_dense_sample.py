@@ -14,7 +14,7 @@ import pytest
 
 from thickflow.banks import scalar_bank_1d, velocity_bank_1d, velocity_bank_2d
 from thickflow.config import load_config, parse_config
-from thickflow.grids import sym_grad_norm
+from thickflow.grids import FourierSeries, sym_grad_norm
 
 ROOT = os.path.join(os.path.dirname(__file__), "..")
 CONFIGS = sorted(glob.glob(os.path.join(ROOT, "configs", "*.cfg")))
@@ -35,21 +35,39 @@ ALL = [load_config(p) for p in CONFIGS] + [parse_config(t)
 IDS = [os.path.basename(p) for p in CONFIGS] + list(BENCHMARK)
 
 
-def _whole(m, ndim):
-    """The m^ndim points k/m at once, as full arrays."""
-    x = np.arange(m) / m
-    return np.meshgrid(*[x] * ndim, indexing="ij")
+def _whole(*counts):
+    """The points k/m, k = 0..m-1, on each axis, m its entry of counts,
+    at once, as full arrays."""
+    return np.meshgrid(*[np.arange(m) / m for m in counts], indexing="ij")
 
 
 @pytest.mark.parametrize("cfg", ALL, ids=IDS)
 def test_config_extrema_equal_the_whole_sample(cfg):
-    m = 8 * max(cfg.n, cfg.nx, cfg.ny)
-    ndim = 2 if cfg.is_2d else 1
-    vals = cfg.rho0.spatial(*_whole(m, ndim))
+    # 8 points per cell on each axis
+    counts = (8 * cfg.nx, 8 * cfg.ny) if cfg.is_2d else (8 * cfg.n,)
+    vals = cfg.rho0.spatial(*_whole(*counts))
     assert cfg.initial_density_range() == (np.min(vals), np.max(vals))
     if not cfg.is_2d:
-        shear = np.abs(cfg.u0.spatial(*_whole(m, 1), d=0))
+        shear = np.abs(cfg.u0.spatial(*_whole(*counts), d=0))
         assert cfg.initial_shear_max() == np.max(shear)
+
+
+def test_non_square_2d_config_samples_each_axis_at_its_own_resolution(
+        monkeypatch):
+    # 512 x 16 cells: 4096 x 128 points, in 16 blocks of 256 whole rows;
+    # 8 max(nx, ny) points on both axes would be 4096^2
+    shapes = []
+    spatial = FourierSeries.spatial
+
+    def counted(self, *coords, d=None):
+        shapes.append(coords[0].shape)
+        return spatial(self, *coords, d=d)
+
+    monkeypatch.setattr(FourierSeries, "spatial", counted)
+    parse_config("[model]\nkind = semistationary2d\n[grid]\nnx = 512\n"
+                 "ny = 16\n[initial]\nrho_modes = 1, 1, 0.25, 0.0\n"
+                 "[time]\nT = 0.01\n")
+    assert shapes == [(256, 128)] * 16
 
 
 # (seed, bank_size, bank_modes) of the banks the configs draw; T enters
@@ -59,12 +77,12 @@ BANKS = sorted({(c.seed, c.bank_size, c.bank_modes) for c in ALL})
 
 @pytest.mark.parametrize("seed, size, modes", BANKS)
 def test_velocity_bank_scales_equal_the_whole_sample(seed, size, modes):
-    x, = _whole(2048, 1)
+    x, = _whole(2048)
     for v, phi in zip(velocity_bank_1d(seed, 1.0, size=size, modes=modes),
                       scalar_bank_1d(seed, 1.0, size=size, modes=modes)):
         assert v.coeffs == phi.coeffs
         assert v.scale == 0.99 / np.max(np.abs(phi.spatial(x, d=0)))
-    X, Y = _whole(256, 2)
+    X, Y = _whole(256, 256)
     for v in velocity_bank_2d(seed, 1.0, size=size):
         D = dataclasses.replace(v, scale=1.0).spatial_sym_grad(X, Y)
         assert v.scale == 0.99 / np.max(sym_grad_norm(D))

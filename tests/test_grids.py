@@ -220,7 +220,7 @@ def test_dense_extrema_equal_the_whole_sample_in_bounded_blocks(m, ndim,
     x = np.arange(m) / m
     whole = fn(*np.meshgrid(*[x] * ndim, indexing="ij"))
     blocks.clear()
-    lo, hi = dense_extrema(fn, m, ndim)
+    lo, hi = dense_extrema(fn, [m] * ndim)
     assert type(lo) is float and type(hi) is float
     assert (lo, hi) == (np.min(whole), np.max(whole))
     assert blocks == sizes
