@@ -34,7 +34,8 @@ from .singular1d import SingularModel
 from .transport_check import horizon_cells, midpoint_cadence
 
 # model name -> model class, whose params class is its params_class;
-# stepper1d.advance describes the protocol they share
+# stepper1d.advance describes the protocol they share. parse_config
+# resolves [model] kind here, once: past the config a model is a class
 MODELS = {cls.name: cls for cls in (PowerLawModel, SingularModel,
                                     Stokes2DModel)}
 
@@ -102,7 +103,7 @@ def parse_raw(text):
 
 @dataclass
 class Config:
-    model: str
+    model: type                                  # the [model] kind's class
     n: int = 0
     nx: int = 0
     ny: int = 0
@@ -119,12 +120,11 @@ class Config:
     sweep_values: list = field(default_factory=list)
     sweep_eps_values: list = field(default_factory=list)
     sweep_eps_n: int = 0
-    # (swept key, value, model, params, grid) of each sweep member, built
+    # (swept key, value, model class, params, grid) of each sweep member
     sweep_members: list = field(default_factory=list)
     tol_c: float = 5.0
     eta: list = field(default_factory=lambda: [0.01, 0.05, 0.1])
     s_list: list = field(default_factory=list)
-    energy_tol: float = 1e-6
     bank_size: int = 20
     bank_modes: int = 3
     output_dir: str = ""
@@ -132,7 +132,7 @@ class Config:
 
     @property
     def is_2d(self):
-        return MODELS[self.model].ndim == 2
+        return self.model.ndim == 2
 
     def grid(self):
         return Grid2D(self.nx, self.ny) if self.is_2d else Grid1D(self.n)
@@ -146,9 +146,10 @@ class Config:
         return [(k + 0.5) * self.T / n for k in range(n)]
 
     def build_params(self, model=None, **overrides):
-        """Params of model (default: the config's) from the [params] keys
-        its class has, with overrides; the class supplies the rest."""
-        cls = MODELS[model or self.model].params_class
+        """Params of model, a model class (default: the config's), from
+        the [params] keys its class has, with overrides; the class
+        supplies the rest."""
+        cls = (model or self.model).params_class
         src = dict(self.params, **overrides)
         return cls(**{f.name: src[f.name] for f in fields(cls)
                       if f.name in src})
@@ -173,8 +174,7 @@ class Config:
 _READ = {"time": ("T", "snapshots", "snapshot_times"),
          "initial": ("paper_initial_conditions", "seed"),
          "sweep": ("kind", "values", "eps_values", "eps_n"),
-         "checks": ("tol_c", "eta", "s_list", "energy_tol", "bank_size",
-                    "bank_modes"),
+         "checks": ("tol_c", "eta", "s_list", "bank_size", "bank_modes"),
          "output": ("dir",)}
 
 
@@ -186,11 +186,12 @@ def parse_config(text):
     raw = parse_raw(text)
     errors = []
 
-    model = raw.get("model", {}).get("kind")
-    if model not in MODELS:
+    name = raw.get("model", {}).get("kind")
+    if name not in MODELS:
         raise ValidationError(f"model.kind: expected powerlaw1d | singular1d "
-                              f"| semistationary2d, got {model!r}")
+                              f"| semistationary2d, got {name!r}")
 
+    model = MODELS[name]
     cfg = Config(model=model, raw_text=text)
     used = {"model.kind"}
 
@@ -296,7 +297,7 @@ def parse_config(text):
                             "eps": ("sweep.eps_values",)}.get(kind, ()))
     if "sweep" in raw and (cfg.is_2d or kind not in ("p", "eps", "cross")):
         errors.append(f"sweep.kind: expected p | eps | cross of a 1D model, "
-                      f"got {cfg.sweep_kind!r} of {model}")
+                      f"got {cfg.sweep_kind!r} of {model.name}")
     for key in ("values", "eps_values"):
         vals = getattr(cfg, "sweep_" + key)
         if len({f"{v:g}" for v in vals}) < len(vals):
@@ -307,7 +308,7 @@ def parse_config(text):
         if kind == "cross" and not cfg.sweep_values:
             errors.append("sweep.values: kind = cross needs p values")
         # a p sweep without values has one member, at the config's p
-        families.append(("p", "values", "powerlaw1d", grid,
+        families.append(("p", "values", PowerLawModel, grid,
                          cfg.sweep_values or [None]))
     if kind in ("eps", "cross"):
         eps_key = "eps_values" if kind == "cross" else "values"
@@ -327,7 +328,7 @@ def parse_config(text):
             errors.append(
                 f"sweep: eps_min = {min(eps_list)} under-resolves the "
                 f"constraint layer; need eps >= 10 dx = {10.0 / g_eps.n:.3g}")
-        families.append(("eps", eps_key, "singular1d", g_eps, eps_list))
+        families.append(("eps", eps_key, SingularModel, g_eps, eps_list))
     for key, list_key, member_model, g, values in families:
         for v in values:
             params = build(member_model,
@@ -344,8 +345,7 @@ def parse_config(text):
             errors.append(f"initial.rho: Fourier sum dips to {c1:.4g} <= 0 "
                           "(dense sampling at 8x grid resolution)")
         if cfg.paper_initial_conditions and not cfg.is_2d:
-            shear_error = MODELS[model].initial_shear_error(
-                cfg.initial_shear_max())
+            shear_error = model.initial_shear_error(cfg.initial_shear_max())
             if shear_error:
                 errors.append(f"initial.u_modes: {shear_error}")
 

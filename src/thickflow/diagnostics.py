@@ -132,7 +132,7 @@ def verify_reports(report_paths, policy="strict"):
 def _consistency_tol(traj, tol_c):
     dts = [r.dt for r in traj.records if r.dt > 0]
     dt_typ = max(dts) if dts else 0.0
-    return tol_c * (traj.grid.dx + dt_typ)
+    return tol_c * (traj.model.g.dx + dt_typ)
 
 
 def check_stress_max_principle(traj, params, tol_c, paper_initial):
@@ -192,12 +192,12 @@ def check_density_bounds(traj, params, c1, c2, tol_c):
                  "lower_violation": lower_viol, "upper_violation": upper_viol})
 
 
-def check_energy_inequality(traj, tol):
-    """sup_t [E(t) + cumulative dissipation] <= E(0) (1 + tol)."""
+def check_energy_inequality(traj):
+    """sup_t [E(t) + cumulative dissipation] <= E(0) (1 + 1e-6)."""
     e0 = traj.records[0].energy
     measured = max(r.energy + r.dissipation_cum for r in traj.records)
     return CheckReport.build(
-        "energy_inequality", bound=e0, measured=measured, tolerance=tol,
+        "energy_inequality", bound=e0, measured=measured, tolerance=1e-6,
         context={"E0": e0, "records": len(traj.records)})
 
 
@@ -256,12 +256,10 @@ def momentum_residual_l2(traj):
     udot is formed by snapshot differencing, so the residual carries
     O(dx + dt + dt_snap) consistency error.
     """
-    from .config import MODELS
     from .grids import ddx_periodic
     from .trajectory import State1D, snapshot_midpoints
 
-    g = traj.grid
-    stress = MODELS[traj.model](traj.params, g).stress
+    g, stress = traj.model.g, traj.model.stress
     worst = 0.0
     for _, tm, rho_mid, u_mid, udot in snapshot_midpoints(traj):
         sigma = stress(State1D(rho_mid, u_mid, tm))

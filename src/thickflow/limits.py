@@ -21,7 +21,6 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .banks import sample_bank
-from .config import MODELS
 from .grids import ddx_periodic, div_2d, integrate
 from .trajectory import snapshot_midpoints
 
@@ -48,9 +47,9 @@ def _multiplier_measures(traj, etas):
     """Snapshot means of the violation measure at each eta (keyed by
     str(eta)) and of the complementarity defect, from one evaluation of
     the |shear| and pi = |tau| of each positive-time snapshot."""
-    model = MODELS[traj.model](traj.params, traj.grid)
+    model = traj.model
     rows = [[constraint_violation_measure(shear, eta) for eta in etas]
-            + [_complementarity_defect(pi, shear, traj.grid)]
+            + [_complementarity_defect(pi, shear, model.g)]
             for shear, pi in (model.shear_and_multiplier(s.u)
                               for s in traj.snapshots if s.t != 0.0)]
     means = [_mean([row[i] for row in rows]) for i in range(len(etas) + 1)]
@@ -169,25 +168,26 @@ def assemble_sweep_report(kind, trajectories, etas):
 
     values = sorted(trajectories, reverse=(kind == "eps"))
     ref = trajectories[values[-1]]
-    gamma = ref.params.gamma
+    gamma = ref.model.params.gamma
     rep = SweepReport(kind=kind, param_values=list(values))
     for v in values:
         traj = trajectories[v]
         key = str(v)
         pairs = _snapshot_pairs(traj, ref)
-        rep.u_dist[key] = _l2_time_mean(pairs, traj.grid)
-        rep.rho_dist[key] = _lgamma_time_mean(pairs, gamma, traj.grid)
+        g = traj.model.g
+        rep.u_dist[key] = _l2_time_mean(pairs, g)
+        rep.rho_dist[key] = _lgamma_time_mean(pairs, gamma, g)
         rep.violation[key], rep.complementarity[key] = \
             _multiplier_measures(traj, etas)
-        rep.entropy_gap[key] = _entropy_gap_time_mean(pairs, gamma, traj.grid)
+        rep.entropy_gap[key] = _entropy_gap_time_mean(pairs, gamma, g)
         rep.hoff[key] = hoff_value(traj)
         rep.aux_uniform[key] = traj.records[-1].aux_cum
     for va, vb in zip(values[:-1], values[1:]):
         traj = trajectories[va]
         pairs = _snapshot_pairs(traj, trajectories[vb])
-        rep.pairwise_u.append(_l2_time_mean(pairs, traj.grid))
+        rep.pairwise_u.append(_l2_time_mean(pairs, traj.model.g))
         rep.pairwise_entropy.append(
-            _entropy_gap_time_mean(pairs, gamma, traj.grid))
+            _entropy_gap_time_mean(pairs, gamma, traj.model.g))
     return rep
 
 
@@ -203,7 +203,7 @@ def cross_model_distance(traj_p, traj_eps):
     """Snapshot-mean L2 distance between the power-law and singular
     velocity fields; the finer run is block-averaged onto the coarser
     grid first."""
-    g_p, g_e = traj_p.grid, traj_eps.grid
+    g_p, g_e = traj_p.model.g, traj_eps.model.g
     if g_e.n % g_p.n:
         raise ValueError("grids are not nested")
     factor = g_e.n // g_p.n
@@ -235,8 +235,7 @@ def variational_residual_1d(traj, bank):
     time enters through its envelope. Reports the minimum over the bank;
     the exact solution makes every entry >= 0 up to consistency error.
     """
-    g = traj.grid
-    a, gamma = traj.params.a, traj.params.gamma
+    g, a, gamma = traj.model.g, traj.model.params.a, traj.model.params.gamma
     mids = [(dt, tm, u_mid, ddx_periodic(u_mid, g), rho_mid * udot,
              a * rho_mid**gamma)
             for dt, tm, rho_mid, u_mid, udot in snapshot_midpoints(traj)]
@@ -254,7 +253,7 @@ def variational_residual_1d(traj, bank):
 def variational_residual_2d(traj, bank):
     """Limit-form inequality int int rho^gamma (div u - div v) >= 0
     for admissible v (|Dv| <= 0.99), on a 2D trajectory."""
-    g, params = traj.grid, traj.params
+    g, params = traj.model.g, traj.model.params
     X, Y = g.meshgrid()
     mids = [(dt, tm, params.a * rho_mid**params.gamma, div_2d(u_mid, g))
             for dt, tm, rho_mid, u_mid, _ in snapshot_midpoints(traj)]

@@ -499,8 +499,7 @@ class Model1D:
 
     def checks(self, cfg, traj):
         """Mass, momentum and energy; each model appends its own."""
-        return [*dg.check_conservation(traj),
-                dg.check_energy_inequality(traj, tol=cfg.energy_tol)]
+        return [*dg.check_conservation(traj), dg.check_energy_inequality(traj)]
 
     def write_csvs(self, traj, outdir):
         from .trajectory import write_diag_csv, write_snapshots_1d
@@ -517,8 +516,9 @@ class Model1D:
 
 
 def advance(model, rho0, u0, T, snapshot_times=None, forcing=None):
-    """Integrate model to time T; snapshots at the configured times plus
-    t = 0. This is the time loop of all three solvers. A model has
+    """Integrate model to time T; the Trajectory carries model and its
+    snapshots at the configured times plus t = 0. This is the time loop
+    of all three solvers. A model has
       - name, params_class (of its params), params and g (its grid);
       - initial_state(rho0, u0), the checked t = 0 state;
       - cfl_dt(state), the CFL time step at state;
@@ -541,7 +541,7 @@ def advance(model, rho0, u0, T, snapshot_times=None, forcing=None):
     is handed the velocity and dt of the last accepted step.
     """
     state = model.initial_state(rho0, u0)
-    traj = Trajectory(model.name, model.g, model.params, [state.copy()], [])
+    traj = Trajectory(model, [state.copy()], [])
     acc = {"dissipation": 0.0, "hoff": 0.0, "aux": 0.0}
     traj.records.append(model.record(state, 0.0, acc, None))
 

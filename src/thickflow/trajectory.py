@@ -68,11 +68,10 @@ class DiagnosticsRecord:
 
 @dataclass
 class Trajectory:
-    """Time-ordered snapshots plus the full per-step diagnostics."""
+    """Time-ordered snapshots plus the full per-step diagnostics of the
+    run of model, the model instance that made them (its g and params)."""
 
-    model: str
-    grid: object
-    params: object
+    model: object
     snapshots: list = field(default_factory=list)
     records: list = field(default_factory=list)
 
@@ -82,7 +81,7 @@ def snapshot_midpoints(traj):
     snapshots dt > 0 apart: the mean time and fields of the pair and, in
     1D, the material derivative udot = (u1 - u0) / dt + u_mid du_mid/dx
     formed by snapshot differencing (None in 2D)."""
-    snaps = traj.snapshots
+    snaps, g = traj.snapshots, traj.model.g
     for s0, s1 in zip(snaps[:-1], snaps[1:]):
         dt = s1.t - s0.t
         if dt <= 0:
@@ -90,7 +89,7 @@ def snapshot_midpoints(traj):
         u_mid = 0.5 * (s0.u + s1.u)
         udot = None
         if s0.rho.ndim == 1:
-            udot = (s1.u - s0.u) / dt + u_mid * ddx_periodic(u_mid, traj.grid)
+            udot = (s1.u - s0.u) / dt + u_mid * ddx_periodic(u_mid, g)
         yield dt, 0.5 * (s0.t + s1.t), 0.5 * (s0.rho + s1.rho), u_mid, udot
 
 
@@ -146,9 +145,9 @@ def write_diag_csv(traj, path, maxabs_name="dudx_maxabs"):
 def write_snapshots_1d(traj, outdir, sigma_func):
     """One snapshot CSV per stored state; sigma_func(state) gives the stress field."""
     paths = []
-    coords = _format_coords([traj.grid.x])
+    coords = _format_coords([traj.model.g.x])
     for idx, s in enumerate(traj.snapshots):
-        dudx = ddx_periodic(s.u, traj.grid)
+        dudx = ddx_periodic(s.u, traj.model.g)
         path = os.path.join(outdir, f"snap_{idx:06d}.csv")
         _write_snapshot(path, "t,x,rho,u,dudx,sigma", s.t, coords,
                         [s.rho, s.u, dudx, sigma_func(s)])
@@ -158,7 +157,7 @@ def write_snapshots_1d(traj, outdir, sigma_func):
 
 def write_snapshots_2d(traj, outdir):
     paths = []
-    g = traj.grid
+    g = traj.model.g
     coords = _format_coords(g.meshgrid())
     for idx, s in enumerate(traj.snapshots):
         dn = sym_grad_norm(sym_grad_2d(s.u, g))

@@ -66,7 +66,7 @@ def _midpoint_snapshots(traj):
 def continuity_residual(traj, phi):
     """|int int rho dphi/dt + rho u . grad phi| over the snapshot grid.
 
-    phi is a scalar test function, or the same sampled on traj.grid by
+    phi is a scalar test function, or the same sampled on traj.model.g by
     sample_bank.
     """
     return _weak_residual(traj, 1.0, phi)
@@ -83,7 +83,7 @@ def renormalized_residual(traj, gamma, phi):
 
 def _weak_residual(traj, gamma, phi):
     """renormalized_residual; its (g-1) term is skipped at gamma = 1."""
-    g = traj.grid
+    g = traj.model.g
     if not isinstance(phi, SampledTestFunction):
         phi = sample_bank([phi], g)[0]
     snaps, w = _midpoint_snapshots(traj)
@@ -106,7 +106,7 @@ def _weak_residual(traj, gamma, phi):
 def time_mean_values(traj, gamma, s_list):
     """m(s) for each horizon s (midpoint quadrature over [0, s]), as
     Python floats."""
-    g = traj.grid
+    g = traj.model.g
     snaps, w = _midpoint_snapshots(traj)
     base = integrate(traj.snapshots[0].rho**gamma, g)
     out = []

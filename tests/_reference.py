@@ -147,35 +147,15 @@ def config_2d():
     return parse_config(REF_2D)
 
 
-def run_powerlaw(cfg, p=None, n=None):
+def run(cfg, n=None, **overrides):
+    """cfg's run with its params overridden, on Grid1D(n) if n is given
+    and on cfg's grid otherwise, started through cli._launch as
+    `thickflow run` starts one."""
+    from thickflow.cli import _launch
     from thickflow.grids import Grid1D
-    from thickflow.powerlaw1d import PowerLawModel
 
     g = Grid1D(n) if n else cfg.grid()
-    params = cfg.build_params("powerlaw1d", **({"p": p} if p else {}))
-    rho0, u0 = cfg.initial_fields(g)
-    return PowerLawModel.run(params, g, rho0, u0, cfg.T,
-                             cfg.snapshot_schedule())
-
-
-def run_singular_ref(cfg):
-    from thickflow.singular1d import SingularModel
-
-    g = cfg.grid()
-    params = cfg.build_params("singular1d")
-    rho0, u0 = cfg.initial_fields(g)
-    return SingularModel.run(params, g, rho0, u0, cfg.T,
-                             cfg.snapshot_schedule())
-
-
-def run_2d_ref(cfg, p=None):
-    from thickflow.semistationary2d import Stokes2DModel
-
-    g = cfg.grid()
-    params = cfg.build_params("semistationary2d", **({"p": p} if p else {}))
-    rho0, u0 = cfg.initial_fields(g)
-    return Stokes2DModel.run(params, g, rho0, u0, cfg.T,
-                             cfg.snapshot_schedule())
+    return _launch(cfg, cfg.model, cfg.build_params(**overrides), g)
 
 
 # the session fixtures of the acceptance gate (conftest.py), which
@@ -186,7 +166,7 @@ def run_2d_ref(cfg, p=None):
 def strong_sweep():
     """Strong-forcing p-sweep: (config, {p: Trajectory})."""
     cfg = strong_config()
-    return cfg, {p: run_powerlaw(cfg, p=p) for p in P_VALUES}
+    return cfg, {p: run(cfg, p=p) for p in P_VALUES}
 
 
 def strong_sweep_report(strong_sweep):
@@ -199,24 +179,24 @@ def strong_sweep_report(strong_sweep):
 def strong_p8_fine(strong_sweep):
     """The strong-forcing config at p = 8 and n = 512 (refinement pair)."""
     cfg, _ = strong_sweep
-    return cfg, run_powerlaw(cfg, p=8.0, n=512)
+    return cfg, run(cfg, n=512, p=8.0)
 
 
 def shared_sweep():
     """Moderate-forcing p-sweep on the dataset shared with the singular
     family (cross-model comparison)."""
     cfg = shared_config()
-    return cfg, {p: run_powerlaw(cfg, p=p) for p in P_VALUES}
+    return cfg, {p: run(cfg, p=p) for p in P_VALUES}
 
 
 def singular_runs():
     """{eps: Trajectory} at the resolution the constraint layer needs."""
-    return {eps: run_singular_ref(singular_config(eps)) for eps in EPS_VALUES}
+    return {eps: run(singular_config(eps)) for eps in EPS_VALUES}
 
 
 def sweep_2d():
     cfg = config_2d()
-    return cfg, {p: run_2d_ref(cfg, p=p) for p in P_VALUES_2D}
+    return cfg, {p: run(cfg, p=p) for p in P_VALUES_2D}
 
 
 FIXTURES = (strong_sweep, strong_sweep_report, strong_p8_fine, shared_sweep,

@@ -14,6 +14,7 @@ import pytest
 from thickflow.cli import main
 from thickflow.config import load_config, parse_config
 from thickflow.errors import ParseError, ValidationError
+from thickflow.powerlaw1d import PowerLawModel
 
 CONFIGS = sorted(glob.glob(os.path.join(os.path.dirname(__file__), "..",
                                         "configs", "*.cfg")))
@@ -52,12 +53,21 @@ snapshots = 8
 class TestParser:
     def test_minimal_defaults(self):
         cfg = parse_config(MINIMAL)
-        assert cfg.model == "powerlaw1d"
+        assert cfg.model is PowerLawModel
         assert cfg.n == 64 and cfg.T == 0.05
         assert cfg.build_params().gamma == 2.0
         assert cfg.build_params().delta == 1e-8
         assert cfg.tol_c == 5.0
         assert len(cfg.snapshot_schedule()) == 32
+
+    def test_sweep_members_hold_model_classes(self):
+        from thickflow.singular1d import SingularModel
+
+        cfg = parse_config(SMALL_RUN + "[sweep]\nkind = cross\nvalues = 4, 8"
+                           "\neps_values = 0.5\neps_n = 128\n")
+        assert [m[:3] for m in cfg.sweep_members] == [
+            ("p", 4.0, PowerLawModel), ("p", 8.0, PowerLawModel),
+            ("eps", 0.5, SingularModel)]
 
     def test_comments_and_lists(self):
         cfg = parse_config(SMALL_RUN + "\n# trailing comment\n")
@@ -206,6 +216,8 @@ REJECTED = [
      "\n[sweep]\nvalues = 4, 8",
      r"sweep.kind: expected p \| eps \| cross of a 1D model, got '' of "
      "semistationary2d"),
+    # the energy inequality's tolerance is its check's own constant
+    ("[checks]\nenergy_tol = 1e-3", "checks.energy_tol: unknown key"),
 ]
 REJECTED_IDS = ["eps_without_values", "cross_grids_not_nested",
                 "cross_without_values", "cross_without_eps_values",
@@ -223,7 +235,7 @@ REJECTED_IDS = ["eps_without_values", "cross_grids_not_nested",
                 "s_list_off_the_snapshot_cadence", "p_sweep_eps_n",
                 "p_sweep_eps_values", "eps_sweep_eps_values",
                 "snapshots_zero", "snapshots_negative", "sweep_without_kind",
-                "sweep_2d_without_kind"]
+                "sweep_2d_without_kind", "energy_tol_key"]
 
 
 @pytest.mark.parametrize("sweep, message", REJECTED, ids=REJECTED_IDS)
@@ -565,8 +577,8 @@ class TestCLI:
 
         checks = cli._standard_checks
 
-        def failing_checks(cfg, traj, params):
-            return checks(cfg, traj, params) + [
+        def failing_checks(cfg, traj):
+            return checks(cfg, traj) + [
                 CheckReport.build("injected", 1.0, 5.0, 1e-3)]
 
         monkeypatch.setattr(cli, "_standard_checks", failing_checks)

@@ -63,7 +63,7 @@ def _run_2d_p16(newton_tol):
                        .replace("ny = 64", "ny = 32")
                        .replace("p = 8.0", "p = 16.0\nnewton_tol = "
                                 + repr(newton_tol)))
-    return cfg, {16.0: R.run_2d_ref(cfg)}
+    return cfg, {16.0: R.run(cfg)}
 
 
 def test_2d_gate_measures_agree_along_two_solver_paths():

@@ -124,8 +124,8 @@ class TestDensityBounds:
 class TestEnergyAndConservation:
     def test_steady(self):
         traj, g = steady_traj()
-        rep = check_energy_inequality(traj, 1e-6)
-        assert rep.passed
+        rep = check_energy_inequality(traj)
+        assert rep.passed and rep.tolerance == 1e-6
         for r in check_conservation(traj):
             assert r.passed
 
@@ -137,7 +137,7 @@ class TestEnergyAndConservation:
         traj = PowerLawModel.run(pr, g, rho0, u0, 0.2, snapshot_times=[0.2])
         energies = [r.energy for r in traj.records]
         assert all(b <= a + 1e-12 for a, b in zip(energies[:-1], energies[1:]))
-        assert check_energy_inequality(traj, 1e-6).passed
+        assert check_energy_inequality(traj).passed
 
 
 class TestHoff:

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from thickflow.banks import SplitMix64, velocity_bank_1d, velocity_bank_2d
-from thickflow.config import MODELS
 from thickflow.diagnostics import hoff_value, momentum_residual_l2
 from thickflow.grids import (Grid1D, Grid2D, ddx_periodic, div_2d, integrate,
                              sym_grad_2d, sym_grad_norm)
@@ -14,7 +13,8 @@ from thickflow.limits import (assemble_sweep_report,
                               trajectory_violation_measure,
                               variational_residual_1d, variational_residual_2d)
 from thickflow.powerlaw1d import PowerLawModel, PowerLawParams
-from thickflow.semistationary2d import Stokes2DParams, _strain, _weight
+from thickflow.semistationary2d import (Stokes2DModel, Stokes2DParams, _strain,
+                                        _weight)
 from thickflow.singular1d import SingularModel, SingularParams
 from thickflow.trajectory import (DiagnosticsRecord, State1D, State2D,
                                   Trajectory)
@@ -88,7 +88,7 @@ def test_model_stress_and_defect_equal_closed_forms(name):
     tau = model.flux(dudx)
     state = State1D(rho, u, 0.1)
     assert np.array_equal(model.stress(state), tau - pr.a * rho**pr.gamma)
-    traj = Trajectory(name, g, pr, [state], [])
+    traj = Trajectory(model, [state], [])
     assert trajectory_complementarity(traj) == \
         lagrange_multiplier(u, tau, g)[1]
 
@@ -190,7 +190,7 @@ class TestSweepDeterminism:
 # the measures must keep these bits.
 
 def _ref_l2_time_mean(traj_a, traj_b):
-    g = traj_a.grid
+    g = traj_a.model.g
     total = 0.0
     count = 0
     for sa, sb in zip(traj_a.snapshots, traj_b.snapshots):
@@ -204,7 +204,7 @@ def _ref_l2_time_mean(traj_a, traj_b):
 
 
 def _ref_lgamma_time_mean(traj_a, traj_b, gamma):
-    g = traj_a.grid
+    g = traj_a.model.g
     total = 0.0
     count = 0
     for sa, sb in zip(traj_a.snapshots, traj_b.snapshots):
@@ -216,7 +216,7 @@ def _ref_lgamma_time_mean(traj_a, traj_b, gamma):
 
 
 def _ref_entropy_gap_time_mean(traj_a, traj_ref, gamma):
-    g = traj_a.grid
+    g = traj_a.model.g
     vals = [entropy_gap(sa.rho, sb.rho, gamma, g)
             for sa, sb in zip(traj_a.snapshots, traj_ref.snapshots)
             if sa.t > 0.0]
@@ -224,7 +224,7 @@ def _ref_entropy_gap_time_mean(traj_a, traj_ref, gamma):
 
 
 def _ref_violation(traj, eta):
-    g = traj.grid
+    g = traj.model.g
     vals = []
     for s in traj.snapshots:
         if s.t == 0.0:
@@ -238,15 +238,14 @@ def _ref_violation(traj, eta):
 
 
 def _ref_multiplier_defect(traj, snapshot):
-    g = traj.grid
+    g = traj.model.g
     if snapshot.rho.ndim == 1:
-        model = MODELS[traj.model](traj.params, g)
-        tau = model.flux(ddx_periodic(snapshot.u, g))
+        tau = traj.model.flux(ddx_periodic(snapshot.u, g))
         _, resid = lagrange_multiplier(snapshot.u, tau, g)
         return resid
-    D, log_t = _strain(snapshot.u, g, traj.params.delta)
+    D, log_t = _strain(snapshot.u, g, traj.model.params.delta)
     dn = sym_grad_norm(D)
-    pi = _weight(log_t, traj.params.p) * dn
+    pi = _weight(log_t, traj.model.params.p) * dn
     return integrate(pi * np.maximum(0.0, 1.0 - dn), g)
 
 
@@ -259,7 +258,7 @@ def _ref_complementarity(traj):
 def _ref_sweep_report(kind, trajectories, etas):
     values = sorted(trajectories, reverse=(kind == "eps"))
     ref = trajectories[values[-1]]
-    gamma = ref.params.gamma
+    gamma = ref.model.params.gamma
     out = {"kind": kind, "param_values": list(values), "u_dist": {},
            "rho_dist": {}, "violation": {}, "complementarity": {},
            "entropy_gap": {}, "hoff": {}, "aux_uniform": {},
@@ -286,21 +285,21 @@ def _ref_sweep_report(kind, trajectories, etas):
 
 
 def _ref_cross_model_distance(traj_p, traj_eps):
-    factor = traj_eps.grid.n // traj_p.grid.n
+    factor = traj_eps.model.g.n // traj_p.model.g.n
     total = 0.0
     count = 0
     for sp, se in zip(traj_p.snapshots, traj_eps.snapshots):
         if sp.t == 0.0:
             continue
         ue = restrict_block_average(se.u, factor)
-        total += integrate((sp.u - ue) ** 2, traj_p.grid)
+        total += integrate((sp.u - ue) ** 2, traj_p.model.g)
         count += 1
     return float(np.sqrt(total / max(count, 1)))
 
 
 def _ref_variational_1d(traj, bank, params):
     """(measured, residuals_min) of the 1D inequality."""
-    g = traj.grid
+    g = traj.model.g
     x = g.x
     snaps = traj.snapshots
     a, gamma = params.a, params.gamma
@@ -327,7 +326,7 @@ def _ref_variational_1d(traj, bank, params):
 
 
 def _ref_variational_2d(traj, bank, params):
-    g = traj.grid
+    g = traj.model.g
     X, Y = g.meshgrid()
     snaps = traj.snapshots
     a, gamma = params.a, params.gamma
@@ -350,8 +349,7 @@ def _ref_variational_2d(traj, bank, params):
 
 
 def _ref_momentum_residual_l2(traj):
-    g = traj.grid
-    stress = MODELS[traj.model](traj.params, g).stress
+    g, stress = traj.model.g, traj.model.stress
     worst = 0.0
     snaps = traj.snapshots
     for k in range(len(snaps) - 1):
@@ -376,13 +374,14 @@ TIMES = [0.0, 0.01, 0.02, 0.03, 0.03, 0.045, 0.05, 0.06, 0.07, 0.08, 0.09,
 
 
 def _random_trajectory(model, params, g, seed):
-    """Random snapshots on TIMES, their shear below 0.95 for the singular
-    model and below 1.6 otherwise, and random records."""
+    """Random snapshots on TIMES of a run of the model class, their shear
+    below 0.95 for the singular model and below 1.6 otherwise, and
+    random records."""
     rng = np.random.default_rng(seed)
-    cap = 0.95 if model == "singular1d" else 1.6
+    cap = 0.95 if model is SingularModel else 1.6
     snaps = []
     for t in TIMES:
-        if model == "semistationary2d":
+        if model.ndim == 2:
             u = rng.standard_normal((2, g.nx, g.ny))
             u *= cap * rng.random() / np.max(sym_grad_norm(sym_grad_2d(u, g)))
             snaps.append(State2D(0.5 + rng.random((g.nx, g.ny)), u, t))
@@ -394,20 +393,20 @@ def _random_trajectory(model, params, g, seed):
                                  lpnorm_term=rng.random(),
                                  aux_cum=rng.random())
                for t in (0.0, TIMES[-1])]
-    return Trajectory(model, g, params, snaps, records)
+    return Trajectory(model(params, g), snaps, records)
 
 
 def _sweep_trajectories(kind):
     """{value: Trajectory} of a random sweep of kind p (1D), eps or 2d."""
     if kind == "p":
-        return {p: _random_trajectory("powerlaw1d", PowerLawParams(
+        return {p: _random_trajectory(PowerLawModel, PowerLawParams(
                     p=p, a=2.0, gamma=1.4), Grid1D(48), int(p))
                 for p in (4.0, 8.0, 16.0, 64.0)}
     if kind == "eps":
-        return {eps: _random_trajectory("singular1d", SingularParams(
+        return {eps: _random_trajectory(SingularModel, SingularParams(
                     eps=eps, a=2.0, gamma=1.4), Grid1D(48), int(1 / eps))
                 for eps in (0.4, 0.3, 0.25)}
-    return {p: _random_trajectory("semistationary2d", Stokes2DParams(
+    return {p: _random_trajectory(Stokes2DModel, Stokes2DParams(
                 p=p, gamma=2.0), Grid2D(12, 10), int(p))
             for p in (4.0, 8.0)}
 
@@ -441,9 +440,9 @@ def test_sweep_report_dict_has_the_json_keys():
 
 
 def test_cross_distance_keeps_the_former_bits():
-    traj_p = _random_trajectory("powerlaw1d", PowerLawParams(p=8.0),
+    traj_p = _random_trajectory(PowerLawModel, PowerLawParams(p=8.0),
                                 Grid1D(24), 3)
-    traj_eps = _random_trajectory("singular1d", SingularParams(eps=0.3),
+    traj_eps = _random_trajectory(SingularModel, SingularParams(eps=0.3),
                                   Grid1D(72), 4)
     assert cross_model_distance(traj_p, traj_eps) == \
         _ref_cross_model_distance(traj_p, traj_eps)
@@ -457,7 +456,7 @@ def test_1d_midpoint_residuals_keep_the_former_bits(kind):
     bank = velocity_bank_1d(seed=5, T=TIMES[-1], size=6, modes=3)
     for traj in _sweep_trajectories(kind).values():
         rep = variational_residual_1d(traj, bank)
-        measured, rmin = _ref_variational_1d(traj, bank, traj.params)
+        measured, rmin = _ref_variational_1d(traj, bank, traj.model.params)
         assert (rep.measured, rep.context["residuals_min"]) == \
             (measured, rmin)
         assert rep.context == {"bank_size": 6, "residuals_min": rmin,
@@ -469,7 +468,7 @@ def test_2d_variational_residual_keeps_the_former_bits():
     bank = velocity_bank_2d(seed=5, T=TIMES[-1], size=4)
     for traj in _sweep_trajectories("2d").values():
         rep = variational_residual_2d(traj, bank)
-        measured, rmin = _ref_variational_2d(traj, bank, traj.params)
+        measured, rmin = _ref_variational_2d(traj, bank, traj.model.params)
         assert rep.check == "variational_inequality_2d"
         assert (rep.measured, rep.context) == (measured, {
             "bank_size": 4, "residuals_min": rmin,

@@ -1,6 +1,7 @@
 """The model protocol that stepper1d.advance drives, on every model of
-config.MODELS: each class builds from a config's params and grid, runs,
-writes its CSVs and lists its checks in the order of checks.json."""
+config.MODELS: each class builds from a config's params and grid, runs
+into a Trajectory that carries the model, writes its CSVs and lists its
+checks in the order of checks.json."""
 
 import pytest
 
@@ -63,6 +64,7 @@ def test_model_protocol(name, tmp_path):
     cls = MODELS[name]
     assert cls.name == name
     cfg = parse_config(CONFIGS[name] + "[time]\nT = 0.0\n")
+    assert cfg.model is cls
     params, g = cfg.build_params(), cfg.grid()
     assert type(params) is cls.params_class
     model = cls(params, g)
@@ -70,7 +72,8 @@ def test_model_protocol(name, tmp_path):
 
     rho0, u0 = cfg.initial_fields(g)
     traj = cls.run(params, g, rho0, u0, cfg.T, cfg.snapshot_schedule())
-    assert traj.model == name
+    assert type(traj.model) is cls
+    assert traj.model.params is params and traj.model.g is g
     assert len(traj.snapshots) == 1 and len(traj.records) == 1
     assert traj.snapshots[0].t == traj.records[0].t == 0.0
 

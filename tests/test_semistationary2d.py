@@ -419,12 +419,18 @@ class TestRun2D:
                                  snapshot_times=[0.1])
         rep = check_linf_growth(traj, tol_c=5.0)
         assert rep.passed
-        # constant trajectory: ratio e^-t <= 1
+        # constant trajectory: ratio e^-t, largest at the first step's
+        # t1 > 0; the t = 0 record's ratio 1 does not count
         traj_c = Stokes2DModel.run(pr, g, np.full((32, 32), 2.0), None, 0.05,
                                    snapshot_times=[0.05])
         rep_c = check_linf_growth(traj_c, tol_c=5.0)
         assert rep_c.passed
-        assert rep_c.measured <= 1.0
+        t1 = traj_c.records[1].t
+        assert 0.0 < t1 and rep_c.measured == pytest.approx(np.exp(-t1))
+        assert rep_c.measured < 1.0
+        # a trajectory of the t = 0 record alone measures its ratio
+        traj_0 = Stokes2DModel.run(pr, g, np.full((32, 32), 2.0), None, 0.0)
+        assert check_linf_growth(traj_0, tol_c=5.0).measured == 1.0
 
     def test_stationarity_and_gauge_checks(self):
         g = Grid2D(16, 16)

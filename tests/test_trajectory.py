@@ -3,6 +3,8 @@ import pytest
 
 from thickflow.grids import (Grid1D, Grid2D, ddx_periodic, div_2d,
                              sym_grad_2d, sym_grad_norm)
+from thickflow.semistationary2d import Stokes2DModel
+from thickflow.stepper1d import Model1D
 from thickflow.trajectory import (_CHUNK, DiagnosticsRecord, State1D,
                                   State2D, Trajectory, _format_coords,
                                   _write_snapshot, write_diag_csv,
@@ -37,7 +39,7 @@ def test_snapshots_1d_equal_per_value_form(tmp_path):
     rng = np.random.default_rng(3)
     snaps = [State1D(_field(rng, g.n), _field(rng, g.n), t)
              for t in (0.0, 1.0 / 3.0, np.float64(0.1))]
-    traj = Trajectory("powerlaw1d", g, None, snapshots=snaps)
+    traj = Trajectory(Model1D(None, g), snapshots=snaps)
     sigma = {id(s): _field(rng, g.n) for s in snaps}
     paths = write_snapshots_1d(traj, str(tmp_path), lambda s: sigma[id(s)])
     assert len(paths) == 3
@@ -55,7 +57,7 @@ def test_snapshots_2d_equal_per_value_form(tmp_path):
     rng = np.random.default_rng(4)
     snaps = [State2D(_field(rng, (40, 36)), _field(rng, (2, 40, 36)), t)
              for t in (0.1, 2.0)]
-    traj = Trajectory("semistationary2d", g, None, snapshots=snaps)
+    traj = Trajectory(Stokes2DModel(None, g), snapshots=snaps)
     paths = write_snapshots_2d(traj, str(tmp_path))
     for s, path in zip(snaps, paths):
         dn = sym_grad_norm(sym_grad_2d(s.u, g))
@@ -72,8 +74,7 @@ def test_diag_csv_equal_per_value_form(tmp_path):
     records = [DiagnosticsRecord(*values[k:k + 11]) for k in (0, 11, 22)]
     records[0].dt = 0          # the initial row's dt is an int
     records[1].mass = np.float64(values[3])
-    traj = Trajectory("semistationary2d", Grid2D(8, 8), None,
-                      records=records)
+    traj = Trajectory(Stokes2DModel(None, Grid2D(8, 8)), records=records)
     path = tmp_path / "diag.csv"
     write_diag_csv(traj, path, maxabs_name="Du_maxnorm")
     fields = list(DiagnosticsRecord.CSV_FIELDS)

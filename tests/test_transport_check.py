@@ -36,7 +36,7 @@ class TestContinuityResidual:
     def test_reference_run_consistency_band(self):
         traj, pr = reference_run()
         dts = [r.dt for r in traj.records if r.dt > 0]
-        scale = traj.grid.dx + max(dts) + (0.1 / 64) ** 2
+        scale = traj.model.g.dx + max(dts) + (0.1 / 64) ** 2
         worst = max(continuity_residual(traj, phi)
                     for phi in scalar_bank_1d(seed=11, T=0.1, size=10,
                                                modes=3))
@@ -81,7 +81,7 @@ class TestRenormalizedResidual:
     def test_reference_band(self):
         traj, _ = reference_run()
         dts = [r.dt for r in traj.records if r.dt > 0]
-        scale = traj.grid.dx + max(dts)
+        scale = traj.model.g.dx + max(dts)
         worst = max(renormalized_residual(traj, 2.0, phi)
                     for phi in scalar_bank_1d(seed=5, T=0.1, size=10,
                                                modes=3))
@@ -105,7 +105,7 @@ class TestTimeMean:
         m = time_mean_values(traj, 2.0, s_list)
         from thickflow.grids import integrate
 
-        g = traj.grid
+        g = traj.model.g
         base = integrate(traj.snapshots[0].rho ** 2.0, g)
         for s_h, m_h in zip(s_list, m):
             near = min(traj.snapshots[1:], key=lambda s: abs(s.t - s_h))
@@ -152,7 +152,7 @@ def _reference_residuals(traj, gamma, phi):
     from thickflow.grids import ddx_periodic, div_2d, integrate
     from thickflow.transport_check import _midpoint_snapshots
 
-    g = traj.grid
+    g = traj.model.g
     snaps, w = _midpoint_snapshots(traj)
     cont = ren = 0.0
     if traj.snapshots[0].rho.ndim == 1:
@@ -182,13 +182,16 @@ def _reference_residuals(traj, gamma, phi):
 def _random_trajectory(grid, shape, u_shape, T=1.0, nsnap=8):
     """Random O(1) fields on the midpoint snapshot grid: no term of the
     residuals dominates the others, so a changed rounding shows."""
+    from thickflow.semistationary2d import Stokes2DModel
+    from thickflow.stepper1d import Model1D
     from thickflow.trajectory import State1D, State2D, Trajectory
 
     rng = np.random.default_rng(29)
-    state = State1D if len(shape) == 1 else State2D
+    state, model = (State1D, Model1D) if len(shape) == 1 \
+        else (State2D, Stokes2DModel)
     snaps = [state(1.0 + 0.5 * rng.random(shape), rng.normal(size=u_shape),
                    (k + 0.5) * T / nsnap) for k in range(nsnap)]
-    return Trajectory("random", grid, None, snapshots=snaps)
+    return Trajectory(model(None, grid), snapshots=snaps)
 
 
 @pytest.mark.parametrize("dim", [1, 2])
@@ -204,7 +207,7 @@ def test_sampled_residuals_equal_per_snapshot_form(dim):
         traj = _random_trajectory(Grid2D(18, 20), (18, 20), (2, 18, 20))
         bank = scalar_bank_2d(seed=23, T=1.0, size=10, modes=2)
     for gamma in (1.0, 1.4, 2.0):
-        for phi, sampled in zip(bank, sample_bank(bank, traj.grid)):
+        for phi, sampled in zip(bank, sample_bank(bank, traj.model.g)):
             cont, ren = _reference_residuals(traj, gamma, phi)
             assert cont > 0.0 and ren > 0.0
             assert continuity_residual(traj, phi) == cont
