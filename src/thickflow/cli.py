@@ -53,7 +53,7 @@ def _launch(cfg, model, params, g):
 
 
 def _run_model(cfg):
-    return _launch(cfg, cfg.model, cfg.run_params, cfg.grid())
+    return _launch(cfg, cfg.model_class, cfg.run_params, cfg.grid())
 
 
 def _run_model_with(cfg, model, params, g):

@@ -33,9 +33,8 @@ from .semistationary2d import Stokes2DModel
 from .singular1d import SingularModel
 from .transport_check import horizon_cells, midpoint_cadence
 
-# model name -> model class, whose params class is its params_class;
-# stepper1d.advance describes the protocol they share. parse_config
-# resolves [model] kind here, once: past the config a model is a class
+# model name -> model class (read in this module only), whose params class
+# is its params_class; stepper1d.advance describes the protocol they share
 MODELS = {cls.name: cls for cls in (PowerLawModel, SingularModel,
                                     Stokes2DModel)}
 
@@ -103,7 +102,8 @@ def parse_raw(text):
 
 @dataclass
 class Config:
-    model: type                                  # the [model] kind's class
+    model: str                                   # the [model] kind
+    model_class: type = None                     # its class
     n: int = 0
     nx: int = 0
     ny: int = 0
@@ -132,7 +132,7 @@ class Config:
 
     @property
     def is_2d(self):
-        return self.model.ndim == 2
+        return self.model_class.ndim == 2
 
     def grid(self):
         return Grid2D(self.nx, self.ny) if self.is_2d else Grid1D(self.n)
@@ -146,10 +146,9 @@ class Config:
         return [(k + 0.5) * self.T / n for k in range(n)]
 
     def build_params(self, model=None, **overrides):
-        """Params of model, a model class (default: the config's), from
-        the [params] keys its class has, with overrides; the class
-        supplies the rest."""
-        cls = (model or self.model).params_class
+        """Params of model class (default: the config's) from the [params]
+        keys its class has, with overrides; the class supplies the rest."""
+        cls = (model or self.model_class).params_class
         src = dict(self.params, **overrides)
         return cls(**{f.name: src[f.name] for f in fields(cls)
                       if f.name in src})
@@ -192,7 +191,7 @@ def parse_config(text):
                               f"| semistationary2d, got {name!r}")
 
     model = MODELS[name]
-    cfg = Config(model=model, raw_text=text)
+    cfg = Config(model=name, model_class=model, raw_text=text)
     used = {"model.kind"}
 
     def read(where, default):
@@ -297,7 +296,7 @@ def parse_config(text):
                             "eps": ("sweep.eps_values",)}.get(kind, ()))
     if "sweep" in raw and (cfg.is_2d or kind not in ("p", "eps", "cross")):
         errors.append(f"sweep.kind: expected p | eps | cross of a 1D model, "
-                      f"got {cfg.sweep_kind!r} of {model.name}")
+                      f"got {cfg.sweep_kind!r} of {cfg.model}")
     for key in ("values", "eps_values"):
         vals = getattr(cfg, "sweep_" + key)
         if len({f"{v:g}" for v in vals}) < len(vals):

@@ -444,9 +444,8 @@ class Stokes2DModel:
 
 
 def check_linf_growth(traj, tol_c):
-    """max rho(t) against max rho(0) e^t over the records at t > 0, with
-    slack tol_c (dx + dt). The t = 0 record, whose ratio is 1, counts
-    only when it is the whole trajectory."""
+    """max rho(t) at t > 0 (at t = 0 if no later record) against
+    max rho(0) e^t, with slack tol_c (dx + dt)."""
     tol = dg._consistency_tol(traj, tol_c)
     rho0_max = traj.records[0].rho_max
     later = [r for r in traj.records if r.t > 0] or traj.records

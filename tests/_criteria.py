@@ -82,14 +82,14 @@ def c03_density_bounds(strong_sweep, strong_p8_fine):
     reps = {p: check(traj) for p, traj in trajs.items()}
     worst = max(rep.measured for rep in reps.values())
     # the signed violations of the p = 8 runs at n = 256 and 512; the
-    # refinement compares them clipped at 0
+    # fine one may not exceed the coarse one clipped at 0
     coarse, fine = reps[8.0].measured, check(strong_p8_fine[1]).measured
-    ok = all(rep.passed for rep in reps.values()) \
-        and max(0.0, fine) <= max(0.0, coarse) + 1e-12
+    bound = max(0.0, coarse)
+    ok = all(rep.passed for rep in reps.values()) and fine <= bound + 1e-12
     return Result(3, "density bounds", ok,
                   f"worst violation {worst:.2e}, refinement excess "
-                  f"{max(0.0, coarse):.2e} -> {max(0.0, fine):.2e} (signed "
-                  f"{coarse:.4e} -> {fine:.4e})", fine, coarse, 1e-12)
+                  f"{bound:.2e} -> {max(0.0, fine):.2e} (signed "
+                  f"{coarse:.4e} -> {fine:.4e})", fine, bound, 1e-12)
 
 
 def c04_stress_max_principle(strong_sweep, strong_p8_fine):
@@ -105,14 +105,15 @@ def c04_stress_max_principle(strong_sweep, strong_p8_fine):
     # every sweep member has p >= 1 + gamma: none may be skipped
     passed = all(rep.passed and not rep.skipped for rep, _ in reps.values())
     # the signed excesses of the p = 8 runs at n = 256 and 512; the
-    # refinement compares them clipped at 0
+    # fine one may not exceed the coarse one clipped at 0
     coarse, fine = reps[8.0][1], excess(strong_p8_fine[1])[1]
-    shrink_ok = max(0.0, fine) <= max(0.0, coarse) + 1e-12
+    bound = max(0.0, coarse)
+    shrink_ok = fine <= bound + 1e-12
     worst = max(max(0.0, e) for _, e in reps.values())
     return Result(4, "stress maximum principle", passed and shrink_ok,
                   f"max excess over mu: {worst:.2e}, refinement ok: "
                   f"{shrink_ok} (signed {coarse:.4e} -> {fine:.4e})",
-                  fine, coarse, 1e-12)
+                  fine, bound, 1e-12)
 
 
 def violation_2d(sweep_2d):

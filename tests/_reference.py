@@ -155,7 +155,7 @@ def run(cfg, n=None, **overrides):
     from thickflow.grids import Grid1D
 
     g = Grid1D(n) if n else cfg.grid()
-    return _launch(cfg, cfg.model, cfg.build_params(**overrides), g)
+    return _launch(cfg, cfg.model_class, cfg.build_params(**overrides), g)
 
 
 # the session fixtures of the acceptance gate (conftest.py), which

@@ -53,7 +53,8 @@ snapshots = 8
 class TestParser:
     def test_minimal_defaults(self):
         cfg = parse_config(MINIMAL)
-        assert cfg.model is PowerLawModel
+        assert cfg.model == "powerlaw1d"
+        assert cfg.model_class is PowerLawModel
         assert cfg.n == 64 and cfg.T == 0.05
         assert cfg.build_params().gamma == 2.0
         assert cfg.build_params().delta == 1e-8

@@ -64,7 +64,7 @@ def test_model_protocol(name, tmp_path):
     cls = MODELS[name]
     assert cls.name == name
     cfg = parse_config(CONFIGS[name] + "[time]\nT = 0.0\n")
-    assert cfg.model is cls
+    assert cfg.model == name and cfg.model_class is cls
     params, g = cfg.build_params(), cfg.grid()
     assert type(params) is cls.params_class
     model = cls(params, g)
