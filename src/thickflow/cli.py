@@ -5,6 +5,19 @@
     thickflow verify <dir> [--policy strict|tolerant] [--quiet]
     thickflow banks <config> [--output DIR]
 
+A run whose snapshots have at least _STREAM_MIN_CELLS cells, computing
+alone in this process (`run`, or a member of `sweep --jobs 1`), may
+format its snapshot CSVs in one writer process forked while the solver
+steps: it forks at the first snapshot, after the first one after
+t = 0, that the solver took at least as long to reach from the one
+before as a snapshot takes to format (writer.SnapshotWriter; POSIX
+only, never inside --jobs workers); a faster run writes its CSVs after
+the run, inline. The
+files' bytes and stdout do not depend on it; a profiler or tracer inside
+this process then sees only its share of the writing, diag.csv and the
+wait for the writer. When the writer fails, the run prints `snapshot
+writer failed: ...` and exits 3.
+
 A sweep runs each member into its own directory. With --jobs N above 1
 it runs them in min(N, members) worker processes forked from this one
 (POSIX only; without fork they run here, one after another), costliest
@@ -15,11 +28,12 @@ and artifacts come out in config order with the same bytes whatever N
 is. With N above 1 the members run in the workers, so a profiler or
 tracer inside this process sees only the parent's share of the sweep.
 
-Exit codes: 0 success, 2 config error, 3 solver failure (in a run or
-while writing its artifacts), 4 check failure. Numeric CSV output is
-formatted with 17 significant digits, so re-running an identical config
-reproduces byte-identical files on one numeric platform: the same numpy
-and OpenBLAS kernels (other kernels may round differently).
+Exit codes: 0 success, 2 config error, 3 solver or snapshot writer
+failure (in a run or while writing its artifacts), 4 check failure.
+Numeric CSV output is formatted with 17 significant digits, so
+re-running an identical config reproduces byte-identical files on one
+numeric platform: the same numpy and OpenBLAS kernels (other kernels
+may round differently).
 """
 
 import argparse
@@ -35,7 +49,7 @@ from . import __version__
 from .config import load_config
 from .errors import (ConstraintViolation, FluxOverflow, NewtonDivergence,
                      ParseError, SolverDivergence, StepFailure, VacuumError,
-                     ValidationError)
+                     ValidationError, WriterError)
 
 _SOLVER_ERRORS = (NewtonDivergence, VacuumError, FluxOverflow,
                   ConstraintViolation, SolverDivergence, StepFailure)
@@ -46,18 +60,20 @@ def _say(quiet, *args):
         print(*args)
 
 
-def _launch(cfg, model, params, g):
-    """Run model, a model class, from the config's initial data on grid g."""
+def _launch(cfg, model, params, g, sink=None):
+    """Run model, a model class, from the config's initial data on grid
+    g; sink, if given, receives each snapshot (stepper1d.advance)."""
     rho0, u0 = cfg.initial_fields(g)
-    return model.run(params, g, rho0, u0, cfg.T, cfg.snapshot_schedule())
+    return model.run(params, g, rho0, u0, cfg.T, cfg.snapshot_schedule(),
+                     None, sink)   # no forcing
 
 
-def _run_model(cfg):
-    return _launch(cfg, cfg.model_class, cfg.run_params, cfg.grid())
+def _run_model(cfg, sink=None):
+    return _launch(cfg, cfg.model_class, cfg.run_params, cfg.grid(), sink)
 
 
-def _run_model_with(cfg, model, params, g):
-    return _launch(cfg, model, params, g)
+def _run_model_with(cfg, model, params, g, sink=None):
+    return _launch(cfg, model, params, g, sink)
 
 
 def _standard_checks(cfg, traj):
@@ -100,20 +116,62 @@ def _any_failed(reports):
     return any((not r.passed) and (not r.skipped) for r in reports)
 
 
-def _run_and_write(cfg, outdir, quiet, run, *args):
-    """run(cfg, *args), then the snapshots, diag.csv, checks.json and
-    manifest.json of its trajectory written to outdir, made only once the
-    run has returned; the manifest's wall_time_s times both. Returns the
-    trajectory and its check reports."""
+# the fewest cells of a snapshot that a forked writer may format. Such a
+# snapshot formats in 3.7-8 ms (1D), twice to four times the fork's
+# 2 ms; below it the few snapshots a run hands over save too little to
+# pay for the fork, and smaller runs skip the writer module altogether
+# (BENCH_28.json)
+_STREAM_MIN_CELLS = 2048
+
+
+def _streams(cells):
+    """Whether a run with snapshots of cells cells, computing alone in
+    this process, hands them to a writer.SnapshotWriter."""
+    return hasattr(os, "fork") and cells >= _STREAM_MIN_CELLS
+
+
+def _run_and_write(cfg, outdir, quiet, stream, run, *args):
+    """run(cfg, *args), its checks, and the snapshots, diag.csv,
+    checks.json and manifest.json of its trajectory in outdir, made once
+    the run and its checks have returned; the manifest's wall_time_s
+    times it all. Returns the trajectory and its check reports.
+
+    With stream, run hands its snapshots to a writer.SnapshotWriter,
+    which may fork a writer that formats them into a staging directory
+    beside outdir while the run goes on. After the checks, diag.csv
+    joins them there, the writer is waited for, and only then are the
+    files moved into outdir. Otherwise, or when no writer was forked,
+    the CSVs are written into outdir after the checks. The files' bytes
+    do not depend on the path; with a writer, a profiler or tracer in
+    this process sees only diag.csv and the wait for the writer of the
+    writing. A failed run leaves no outdir, no staging directory and no
+    writer process."""
     from . import diagnostics as dg
 
     t0 = time.perf_counter()
-    traj = run(cfg, *args)
-    os.makedirs(outdir, exist_ok=True)
-    artifacts = traj.model.write_csvs(traj, outdir)
+    with contextlib.ExitStack() as stack:
+        if stream:
+            from .writer import SnapshotWriter
 
-    reports = _standard_checks(cfg, traj)
-    reports.extend(_transport_checks(cfg, traj))
+            writer = stack.enter_context(SnapshotWriter(outdir))
+            traj = run(cfg, *args, sink=writer)
+        else:
+            writer = None
+            traj = run(cfg, *args)
+        reports = _standard_checks(cfg, traj)
+        reports.extend(_transport_checks(cfg, traj))
+        if writer is not None and writer.stage is not None:
+            diag = traj.model.write_diag(traj, writer.stage)
+            staged = writer.join() + [diag]
+            os.makedirs(outdir, exist_ok=True)
+            artifacts = [os.path.join(outdir, os.path.basename(p))
+                         for p in staged]
+            for src, dst in zip(staged, artifacts):
+                os.replace(src, dst)
+        else:
+            os.makedirs(outdir, exist_ok=True)
+            artifacts = traj.model.write_csvs(traj, outdir)
+
     checks_path = os.path.join(outdir, "checks.json")
     dg.write_reports(reports, checks_path)
     artifacts.append(checks_path)
@@ -149,19 +207,27 @@ def cmd_run(args):
         return 2
     outdir = args.output or cfg.output_dir or "out"
     try:
-        _, reports = _run_and_write(cfg, outdir, args.quiet, _run_model)
+        cells = cfg.nx * cfg.ny if cfg.is_2d else cfg.n
+        _, reports = _run_and_write(cfg, outdir, args.quiet, _streams(cells),
+                                    _run_model)
     except _SOLVER_ERRORS as e:
         print(f"solver failure: {type(e).__name__}: {e}", file=sys.stderr)
+        return 3
+    except WriterError as e:
+        print(f"snapshot writer failed: {e}", file=sys.stderr)
         return 3
     return 4 if _any_failed(reports) else 0
 
 
-def _sweep_member(cfg, outdir, i):
+def _sweep_member(cfg, outdir, alone, i):
     """Run member i of cfg's sweep and write its artifacts quietly;
-    returns its trajectory and check reports."""
+    returns its trajectory and check reports. alone: the member runs in
+    the sweep's own process, not in a worker, and may stream its
+    snapshots to a forked writer."""
     key, v, model, params, g = cfg.sweep_members[i]
     return _run_and_write(cfg, os.path.join(outdir, f"{key}_{v:g}"), True,
-                          _run_model_with, model, params, g)
+                          alone and _streams(g.n), _run_model_with, model,
+                          params, g)
 
 
 def _sweep_runs(cfg, outdir, quiet, jobs):
@@ -184,12 +250,13 @@ def _sweep_runs(cfg, outdir, quiet, jobs):
 
     members = cfg.sweep_members
     workers = min(jobs, len(members))
-    member = functools.partial(_sweep_member, cfg, outdir)
+    parallel = workers > 1 and hasattr(os, "fork")
+    member = functools.partial(_sweep_member, cfg, outdir, not parallel)
     results = {}
     member_failed = False
     with contextlib.ExitStack() as stack:
         futures = {}
-        if workers > 1 and hasattr(os, "fork"):
+        if parallel:
             import multiprocessing
             from concurrent.futures import ProcessPoolExecutor
 
@@ -204,7 +271,7 @@ def _sweep_runs(cfg, outdir, quiet, jobs):
             _say(quiet, f"[sweep] running {label} (n = {g.n}) ...")
             try:
                 traj, reports = futures[i].result() if futures else member(i)
-            except _SOLVER_ERRORS as e:
+            except (*_SOLVER_ERRORS, WriterError) as e:
                 e.args = (f"{label}: {e}",)
                 raise
             _say(quiet, format_report_table(reports))
@@ -233,6 +300,9 @@ def cmd_sweep(args):
                                               args.jobs)
     except _SOLVER_ERRORS as e:
         print(f"solver failure: {type(e).__name__}: {e}", file=sys.stderr)
+        return 3
+    except WriterError as e:
+        print(f"snapshot writer failed: {e}", file=sys.stderr)
         return 3
 
     reports = []

@@ -11,15 +11,16 @@ wave carries the mean.
 
 Validation collects every error (not just the first). The [params]
 defaults and ranges are those of the models' params classes, checked by
-building the params of the run and of every sweep member; positivity of
-the initial density, and the 1D model's rule on max |du0/dx| when
-paper_initial_conditions is set, are checked by dense sampling at 8x
-the grid resolution of each axis, in blocks of bounded memory
-(grids.dense_extrema). The [checks] s_list horizons are checked against
-the run's snapshot times by the rule of the time-mean check
-(transport_check.midpoint_cadence and horizon_cells). The means default to rho = 1 and u = 0; every other
-default is that of its Config field, and a key that nothing reads is an
-error, as an unknown [params] key is.
+building the params of the run and of every sweep member. The initial
+means and modes must be finite; positivity of the initial density, and
+the 1D model's rule on max |du0/dx| when paper_initial_conditions is
+set, are checked by dense sampling at 8x the grid resolution of each
+axis, in blocks of bounded memory (grids.dense_extrema). The [checks]
+s_list horizons are checked against the run's snapshot times by the
+rule of the time-mean check (transport_check.midpoint_cadence and
+horizon_cells), and tol_c must be finite and >= 0. The means default to
+rho = 1 and u = 0; every other default is that of its Config field, and
+a key that nothing reads is an error, as an unknown [params] key is.
 """
 
 from dataclasses import dataclass, field, fields
@@ -250,6 +251,9 @@ def parse_config(text):
                 horizon_cells(s_h, w, count)
         except ValueError as e:
             errors.append(f"checks.s_list: {e}")
+    if not 0 <= cfg.tol_c < np.inf:
+        errors.append(f"checks.tol_c: must be finite and >= 0, "
+                      f"got {cfg.tol_c}")
     if not all(eta > 0 for eta in cfg.eta):
         errors.append(f"checks.eta: every eta must be positive, got {cfg.eta}")
     for key in ("bank_size", "bank_modes"):
@@ -269,6 +273,9 @@ def parse_config(text):
                 else "(k, cos, sin) triples"))
             flat = []
         mean = read(f"initial.{name}_mean", mean)
+        for key, value in ((f"{name}_mean", mean), (f"{name}_modes", flat)):
+            if not np.isfinite(value).all():
+                errors.append(f"initial.{key}: must be finite, got {value}")
         setattr(cfg, name + "0", FourierSeries(
             [zero + (mean, 0.0)]
             + [tuple(flat[i:i + width]) for i in range(0, len(flat), width)]))
@@ -340,9 +347,10 @@ def parse_config(text):
     # initial-data validation by dense sampling (only when grid is sane)
     if all(e.startswith(("params", "sweep", "time", "checks")) for e in errors):
         c1, c2 = cfg.initial_density_range()
-        if c1 <= 0:
-            errors.append(f"initial.rho: Fourier sum dips to {c1:.4g} <= 0 "
-                          "(dense sampling at 8x grid resolution)")
+        if not c1 > 0:
+            errors.append(f"initial.rho_mean/rho_modes: the density's Fourier "
+                          f"sum dips to {c1:.4g}, not > 0 (dense sampling "
+                          "at 8x grid resolution)")
         if cfg.paper_initial_conditions and not cfg.is_2d:
             shear_error = model.initial_shear_error(cfg.initial_shear_max())
             if shear_error:

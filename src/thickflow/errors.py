@@ -43,6 +43,11 @@ class StepFailure(ThickflowError):
         self.cause = cause
 
 
+class WriterError(ThickflowError):
+    """The process that formats a run's snapshot CSVs (writer.py)
+    failed; its own traceback is on stderr."""
+
+
 class ParseError(ThickflowError):
     """Config text could not be parsed; message carries line numbers."""
 

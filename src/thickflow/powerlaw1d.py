@@ -155,8 +155,9 @@ class PowerLawModel(Model1D):
             dg.check_density_bounds(traj, self.params, c1, c2, cfg.tol_c)]
 
     @classmethod
-    def run(cls, params, g, rho0, u0, T, snapshot_times=None, forcing=None):
+    def run(cls, params, g, rho0, u0, T, snapshot_times=None, forcing=None,
+            sink=None):
         """Integrate and return the Trajectory with full diagnostics."""
         return advance(cls(params, g), rho0, u0, T, snapshot_times,
-                       forcing=forcing)
+                       forcing=forcing, sink=sink)
 

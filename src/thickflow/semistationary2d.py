@@ -60,6 +60,7 @@ class Stokes2DParams(Params):
     def rules(self):
         return [
             ("p", self.p >= 2, "power-law exponent p must be >= 2"),
+            ("delta", self.delta >= 0, "flux regularization delta must be >= 0"),
         ] + solver_rules(self)
 
 
@@ -422,13 +423,23 @@ class Stokes2DModel:
                 dg.check_energy_inequality(traj),
                 check_linf_growth(traj, tol_c=cfg.tol_c)]
 
+    def snapshot_writer(self, outdir):
+        from .trajectory import snapshot_writer_2d
+
+        return snapshot_writer_2d(self.g, outdir)
+
+    def write_diag(self, traj, outdir):
+        from .trajectory import write_diag_csv
+
+        path = os.path.join(outdir, "diag.csv")
+        write_diag_csv(traj, path, maxabs_name="Du_maxnorm")
+        return path
+
     def write_csvs(self, traj, outdir):
-        from .trajectory import write_diag_csv, write_snapshots_2d
+        from .trajectory import write_snapshots_2d
 
         paths = write_snapshots_2d(traj, outdir)
-        paths.append(os.path.join(outdir, "diag.csv"))
-        write_diag_csv(traj, paths[-1], maxabs_name="Du_maxnorm")
-        return paths
+        return paths + [self.write_diag(traj, outdir)]
 
     def shear_and_multiplier(self, u):
         """|Du| and pi = W |Du|, the norm of the viscous stress."""
@@ -437,10 +448,11 @@ class Stokes2DModel:
         return shear, W * shear
 
     @classmethod
-    def run(cls, params, g, rho0, u0, T, snapshot_times=None, forcing=None):
+    def run(cls, params, g, rho0, u0, T, snapshot_times=None, forcing=None,
+            sink=None):
         """Alternate density transport and momentum solves to time T."""
         return advance(cls(params, g), rho0, u0, T, snapshot_times,
-                       forcing=forcing)
+                       forcing=forcing, sink=sink)
 
 
 def check_linf_growth(traj, tol_c):

@@ -134,9 +134,10 @@ class SingularModel(Model1D):
         return super().checks(cfg, traj) + [dg.check_barrier_invariant(traj)]
 
     @classmethod
-    def run(cls, params, g, rho0, u0, T, snapshot_times=None, forcing=None):
+    def run(cls, params, g, rho0, u0, T, snapshot_times=None, forcing=None,
+            sink=None):
         """Integrate; records carry the singular dissipation and the uniform
         quantity eps int 1/sqrt(1 - s^2) in dissipation_cum / aux_cum."""
         return advance(cls(params, g), rho0, u0, T, snapshot_times,
-                       forcing=forcing)
+                       forcing=forcing, sink=sink)
 

@@ -501,13 +501,23 @@ class Model1D:
         """Mass, momentum and energy; each model appends its own."""
         return [*dg.check_conservation(traj), dg.check_energy_inequality(traj)]
 
+    def snapshot_writer(self, outdir):
+        from .trajectory import snapshot_writer_1d
+
+        return snapshot_writer_1d(self.g, outdir, self.stress)
+
+    def write_diag(self, traj, outdir):
+        from .trajectory import write_diag_csv
+
+        path = os.path.join(outdir, "diag.csv")
+        write_diag_csv(traj, path)
+        return path
+
     def write_csvs(self, traj, outdir):
-        from .trajectory import write_diag_csv, write_snapshots_1d
+        from .trajectory import write_snapshots_1d
 
         paths = write_snapshots_1d(traj, outdir, self.stress)
-        paths.append(os.path.join(outdir, "diag.csv"))
-        write_diag_csv(traj, paths[-1])
-        return paths
+        return paths + [self.write_diag(traj, outdir)]
 
     def shear_and_multiplier(self, u):
         """|du/dx| and pi = |flux(du/dx)|."""
@@ -515,7 +525,8 @@ class Model1D:
         return np.abs(dudx), np.abs(self.flux(dudx))
 
 
-def advance(model, rho0, u0, T, snapshot_times=None, forcing=None):
+def advance(model, rho0, u0, T, snapshot_times=None, forcing=None,
+            sink=None):
     """Integrate model to time T; the Trajectory carries model and its
     snapshots at the configured times plus t = 0. This is the time loop
     of all three solvers. A model has
@@ -529,10 +540,13 @@ def advance(model, rho0, u0, T, snapshot_times=None, forcing=None):
       - record(state, dt, acc, info), the DiagnosticsRecord of state
         (info is None at t = 0);
       - the classmethod run(params, g, rho0, u0, T, snapshot_times,
-        forcing), which calls advance;
+        forcing, sink), which calls advance;
     and, for the CLI and limits, checks(cfg, traj), the reports of
-    checks.json in order; write_csvs(traj, outdir), which writes the
-    snapshot CSVs and diag.csv; and shear_and_multiplier(u).
+    checks.json in order; snapshot_writer(outdir), the writer of one
+    snapshot CSV; write_diag(traj, outdir), which writes diag.csv;
+    write_csvs(traj, outdir), which writes the snapshot CSVs and
+    diag.csv; and shear_and_multiplier(u). sink, if given, is called
+    with model and each snapshot as it is stored, t = 0 first.
 
     The time step is the CFL one, clipped to land exactly on snapshot
     times. When a step raises NewtonDivergence, SolverDivergence,
@@ -542,6 +556,8 @@ def advance(model, rho0, u0, T, snapshot_times=None, forcing=None):
     """
     state = model.initial_state(rho0, u0)
     traj = Trajectory(model, [state.copy()], [])
+    if sink is not None:
+        sink(model, traj.snapshots[-1])
     acc = {"dissipation": 0.0, "hoff": 0.0, "aux": 0.0}
     traj.records.append(model.record(state, 0.0, acc, None))
 
@@ -575,6 +591,8 @@ def advance(model, rho0, u0, T, snapshot_times=None, forcing=None):
         traj.records.append(model.record(state, dt, acc, info))
         if ti < len(targets) and abs(t - targets[ti]) <= 1e-12 * max(1.0, T):
             traj.snapshots.append(state.copy())
+            if sink is not None:
+                sink(model, traj.snapshots[-1])
             ti += 1
     return traj
 

@@ -10,6 +10,14 @@ CSV schemas are part of the external contract:
 
 Numbers are written with 17 significant digits (%.17g) so re-running an
 identical config reproduces byte-identical files.
+
+`thickflow run` may format large snapshots in one writer process,
+forked while the solver steps (writer.SnapshotWriter; POSIX only, not
+inside `sweep --jobs` workers). The writer writes each snapshot through
+snapshot_writer_1d or _2d, the functions that write_snapshots_1d and
+_2d write with, so the bytes and stdout do not depend on it. A profiler
+or tracer inside the running process then sees only that process's
+share of the writing: diag.csv and the CLI's wait for the writer.
 """
 
 import os
@@ -142,27 +150,46 @@ def write_diag_csv(traj, path, maxabs_name="dudx_maxabs"):
         for r in traj.records))
 
 
+def snapshot_path(outdir, idx):
+    return os.path.join(outdir, f"snap_{idx:06d}.csv")
+
+
+def _snapshot_writer(outdir, header, coords, columns):
+    """write(idx, state), which writes snapshot idx to outdir, its rows
+    t, coords and columns(state), and returns its path."""
+    coords = _format_coords(coords)
+
+    def write(idx, s):
+        path = snapshot_path(outdir, idx)
+        _write_snapshot(path, header, s.t, coords, columns(s))
+        return path
+    return write
+
+
+def snapshot_writer_1d(g, outdir, sigma_func):
+    """write(idx, state) of 1D snapshots on grid g; sigma_func(state)
+    gives the stress field."""
+    return _snapshot_writer(
+        outdir, "t,x,rho,u,dudx,sigma", [g.x],
+        lambda s: [s.rho, s.u, ddx_periodic(s.u, g), sigma_func(s)])
+
+
+def snapshot_writer_2d(g, outdir):
+    """write(idx, state) of 2D snapshots on grid g."""
+    return _snapshot_writer(
+        outdir, "t,x1,x2,rho,u1,u2,Du_norm,divu", g.meshgrid(),
+        lambda s: [s.rho, s.u[0], s.u[1], sym_grad_norm(sym_grad_2d(s.u, g)),
+                   div_2d(s.u, g)])
+
+
 def write_snapshots_1d(traj, outdir, sigma_func):
-    """One snapshot CSV per stored state; sigma_func(state) gives the stress field."""
-    paths = []
-    coords = _format_coords([traj.model.g.x])
-    for idx, s in enumerate(traj.snapshots):
-        dudx = ddx_periodic(s.u, traj.model.g)
-        path = os.path.join(outdir, f"snap_{idx:06d}.csv")
-        _write_snapshot(path, "t,x,rho,u,dudx,sigma", s.t, coords,
-                        [s.rho, s.u, dudx, sigma_func(s)])
-        paths.append(path)
-    return paths
+    """One snapshot CSV per stored state; sigma_func(state) gives the
+    stress field."""
+    write = snapshot_writer_1d(traj.model.g, outdir, sigma_func)
+    return [write(idx, s) for idx, s in enumerate(traj.snapshots)]
 
 
 def write_snapshots_2d(traj, outdir):
-    paths = []
-    g = traj.model.g
-    coords = _format_coords(g.meshgrid())
-    for idx, s in enumerate(traj.snapshots):
-        dn = sym_grad_norm(sym_grad_2d(s.u, g))
-        path = os.path.join(outdir, f"snap_{idx:06d}.csv")
-        _write_snapshot(path, "t,x1,x2,rho,u1,u2,Du_norm,divu", s.t, coords,
-                        [s.rho, s.u[0], s.u[1], dn, div_2d(s.u, g)])
-        paths.append(path)
-    return paths
+    """As write_snapshots_1d, for 2D states."""
+    write = snapshot_writer_2d(traj.model.g, outdir)
+    return [write(idx, s) for idx, s in enumerate(traj.snapshots)]

@@ -219,6 +219,15 @@ REJECTED = [
      "semistationary2d"),
     # the energy inequality's tolerance is its check's own constant
     ("[checks]\nenergy_tol = 1e-3", "checks.energy_tol: unknown key"),
+    # non-finite values that a run cannot use
+    ("[initial]\nrho_mean = nan", "initial.rho_mean: must be finite, got nan"),
+    ("[initial]\nu_modes = 1, 0.0, inf",
+     r"initial.u_modes: must be finite, got \[1, 0.0, inf\]"),
+    ("[checks]\ntol_c = nan", "checks.tol_c: must be finite and >= 0, got nan"),
+    ("[checks]\ntol_c = -1", "checks.tol_c: must be finite and >= 0, got -1"),
+    ("[model]\nkind = semistationary2d\n[initial]\nrho_modes = 1, 0, 0.3, 0"
+     "\n[params]\ndelta = nan",
+     "params.delta: flux regularization delta must be >= 0"),
 ]
 REJECTED_IDS = ["eps_without_values", "cross_grids_not_nested",
                 "cross_without_values", "cross_without_eps_values",
@@ -236,7 +245,8 @@ REJECTED_IDS = ["eps_without_values", "cross_grids_not_nested",
                 "s_list_off_the_snapshot_cadence", "p_sweep_eps_n",
                 "p_sweep_eps_values", "eps_sweep_eps_values",
                 "snapshots_zero", "snapshots_negative", "sweep_without_kind",
-                "sweep_2d_without_kind", "energy_tol_key"]
+                "sweep_2d_without_kind", "energy_tol_key", "rho_mean_nan",
+                "u_modes_inf", "tol_c_nan", "tol_c_negative", "2d_delta_nan"]
 
 
 @pytest.mark.parametrize("sweep, message", REJECTED, ids=REJECTED_IDS)
