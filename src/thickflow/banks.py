@@ -42,7 +42,8 @@ VELOCITY_2D_MODES = 2
 
 
 class SplitMix64:
-    """Deterministic 64-bit generator; uniform() yields floats in [0, 1)."""
+    """Deterministic 64-bit generator; uniform(lo, hi) yields floats in
+    [lo, hi)."""
 
     def __init__(self, seed):
         self.state = int(seed) & _MASK
@@ -54,7 +55,7 @@ class SplitMix64:
         z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK
         return z ^ (z >> 31)
 
-    def uniform(self, lo=0.0, hi=1.0):
+    def uniform(self, lo, hi):
         return lo + (hi - lo) * (self.next_u64() / 2.0**64)
 
 
@@ -162,9 +163,6 @@ class TestFunction2D:
         d12 = 0.5 * self.scale * (waves.series(self.coeffs1, d=1)
                                   + waves.series(self.coeffs2, d=0))
         return np.stack([d11, d22, d12])
-
-    def eval(self, t, X, Y):
-        return _envelope(t, self.T) * self.spatial(X, Y)
 
     def div(self, t, X, Y):
         waves = self._plane_waves(X, Y)

@@ -146,7 +146,7 @@ def _run_and_write(cfg, outdir, quiet, stream, run, *args):
     this process sees only diag.csv and the wait for the writer of the
     writing. A failed run leaves no outdir, no staging directory and no
     writer process."""
-    from . import diagnostics as dg
+    from . import diagnostics as dg, trajectory
 
     t0 = time.perf_counter()
     with contextlib.ExitStack() as stack:
@@ -161,7 +161,7 @@ def _run_and_write(cfg, outdir, quiet, stream, run, *args):
         reports = _standard_checks(cfg, traj)
         reports.extend(_transport_checks(cfg, traj))
         if writer is not None and writer.stage is not None:
-            diag = traj.model.write_diag(traj, writer.stage)
+            diag = trajectory.write_diag_csv(traj, writer.stage)
             staged = writer.join() + [diag]
             os.makedirs(outdir, exist_ok=True)
             artifacts = [os.path.join(outdir, os.path.basename(p))

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grids import integrate, median
+from .grids import median
 
 
 def passes(measured, bound, tolerance):
@@ -101,7 +101,7 @@ def format_report_table(reports):
     return "\n".join(lines)
 
 
-def verify_reports(report_paths, policy="strict"):
+def verify_reports(report_paths, policy):
     """Aggregate check reports; returns (exit_status, summary_line).
 
     Exit 0 iff every non-skipped check passes under the policy
@@ -247,22 +247,3 @@ def check_barrier_invariant(traj):
         "barrier_invariant", bound=1.0, measured=measured,
         tolerance=-1e-15,  # strict: measured < 1 required
         context={"records": len(traj.records)})
-
-
-def momentum_residual_l2(traj):
-    """L2 norm of d/dx sigma - rho udot at snapshot midpoints, sigma the
-    stress of the trajectory's 1D model.
-
-    udot is formed by snapshot differencing, so the residual carries
-    O(dx + dt + dt_snap) consistency error.
-    """
-    from .grids import ddx_periodic
-    from .trajectory import State1D, snapshot_midpoints
-
-    g, stress = traj.model.g, traj.model.stress
-    worst = 0.0
-    for _, tm, rho_mid, u_mid, udot in snapshot_midpoints(traj):
-        sigma = stress(State1D(rho_mid, u_mid, tm))
-        resid = ddx_periodic(sigma, g) - rho_mid * udot
-        worst = max(worst, float(np.sqrt(integrate(resid**2, g))))
-    return worst

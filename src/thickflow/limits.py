@@ -61,18 +61,6 @@ def trajectory_violation_measure(traj, eta):
     return _multiplier_measures(traj, [eta])[0][str(eta)]
 
 
-def lagrange_multiplier(u, tau, g):
-    """Multiplier proxy pi = |tau| and the complementarity defect
-    int pi max(0, 1 - |du/dx|)."""
-    pi = np.abs(tau)
-    return pi, _complementarity_defect(pi, np.abs(ddx_periodic(u, g)), g)
-
-
-def trajectory_complementarity(traj):
-    """Snapshot-mean complementarity defect of pi = |tau|."""
-    return _multiplier_measures(traj, [])[1]
-
-
 def entropy_gap(rho_coarse, rho_ref, gamma, g):
     """Convexity gap int [r_p^g - r^g - g r^(g-1) (r_p - r)] dx >= 0."""
     rp = np.asarray(rho_coarse, dtype=float)

@@ -135,7 +135,7 @@ class PowerLawModel(Model1D):
         pr = self.params
         return pr.mu / pr.p * integrate(f * s / pr.mu, g)
 
-    def step(self, state, dt, forcing=None, prev=None):
+    def step(self, state, dt, forcing, prev):
         g, pr = self.g, self.params
         rho1, m1 = barotropic_llf_update(state.rho, state.u, pr.a, pr.gamma, dt, g)
         rho1, u_star = self._after_transport(state, dt, forcing, rho1, m1)

@@ -32,7 +32,6 @@ two H0 g.
 """
 
 import math
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -357,6 +356,7 @@ class Stokes2DModel:
     name = "semistationary2d"
     params_class = Stokes2DParams
     ndim = 2
+    maxabs_name = "Du_maxnorm"   # diag.csv's dudx_maxabs column
 
     def __init__(self, params, g):
         self.params = params
@@ -381,7 +381,7 @@ class Stokes2DModel:
         umax2 = float(np.max(np.abs(state.u[1])))
         return self.params.cfl / max(umax1 / g.dx + umax2 / g.dy, 1e-12)
 
-    def step(self, state, dt, forcing=None, prev=None):
+    def step(self, state, dt, forcing, prev):
         g, u = self.g, state.u
         rho_new = transport_density(state.rho, u, dt, g)
         u_new = solve_momentum(rho_new, self.params, g, u_init=u)
@@ -428,18 +428,11 @@ class Stokes2DModel:
 
         return snapshot_writer_2d(self.g, outdir)
 
-    def write_diag(self, traj, outdir):
-        from .trajectory import write_diag_csv
-
-        path = os.path.join(outdir, "diag.csv")
-        write_diag_csv(traj, path, maxabs_name="Du_maxnorm")
-        return path
-
     def write_csvs(self, traj, outdir):
-        from .trajectory import write_snapshots_2d
+        from . import trajectory
 
-        paths = write_snapshots_2d(traj, outdir)
-        return paths + [self.write_diag(traj, outdir)]
+        paths = trajectory.write_snapshots_2d(traj, outdir)
+        return paths + [trajectory.write_diag_csv(traj, outdir)]
 
     def shear_and_multiplier(self, u):
         """|Du| and pi = W |Du|, the norm of the viscous stress."""

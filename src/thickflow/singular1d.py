@@ -103,7 +103,7 @@ class SingularModel(Model1D):
         # no L^p norm term for the singular model
         return 0.0
 
-    def step(self, state, dt, forcing=None, prev=None):
+    def step(self, state, dt, forcing, prev):
         g, pr = self.g, self.params
         s0 = face_shear(state.u, g)
         if np.max(np.abs(s0)) >= 1.0:

@@ -422,6 +422,7 @@ class Model1D:
     """
 
     ndim = 1
+    maxabs_name = "dudx_maxabs"   # diag.csv's dudx_maxabs column
 
     def __init__(self, params, g):
         self.params = params
@@ -506,18 +507,11 @@ class Model1D:
 
         return snapshot_writer_1d(self.g, outdir, self.stress)
 
-    def write_diag(self, traj, outdir):
-        from .trajectory import write_diag_csv
-
-        path = os.path.join(outdir, "diag.csv")
-        write_diag_csv(traj, path)
-        return path
-
     def write_csvs(self, traj, outdir):
-        from .trajectory import write_snapshots_1d
+        from . import trajectory
 
-        paths = write_snapshots_1d(traj, outdir, self.stress)
-        return paths + [self.write_diag(traj, outdir)]
+        paths = trajectory.write_snapshots_1d(traj, outdir, self.stress)
+        return paths + [trajectory.write_diag_csv(traj, outdir)]
 
     def shear_and_multiplier(self, u):
         """|du/dx| and pi = |flux(du/dx)|."""
@@ -543,10 +537,10 @@ def advance(model, rho0, u0, T, snapshot_times=None, forcing=None,
         forcing, sink), which calls advance;
     and, for the CLI and limits, checks(cfg, traj), the reports of
     checks.json in order; snapshot_writer(outdir), the writer of one
-    snapshot CSV; write_diag(traj, outdir), which writes diag.csv;
-    write_csvs(traj, outdir), which writes the snapshot CSVs and
-    diag.csv; and shear_and_multiplier(u). sink, if given, is called
-    with model and each snapshot as it is stored, t = 0 first.
+    snapshot CSV; maxabs_name, diag.csv's name for the records'
+    dudx_maxabs; write_csvs(traj, outdir), which writes the snapshot
+    CSVs and diag.csv; and shear_and_multiplier(u). sink, if given, is
+    called with model and each snapshot as it is stored, t = 0 first.
 
     The time step is the CFL one, clipped to land exactly on snapshot
     times. When a step raises NewtonDivergence, SolverDivergence,

@@ -6,7 +6,8 @@ CSV schemas are part of the external contract:
   2D snapshot   t,x1,x2,rho,u1,u2,Du_norm,divu
   1D diag.csv   t,dt,mass,momentum,energy,dissipation_cum,rho_min,rho_max,
                 dudx_maxabs,sigma_max,hoff_cum
-  2D diag.csv   same with Du_maxnorm replacing dudx_maxabs
+  2D diag.csv   same with Du_maxnorm replacing dudx_maxabs (the column
+                takes the model's maxabs_name)
 
 Numbers are written with 17 significant digits (%.17g) so re-running an
 identical config reproduces byte-identical files.
@@ -17,7 +18,8 @@ inside `sweep --jobs` workers). The writer writes each snapshot through
 snapshot_writer_1d or _2d, the functions that write_snapshots_1d and
 _2d write with, so the bytes and stdout do not depend on it. A profiler
 or tracer inside the running process then sees only that process's
-share of the writing: diag.csv and the CLI's wait for the writer.
+share of the writing: write_diag_csv, which writes diag.csv in that
+process either way, and the CLI's wait for the writer.
 """
 
 import os
@@ -141,13 +143,17 @@ def _write_snapshot(path, header, t, coords, columns):
             f.write(template % tuple(values[i:i + _CHUNK].ravel().tolist()))
 
 
-def write_diag_csv(traj, path, maxabs_name="dudx_maxabs"):
+def write_diag_csv(traj, outdir):
+    """Write traj's records to outdir/diag.csv, the dudx_maxabs column
+    named by the model's maxabs_name; returns the path."""
+    path = os.path.join(outdir, "diag.csv")
     fields = list(DiagnosticsRecord.CSV_FIELDS)
-    fields[fields.index("dudx_maxabs")] = maxabs_name
+    fields[fields.index("dudx_maxabs")] = traj.model.maxabs_name
     _write_csv(path, ",".join(fields), _row_format(len(fields)), (
         (r.t, r.dt, r.mass, r.momentum, r.energy, r.dissipation_cum,
          r.rho_min, r.rho_max, r.dudx_maxabs, r.sigma_max, r.hoff_cum)
         for r in traj.records))
+    return path
 
 
 def snapshot_path(outdir, idx):

@@ -810,30 +810,37 @@ def test_sweep_workers_never_outnumber_the_members(tmp_path, monkeypatch,
 @pytest.mark.parametrize("jobs", ["1", "2"], ids=["jobs1", "jobs2"])
 def test_sweep_exit_3_names_the_first_failing_member(tmp_path, monkeypatch,
                                                      capsys, jobs):
+    # a bare NewtonDivergence, and the StepFailure that advance raises
+    # around one: under --jobs 2 each is pickled back from its worker
     from thickflow import cli
-    from thickflow.errors import NewtonDivergence
+    from thickflow.errors import NewtonDivergence, StepFailure
 
     run = cli._run_model_with
-
-    def failing_run(cfg, model, params, g):
-        # p_16 is handed out first under --jobs 2; p_8 comes first in
-        # the config
-        if params.p in (8.0, 16.0):
-            raise NewtonDivergence("injected")
-        return run(cfg, model, params, g)
-
-    monkeypatch.setattr(cli, "_run_model_with", failing_run)
+    failures = {
+        "NewtonDivergence: p_8: injected":
+            lambda: NewtonDivergence("injected"),
+        "StepFailure: p_8: step failed at t = 0.01: injected":
+            lambda: StepFailure("step failed at t = 0.01: injected", t=0.01,
+                                cause=NewtonDivergence("injected"))}
     cfgp = tmp_path / "sweep.cfg"
     cfgp.write_text(SMALL_RUN + "\n[sweep]\nkind = p\nvalues = 4, 8, 16\n")
-    out = tmp_path / "sw"
-    assert main(["sweep", str(cfgp), "--output", str(out), "--quiet",
-                 "--jobs", jobs]) == 3
-    assert multiprocessing.active_children() == []
-    assert capsys.readouterr().err == \
-        "solver failure: NewtonDivergence: p_8: injected\n"
-    # the member that ran is complete; the failing ones left nothing
-    assert sorted(p.name for p in out.iterdir()) == ["p_4"]
-    assert (out / "p_4" / "manifest.json").exists()
+    for k, (message, failure) in enumerate(failures.items()):
+        def failing_run(cfg, model, params, g):
+            # p_16 is handed out first under --jobs 2; p_8 comes first in
+            # the config
+            if params.p in (8.0, 16.0):
+                raise failure()
+            return run(cfg, model, params, g)
+
+        monkeypatch.setattr(cli, "_run_model_with", failing_run)
+        out = tmp_path / f"sw{k}"
+        assert main(["sweep", str(cfgp), "--output", str(out), "--quiet",
+                     "--jobs", jobs]) == 3
+        assert multiprocessing.active_children() == []
+        assert capsys.readouterr().err == f"solver failure: {message}\n"
+        # the member that ran is complete; the failing ones left nothing
+        assert sorted(p.name for p in out.iterdir()) == ["p_4"]
+        assert (out / "p_4" / "manifest.json").exists()
 
 
 NO_NUMPY_MA = """

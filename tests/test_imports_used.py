@@ -5,12 +5,24 @@ inside a function (a global statement): state a function needs comes in
 as an argument. Only config.py names MODELS, the model name to class
 map: past the config a model is its class, or the instance a Trajectory
 carries. No function imports from config (an import there would hide a
-cycle). Only the standard library's ast is used."""
+cycle). Every module-level function and class is named somewhere in
+the package besides its own definition, or is one that the acceptance
+gate reads (GATE_READS). Methods are not checked: their names collide
+with attributes of other objects (eval, dt, grad), so a name alone does
+not show that a method is called. Only the standard library's ast is
+used."""
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "thickflow"
+
+# module-level definitions that only the acceptance gate calls, and why
+GATE_READS = {
+    "trajectory_violation_measure": "C5's space-time violation fraction",
+    "variational_residual_2d": "C11's 2D variational inequality",
+}
 
 
 def _unused_imports(tree):
@@ -45,14 +57,15 @@ def test_no_module_has_a_global_statement():
 
 
 def _names(tree):
-    """Every name tree reads, binds, imports or takes as an attribute."""
+    """Every name tree reads, binds, imports (and imports as) or takes as
+    an attribute."""
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
             yield node.id
         elif isinstance(node, ast.Attribute):
             yield node.attr
         elif isinstance(node, ast.alias):
-            yield node.asname or node.name
+            yield from filter(None, (node.name, node.asname))
 
 
 def _imports_config(node):
@@ -98,3 +111,36 @@ def test_an_unused_import_is_found():
     tree = ast.parse("import os\nimport numpy as np\nfrom .a import b, c\n"
                      "__all__ = ['c']\nnp.zeros(os.sep)\n")
     assert _unused_imports(tree) == ["b"]
+
+
+def _unreached(trees):
+    """(module, name) of each module-level function and class of trees
+    ({module: tree}) that no name of trees reads, imports or takes as an
+    attribute outside its own definition."""
+    named = Counter(name for tree in trees.values() for name in _names(tree))
+    return [(module, node.name) for module, tree in trees.items()
+            for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.ClassDef))
+            and named[node.name] == Counter(_names(node))[node.name]]
+
+
+def test_every_definition_is_reached():
+    trees = {path.name: ast.parse(path.read_text())
+             for path in sorted(SRC.glob("*.py"))}
+    unreached = _unreached(trees)
+    stray = [f"{module}: {name}" for module, name in unreached
+             if name not in GATE_READS]
+    assert stray == [], f"nothing in the package names {stray}"
+    # an entry that the package itself comes to call leaves the list
+    assert sorted(name for _, name in unreached) == sorted(GATE_READS)
+
+
+def test_an_unreached_definition_is_found():
+    trees = {"a.py": ast.parse("def f(n):\n    return f(n - 1)\n"
+                               "def g():\n    pass\n"
+                               "class C:\n    def h(self):\n        pass\n"
+                               "def k():\n    return C().h\n"),
+             "b.py": ast.parse("from .a import g as g2\n"
+                               "def m():\n    return g2()\n")}
+    assert _unreached(trees) == [("a.py", "f"), ("a.py", "k"), ("b.py", "m")]

@@ -2,14 +2,14 @@ import numpy as np
 import pytest
 
 from thickflow.banks import SplitMix64, velocity_bank_1d, velocity_bank_2d
-from thickflow.diagnostics import hoff_value, momentum_residual_l2
+from thickflow.diagnostics import hoff_value
 from thickflow.grids import (Grid1D, Grid2D, ddx_periodic, div_2d, integrate,
                              sym_grad_2d, sym_grad_norm)
-from thickflow.limits import (assemble_sweep_report,
+from thickflow.limits import (_complementarity_defect, _multiplier_measures,
+                              assemble_sweep_report,
                               constraint_violation_measure,
                               cross_model_distance, entropy_gap,
-                              lagrange_multiplier, restrict_block_average,
-                              trajectory_complementarity,
+                              restrict_block_average,
                               trajectory_violation_measure,
                               variational_residual_1d, variational_residual_2d)
 from thickflow.powerlaw1d import PowerLawModel, PowerLawParams
@@ -45,30 +45,20 @@ class TestViolationMeasure:
             constraint_violation_measure(np.ones(4), 0.0)
 
 
-class TestLagrangeMultiplier:
+class TestComplementarityDefect:
     def test_zero_stress(self):
         g = Grid1D(32)
-        pi, resid = lagrange_multiplier(np.zeros(g.n), np.zeros(g.n), g)
-        assert np.all(pi == 0.0)
-        assert resid == 0.0
+        assert _complementarity_defect(np.zeros(g.n), np.zeros(g.n), g) == 0.0
 
-    def test_active_constraint_zero_residual(self):
-        # |du/dx| = 1 pointwise: residual vanishes for any tau
+    def test_active_constraint_zero_defect(self):
+        # |du/dx| = 1 pointwise: the defect vanishes for any pi
         g = Grid1D(64)
         u = g.x.copy()  # du/dx = 1 except at the wrap seam
-        tau = np.ones(g.n)
-        pi, resid = lagrange_multiplier(u, tau, g)
+        pi = np.ones(g.n)
         # only the two seam cells contribute; their du/dx is 1 - n/2-ish,
         # where max(0, 1 - |du/dx|) = 0 as well since |du/dx| > 1
-        assert resid == 0.0
-        assert np.all(pi >= 0.0)
-
-    def test_pi_nonnegative(self):
-        g = Grid1D(32)
-        rng = np.random.default_rng(2)
-        pi, _ = lagrange_multiplier(rng.normal(size=g.n),
-                                    rng.normal(size=g.n), g)
-        assert np.all(pi >= 0.0)
+        assert _complementarity_defect(pi, np.abs(ddx_periodic(u, g)), g) \
+            == 0.0
 
 
 @pytest.mark.parametrize("name", ["powerlaw1d", "singular1d"])
@@ -89,8 +79,8 @@ def test_model_stress_and_defect_equal_closed_forms(name):
     state = State1D(rho, u, 0.1)
     assert np.array_equal(model.stress(state), tau - pr.a * rho**pr.gamma)
     traj = Trajectory(model, [state], [])
-    assert trajectory_complementarity(traj) == \
-        lagrange_multiplier(u, tau, g)[1]
+    assert _multiplier_measures(traj, [])[1] == \
+        integrate(np.abs(tau) * np.maximum(0.0, 1.0 - np.abs(dudx)), g)
 
 
 class TestEntropyGap:
@@ -240,9 +230,9 @@ def _ref_violation(traj, eta):
 def _ref_multiplier_defect(traj, snapshot):
     g = traj.model.g
     if snapshot.rho.ndim == 1:
-        tau = traj.model.flux(ddx_periodic(snapshot.u, g))
-        _, resid = lagrange_multiplier(snapshot.u, tau, g)
-        return resid
+        dudx = ddx_periodic(snapshot.u, g)
+        pi = np.abs(traj.model.flux(dudx))
+        return integrate(pi * np.maximum(0.0, 1.0 - np.abs(dudx)), g)
     D, log_t = _strain(snapshot.u, g, traj.model.params.delta)
     dn = sym_grad_norm(D)
     pi = _weight(log_t, traj.model.params.p) * dn
@@ -348,24 +338,6 @@ def _ref_variational_2d(traj, bank, params):
     return -min(mins), min(mins)
 
 
-def _ref_momentum_residual_l2(traj):
-    g, stress = traj.model.g, traj.model.stress
-    worst = 0.0
-    snaps = traj.snapshots
-    for k in range(len(snaps) - 1):
-        s0, s1 = snaps[k], snaps[k + 1]
-        dt = s1.t - s0.t
-        if dt <= 0:
-            continue
-        u_mid = 0.5 * (s0.u + s1.u)
-        rho_mid = 0.5 * (s0.rho + s1.rho)
-        udot = (s1.u - s0.u) / dt + u_mid * ddx_periodic(u_mid, g)
-        sigma = stress(State1D(rho_mid, u_mid, s0.t + 0.5 * dt))
-        resid = ddx_periodic(sigma, g) - rho_mid * udot
-        worst = max(worst, float(np.sqrt(integrate(resid**2, g))))
-    return worst
-
-
 # 11 positive times, one repeated (a pair dt = 0 apart): the snapshot
 # means run over 8 or more values, where np.mean's pairwise sum and a
 # running sum differ
@@ -424,7 +396,6 @@ def test_sweep_measures_keep_the_former_bits(kind):
         assert len({v for d in rep["violation"].values()
                     for v in d.values()}) > 3
     for traj in trajs.values():
-        assert trajectory_complementarity(traj) == _ref_complementarity(traj)
         for eta in etas:
             assert trajectory_violation_measure(traj, eta) == \
                 _ref_violation(traj, eta)
@@ -461,7 +432,6 @@ def test_1d_midpoint_residuals_keep_the_former_bits(kind):
             (measured, rmin)
         assert rep.context == {"bank_size": 6, "residuals_min": rmin,
                                "E0": traj.records[0].energy}
-        assert momentum_residual_l2(traj) == _ref_momentum_residual_l2(traj)
 
 
 def test_2d_variational_residual_keeps_the_former_bits():

@@ -200,7 +200,7 @@ class TestStep:
         g = Grid1D(32)
         pr = params(p=8.0)
         s0 = State1D(np.ones(g.n), np.zeros(g.n), 0.0)
-        s1 = PowerLawModel(pr, g).step(s0, 1e-3)[0]
+        s1 = PowerLawModel(pr, g).step(s0, 1e-3, None, None)[0]
         assert np.array_equal(s1.rho, s0.rho)
         assert np.array_equal(s1.u, s0.u)
 
@@ -209,7 +209,7 @@ class TestStep:
         pr = params(p=8.0)
         c = 0.37
         s0 = State1D(np.ones(g.n), np.full(g.n, c), 0.0)
-        s1 = PowerLawModel(pr, g).step(s0, 1e-3)[0]
+        s1 = PowerLawModel(pr, g).step(s0, 1e-3, None, None)[0]
         assert np.max(np.abs(s1.rho - 1.0)) < 1e-14
         assert np.max(np.abs(s1.u - c)) < 1e-14
 

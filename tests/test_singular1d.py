@@ -73,7 +73,7 @@ class TestStepAndRun:
     def test_rest_state_fixed_point(self):
         g = Grid1D(32)
         s0 = State1D(np.ones(g.n), np.zeros(g.n), 0.0)
-        s1 = SingularModel(params(), g).step(s0, 1e-3)[0]
+        s1 = SingularModel(params(), g).step(s0, 1e-3, None, None)[0]
         assert np.array_equal(s1.rho, s0.rho)
         assert np.array_equal(s1.u, s0.u)
 
@@ -231,8 +231,8 @@ class TestNewtonPredictor:
             return solve(u_init, *args, **kwargs)
 
         monkeypatch.setattr(singular1d, "implicit_shear_solve", traced_solve)
-        predicted = model.step(state, dt, prev=prev)
-        from_u_n = model.step(state, dt)
+        predicted = model.step(state, dt, None, prev)
+        from_u_n = model.step(state, dt, None, None)
         assert starts[1] is state.u
         if outside:
             assert starts[0] is state.u

@@ -151,7 +151,7 @@ def test_cyclic_tridiag_end_blocks_on_captured_jacobians(monkeypatch):
     state = State1D(*cfg.initial_fields(g), 0.0)
     for _ in range(3):
         dt = model.cfl_dt(state)
-        state = model.step(state, dt)[0]
+        state = model.step(state, dt, None, None)[0]
     monkeypatch.undo()
     assert len(systems) >= 3   # one Newton solve or more per step
     for *system, x_run in systems:

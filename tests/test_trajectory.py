@@ -75,8 +75,8 @@ def test_diag_csv_equal_per_value_form(tmp_path):
     records[0].dt = 0          # the initial row's dt is an int
     records[1].mass = np.float64(values[3])
     traj = Trajectory(Stokes2DModel(None, Grid2D(8, 8)), records=records)
-    path = tmp_path / "diag.csv"
-    write_diag_csv(traj, path, maxabs_name="Du_maxnorm")
+    path = write_diag_csv(traj, str(tmp_path))
+    assert path == str(tmp_path / "diag.csv")
     fields = list(DiagnosticsRecord.CSV_FIELDS)
     fields[fields.index("dudx_maxabs")] = "Du_maxnorm"
     rows = [[getattr(r, name) for name in DiagnosticsRecord.CSV_FIELDS]
