@@ -21,9 +21,9 @@ check_bank is the one rule for the bank a check draws from a config.
 
 A scalar test function, in 1D and in 2D, is one grids.FourierSeries, and
 every spatial part is evaluated by grids.PlaneWaves.series. sample_bank
-samples a whole scalar bank on a grid at once, sharing each wave's cos
-and sin between the members, for checks that evaluate the same test
-functions at many times.
+samples a whole bank (scalar, 1D or 2D velocity) on a grid at once,
+sharing each wave's cos and sin between the members, for checks that
+evaluate the same test functions at many times.
 """
 
 from dataclasses import dataclass
@@ -35,9 +35,12 @@ from .grids import (FourierSeries, Grid1D, PlaneWaves, dense_extrema,
 
 _MASK = (1 << 64) - 1
 
-# the weak-form checks draw at most this many scalar members
+# the members and modes of the banks the checks draw (check_bank); the
+# weak-form checks draw WEAK_FORM_SIZE scalar members, and the 2D
+# velocity bank has VELOCITY_2D_MODES modes, which C11 relies on
+BANK_SIZE = 20
+BANK_MODES = 3
 WEAK_FORM_SIZE = 10
-# the 2D velocity bank's modes, whatever bank_modes; C11 relies on them
 VELOCITY_2D_MODES = 2
 
 
@@ -93,7 +96,7 @@ class SampledTestFunction:
 
 
 def sample_bank(bank, grid):
-    """Each scalar test function of bank sampled on grid.
+    """Each test function of bank sampled on grid.
 
     The cos and sin of each plane wave are evaluated once for the bank.
     """
@@ -135,6 +138,19 @@ class TestFunction(FourierSeries):
 
 
 @dataclass
+class SampledVelocity2D:
+    """A 2D velocity test field with the divergence of its spatial part,
+    before its scale, sampled on a grid."""
+
+    T: float
+    scale: float
+    div_S: np.ndarray
+
+    def div(self, t):
+        return (_envelope(t, self.T) * self.scale) * self.div_S
+
+
+@dataclass
 class TestFunction2D:
     """Vector field with plane-wave components and the same time envelope.
 
@@ -147,28 +163,22 @@ class TestFunction2D:
     T: float
     scale: float = 1.0
 
-    def _plane_waves(self, X, Y):
-        waves = {tuple(q[:-2]) for q in self.coeffs1 + self.coeffs2}
-        return PlaneWaves(waves, X, Y)
+    def waves(self):
+        return {tuple(q[:-2]) for q in self.coeffs1 + self.coeffs2}
 
-    def spatial(self, X, Y):
-        waves = self._plane_waves(X, Y)
-        return np.stack([self.scale * waves.series(self.coeffs1),
-                         self.scale * waves.series(self.coeffs2)])
+    def sampled(self, waves):
+        """Sampled from waves, a PlaneWaves of its waves()."""
+        div_S = (waves.series(self.coeffs1, d=0)
+                 + waves.series(self.coeffs2, d=1))
+        return SampledVelocity2D(self.T, self.scale, div_S)
 
     def spatial_sym_grad(self, X, Y):
-        waves = self._plane_waves(X, Y)
+        waves = PlaneWaves(self.waves(), X, Y)
         d11 = self.scale * waves.series(self.coeffs1, d=0)
         d22 = self.scale * waves.series(self.coeffs2, d=1)
         d12 = 0.5 * self.scale * (waves.series(self.coeffs1, d=1)
                                   + waves.series(self.coeffs2, d=0))
         return np.stack([d11, d22, d12])
-
-    def div(self, t, X, Y):
-        waves = self._plane_waves(X, Y)
-        d11 = waves.series(self.coeffs1, d=0)
-        d22 = waves.series(self.coeffs2, d=1)
-        return _envelope(t, self.T) * self.scale * (d11 + d22)
 
     def max_sym_grad(self):
         """max |DS| of the spatial part on a dense 256 x 256 sample grid."""
@@ -231,13 +241,12 @@ def velocity_bank_2d(seed, T, size):
 def check_bank(cfg, kind, ndim):
     """The bank of kind "scalar" (weak-form checks) or "velocity"
     (variational inequality) in ndim = 1 or 2 that the checks of cfg's
-    runs draw. The makers are looked up when called, so that wrappers set
-    on this module after import (perfbench's tracer) draw."""
+    runs draw, on cfg's seed and T. The makers are looked up when
+    called, so that wrappers set on this module after import (perfbench's
+    tracer) draw."""
     if kind == "scalar":
         maker = scalar_bank_1d if ndim == 1 else scalar_bank_2d
-        return maker(cfg.seed, cfg.T, min(cfg.bank_size, WEAK_FORM_SIZE),
-                     cfg.bank_modes)
+        return maker(cfg.seed, cfg.T, WEAK_FORM_SIZE, BANK_MODES)
     if ndim == 1:
-        return velocity_bank_1d(cfg.seed, cfg.T, cfg.bank_size,
-                                cfg.bank_modes)
-    return velocity_bank_2d(cfg.seed, cfg.T, cfg.bank_size)
+        return velocity_bank_1d(cfg.seed, cfg.T, BANK_SIZE, BANK_MODES)
+    return velocity_bank_2d(cfg.seed, cfg.T, BANK_SIZE)

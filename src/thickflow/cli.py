@@ -2,7 +2,7 @@
 
     thickflow run <config> [--output DIR] [--quiet]
     thickflow sweep <config> [--output DIR] [--jobs N] [--quiet]
-    thickflow verify <dir> [--policy strict|tolerant] [--quiet]
+    thickflow verify <dir> [--quiet]
     thickflow banks <config> [--output DIR]
 
 A run whose snapshots have at least _STREAM_MIN_CELLS cells, computing
@@ -205,17 +205,9 @@ def cmd_run(args):
     cfg = _load(args.config)
     if cfg is None:
         return 2
-    outdir = args.output or cfg.output_dir or "out"
-    try:
-        cells = cfg.nx * cfg.ny if cfg.is_2d else cfg.n
-        _, reports = _run_and_write(cfg, outdir, args.quiet, _streams(cells),
-                                    _run_model)
-    except _SOLVER_ERRORS as e:
-        print(f"solver failure: {type(e).__name__}: {e}", file=sys.stderr)
-        return 3
-    except WriterError as e:
-        print(f"snapshot writer failed: {e}", file=sys.stderr)
-        return 3
+    cells = cfg.nx * cfg.ny if cfg.is_2d else cfg.n
+    _, reports = _run_and_write(cfg, args.output or "out", args.quiet,
+                                _streams(cells), _run_model)
     return 4 if _any_failed(reports) else 0
 
 
@@ -293,17 +285,9 @@ def cmd_sweep(args):
         print("config error: [sweep] section with kind = p|eps|cross required",
               file=sys.stderr)
         return 2
-    outdir = args.output or cfg.output_dir or "out"
+    outdir = args.output or "out"
     os.makedirs(outdir, exist_ok=True)
-    try:
-        results, member_failed = _sweep_runs(cfg, outdir, args.quiet,
-                                              args.jobs)
-    except _SOLVER_ERRORS as e:
-        print(f"solver failure: {type(e).__name__}: {e}", file=sys.stderr)
-        return 3
-    except WriterError as e:
-        print(f"snapshot writer failed: {e}", file=sys.stderr)
-        return 3
+    results, member_failed = _sweep_runs(cfg, outdir, args.quiet, args.jobs)
 
     reports = []
     kind = "eps" if cfg.sweep_kind == "eps" else "p"
@@ -337,15 +321,12 @@ def cmd_verify(args):
     if not paths:
         print(f"no checks.json found under {args.directory}", file=sys.stderr)
         return 2
-    status, summary = dg.verify_reports(paths, policy=args.policy)
+    status, summary, reports = dg.verify_reports(paths)
     if status == 2:
         print(summary, file=sys.stderr)
         return 2
     if not args.quiet:
-        table = []
-        for p in paths:
-            table.extend(dg.load_reports(p))
-        print(dg.format_report_table(table))
+        print(dg.format_report_table(reports))
         print(summary)
     return status
 
@@ -393,8 +374,6 @@ def main(argv=None):
 
     p_ver = sub.add_parser("verify", help="aggregate check reports")
     p_ver.add_argument("directory")
-    p_ver.add_argument("--policy", choices=("strict", "tolerant"),
-                       default="strict")
     p_ver.add_argument("--quiet", action="store_true")
 
     p_banks = sub.add_parser("banks", help="dump the seeded test banks")
@@ -406,7 +385,15 @@ def main(argv=None):
         p_sweep.error(f"argument --jobs: must be at least 1, got {args.jobs}")
     cmd = {"run": cmd_run, "sweep": cmd_sweep, "verify": cmd_verify,
            "banks": cmd_banks}[args.command]
-    return cmd(args)
+    # the one place that maps a solver or snapshot writer failure, in a run
+    # or a sweep member, to exit 3
+    try:
+        return cmd(args)
+    except _SOLVER_ERRORS as e:
+        print(f"solver failure: {type(e).__name__}: {e}", file=sys.stderr)
+    except WriterError as e:
+        print(f"snapshot writer failed: {e}", file=sys.stderr)
+    return 3
 
 
 if __name__ == "__main__":

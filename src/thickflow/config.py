@@ -39,6 +39,8 @@ from .transport_check import horizon_cells, midpoint_cadence
 MODELS = {cls.name: cls for cls in (PowerLawModel, SingularModel,
                                     Stokes2DModel)}
 
+# [output] reads no key (--output names the directory); its keys are
+# unknown keys
 _SECTIONS = ("model", "grid", "params", "initial", "time", "sweep",
              "checks", "output")
 
@@ -104,7 +106,6 @@ def parse_raw(text):
 @dataclass
 class Config:
     model: str                                   # the [model] kind
-    model_class: type = None                     # its class
     n: int = 0
     nx: int = 0
     ny: int = 0
@@ -116,7 +117,6 @@ class Config:
     seed: int = 1
     T: float = 0.0
     snapshots: int = 32
-    snapshot_times: list = field(default_factory=list)
     sweep_kind: str = ""
     sweep_values: list = field(default_factory=list)
     sweep_eps_values: list = field(default_factory=list)
@@ -126,10 +126,11 @@ class Config:
     tol_c: float = 5.0
     eta: list = field(default_factory=lambda: [0.01, 0.05, 0.1])
     s_list: list = field(default_factory=list)
-    bank_size: int = 20
-    bank_modes: int = 3
-    output_dir: str = ""
     raw_text: str = ""
+
+    @property
+    def model_class(self):
+        return MODELS[self.model]
 
     @property
     def is_2d(self):
@@ -139,10 +140,7 @@ class Config:
         return Grid2D(self.nx, self.ny) if self.is_2d else Grid1D(self.n)
 
     def snapshot_schedule(self):
-        """Configured output times: explicit list, or the uniform
-        midpoint grid (k + 1/2) T / snapshots."""
-        if self.snapshot_times:
-            return list(self.snapshot_times)
+        """Output times: the midpoint grid (k + 1/2) T / snapshots."""
         n = self.snapshots
         return [(k + 0.5) * self.T / n for k in range(n)]
 
@@ -171,11 +169,10 @@ class Config:
 
 # [section] -> keys read into the Config field named key, or section_key
 # where that exists, like the field's default
-_READ = {"time": ("T", "snapshots", "snapshot_times"),
+_READ = {"time": ("T", "snapshots"),
          "initial": ("paper_initial_conditions", "seed"),
          "sweep": ("kind", "values", "eps_values", "eps_n"),
-         "checks": ("tol_c", "eta", "s_list", "bank_size", "bank_modes"),
-         "output": ("dir",)}
+         "checks": ("tol_c", "eta", "s_list")}
 
 
 def parse_config(text):
@@ -192,7 +189,7 @@ def parse_config(text):
                               f"| semistationary2d, got {name!r}")
 
     model = MODELS[name]
-    cfg = Config(model=name, model_class=model, raw_text=text)
+    cfg = Config(model=name, raw_text=text)
     used = {"model.kind"}
 
     def read(where, default):
@@ -218,7 +215,7 @@ def parse_config(text):
         return default
 
     if cfg.is_2d:
-        cfg.nx = read("grid.nx", read("grid.n", cfg.nx))
+        cfg.nx = read("grid.nx", cfg.nx)
         cfg.ny = read("grid.ny", cfg.nx)
     else:
         cfg.n = read("grid.n", cfg.n)
@@ -235,18 +232,15 @@ def parse_config(text):
         errors.append("time.T: final time must be >= 0")
     if cfg.snapshots < 1:
         errors.append(f"time.snapshots: must be >= 1, got {cfg.snapshots}")
-    for where, times in (("time.snapshot_times", cfg.snapshot_times),
-                         ("checks.s_list", cfg.s_list)):
-        outside = [t for t in times if not 0 < t <= cfg.T]
-        if outside:
-            errors.append(f"{where}: {outside} outside (0, T = {cfg.T}]")
+    outside = [t for t in cfg.s_list if not 0 < t <= cfg.T]
+    if outside:
+        errors.append(f"checks.s_list: {outside} outside (0, T = {cfg.T}]")
     if cfg.s_list and not any(e.startswith(("time.", "checks.s_list"))
                               for e in errors):
         # the time-mean check's horizons, on the run's snapshot times:
         # the schedule and T, which the run always ends with
         try:
-            count, w = midpoint_cadence(
-                sorted(set(cfg.snapshot_schedule())) + [cfg.T])
+            count, w = midpoint_cadence(cfg.snapshot_schedule() + [cfg.T])
             for s_h in cfg.s_list:
                 horizon_cells(s_h, w, count)
         except ValueError as e:
@@ -256,10 +250,6 @@ def parse_config(text):
                       f"got {cfg.tol_c}")
     if not all(eta > 0 for eta in cfg.eta):
         errors.append(f"checks.eta: every eta must be positive, got {cfg.eta}")
-    for key in ("bank_size", "bank_modes"):
-        value = getattr(cfg, key)
-        if value < 1:
-            errors.append(f"checks.{key}: must be >= 1, got {value}")
 
     width = 4 if cfg.is_2d else 3
     zero = (0,) * (width - 2)

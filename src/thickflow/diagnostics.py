@@ -23,14 +23,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .errors import is_number
 from .grids import median
-
-
-def passes(measured, bound, tolerance):
-    """The pass rule: measured <= bound, loosened by tolerance relative to
-    |bound| and absolutely."""
-    slack = 1.0 + tolerance if bound >= 0 else 1.0 - tolerance
-    return measured <= bound * slack + tolerance
 
 
 @dataclass
@@ -45,7 +39,10 @@ class CheckReport:
 
     @staticmethod
     def build(check, bound, measured, tolerance, context=None):
-        passed = passes(measured, bound, tolerance)
+        """The report of measured against bound by the pass rule: bound
+        loosened by tolerance relative to |bound| and absolutely."""
+        slack = 1.0 + tolerance if bound >= 0 else 1.0 - tolerance
+        passed = measured <= bound * slack + tolerance
         return CheckReport(check, float(bound), float(measured),
                            float(tolerance), bool(passed),
                            context=context or {})
@@ -73,20 +70,40 @@ def write_reports(reports, path):
         f.write("\n")
 
 
+# each key of a report in checks.json, in the order of CheckReport's
+# fields: what its value must be, and the test
+_REPORT_KEYS = {
+    "check": ("a string", lambda v: isinstance(v, str)),
+    "bound": ("a number or null", lambda v: v is None or is_number(v)),
+    "measured": ("a number or null", lambda v: v is None or is_number(v)),
+    "tol": ("a number", is_number),
+    "pass": ("a bool", lambda v: isinstance(v, bool)),
+    "skipped": ("a bool", lambda v: isinstance(v, bool)),
+}
+
+
 def load_reports(path):
+    """The reports of the checks.json at path; raises ValueError unless it
+    is a list of objects that each have every key of _REPORT_KEYS."""
     with open(path) as f:
         raw = json.load(f)
+    if not isinstance(raw, list):
+        raise ValueError("expected a list of reports, got "
+                         + type(raw).__name__)
     out = []
-    for d in raw:
-        out.append(CheckReport(
-            check=d["check"],
-            bound=math.nan if d["bound"] is None else d["bound"],
-            measured=math.nan if d["measured"] is None else d["measured"],
-            tolerance=d["tol"],
-            passed=d["pass"],
-            skipped=d.get("skipped", False),
-            context=d.get("context", {}),
-        ))
+    for i, d in enumerate(raw):
+        if not isinstance(d, dict):
+            raise ValueError(f"report {i}: expected an object, got "
+                             + type(d).__name__)
+        for key, (kind, holds) in _REPORT_KEYS.items():
+            if key not in d:
+                raise ValueError(f"report {i}: no {key}")
+            if not holds(d[key]):
+                raise ValueError(f"report {i}: {key}: expected {kind}, "
+                                 f"got {d[key]!r}")
+        out.append(CheckReport(*(math.nan if d[key] is None else d[key]
+                                 for key in _REPORT_KEYS),
+                               context=d.get("context", {})))
     return out
 
 
@@ -101,32 +118,24 @@ def format_report_table(reports):
     return "\n".join(lines)
 
 
-def verify_reports(report_paths, policy):
-    """Aggregate check reports; returns (exit_status, summary_line).
+def verify_reports(report_paths):
+    """Aggregate check reports; returns (exit_status, summary_line,
+    reports).
 
-    Exit 0 iff every non-skipped check passes under the policy
-    (tolerant downgrades failures within twice the stated tolerance to
-    warnings); 4 on failure, 2 on unreadable reports.
+    Exit 0 iff every non-skipped check passes, 4 on failure; 2 on an
+    unreadable report, with no reports and the reason as the summary.
     """
     all_reports = []
     for p in report_paths:
         try:
             all_reports.extend(load_reports(p))
-        except (OSError, ValueError, KeyError) as e:
-            return 2, f"unreadable report {p}: {e}"
-    failures = warnings = skips = 0
-    for r in all_reports:
-        if r.skipped:
-            skips += 1
-        elif not r.passed:
-            if policy == "tolerant" and passes(r.measured, r.bound,
-                                               2.0 * r.tolerance):
-                warnings += 1
-            else:
-                failures += 1
+        except (OSError, ValueError) as e:
+            return 2, f"unreadable report {p}: {e}", []
+    skips = sum(r.skipped for r in all_reports)
+    failures = sum(not (r.passed or r.skipped) for r in all_reports)
     summary = (f"checks: {len(all_reports)} total, {failures} failed, "
-               f"{warnings} tolerated, {skips} skipped")
-    return (4 if failures else 0), summary
+               f"{skips} skipped")
+    return (4 if failures else 0), summary, all_reports
 
 
 def _consistency_tol(traj, tol_c):

@@ -10,15 +10,14 @@ The time-mean check evaluates m(s) = |(1/s) int_0^s int (rho^gamma -
 rho_0^gamma)| on a decreasing list of horizons s; for a dissipative
 run int rho^gamma(t) decays linearly at t = 0+, so m(s) ~ (c/2) s.
 
-The spatial part of a test function does not depend on t: it is
-evaluated once per test function (banks.sample_bank, once per bank
-and grid), and the time enters the residuals only through the scalar
-envelope env(t) and its derivative.
+The spatial part of a test function does not depend on t: the residuals
+take test functions sampled once per bank and grid (banks.sample_bank),
+and the time enters them only through the scalar envelope env(t) and
+its derivative.
 """
 
 import numpy as np
 
-from .banks import SampledTestFunction, sample_bank
 from .grids import ddx_periodic, div_2d, integrate
 
 
@@ -66,8 +65,8 @@ def _midpoint_snapshots(traj):
 def continuity_residual(traj, phi):
     """|int int rho dphi/dt + rho u . grad phi| over the snapshot grid.
 
-    phi is a scalar test function, or the same sampled on traj.model.g by
-    sample_bank.
+    phi is a scalar test function sampled on traj.model.g by
+    banks.sample_bank.
     """
     return _weak_residual(traj, 1.0, phi)
 
@@ -84,8 +83,6 @@ def renormalized_residual(traj, gamma, phi):
 def _weak_residual(traj, gamma, phi):
     """renormalized_residual; its (g-1) term is skipped at gamma = 1."""
     g = traj.model.g
-    if not isinstance(phi, SampledTestFunction):
-        phi = sample_bank([phi], g)[0]
     snaps, w = _midpoint_snapshots(traj)
     total = 0.0
     for s in snaps:

@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 
 from thickflow import banks
-from thickflow.banks import (_waves, sample_bank, scalar_bank_1d,
-                             scalar_bank_2d, velocity_bank_2d)
+from thickflow.banks import (BANK_MODES, BANK_SIZE, WEAK_FORM_SIZE, _waves,
+                             sample_bank, scalar_bank_1d, scalar_bank_2d,
+                             velocity_bank_2d)
 from thickflow.cli import main
 from thickflow.grids import Grid1D, Grid2D
 
@@ -19,7 +20,7 @@ CONFIGS = os.path.join(os.path.dirname(__file__), "..", "configs")
 # Re-pinned when the dump gained "scalar_2d", the bank of a 2D run's
 # weak-form checks; every other key kept its bytes. Re-pinned when the
 # dump came to draw every bank through banks.check_bank: "scalar_1d" now
-# holds the first min(bank_size, 10) = 10 of its former 20 members, the
+# holds the first WEAK_FORM_SIZE = 10 of its former 20 members, the
 # bank a 1D run's weak-form checks draw; every other key kept its bytes.
 BANK_DIGESTS = {
     "demo_1d.cfg":
@@ -73,11 +74,15 @@ def test_plane_waves_equal_per_wave_form_2d():
         for d in (0, 1):
             assert np.array_equal(sampled.grad_S[d],
                                   _loop_2d(phi.coeffs, X, Y, d))
-    v = velocity_bank_2d(seed=31, T=1.0, size=1)[0]
-    D = v.spatial_sym_grad(X, Y)
-    assert np.array_equal(D[0], v.scale * _loop_2d(v.coeffs1, X, Y, 0))
-    assert np.array_equal(D[2], 0.5 * v.scale * (
-        _loop_2d(v.coeffs1, X, Y, 1) + _loop_2d(v.coeffs2, X, Y, 0)))
+    bank = velocity_bank_2d(seed=31, T=1.0, size=3)
+    for v, sampled in zip(bank, sample_bank(bank, g)):
+        D = v.spatial_sym_grad(X, Y)
+        assert np.array_equal(D[0], v.scale * _loop_2d(v.coeffs1, X, Y, 0))
+        assert np.array_equal(D[2], 0.5 * v.scale * (
+            _loop_2d(v.coeffs1, X, Y, 1) + _loop_2d(v.coeffs2, X, Y, 0)))
+        assert sampled.scale == v.scale
+        assert np.array_equal(sampled.div_S, _loop_2d(v.coeffs1, X, Y, 0)
+                              + _loop_2d(v.coeffs2, X, Y, 1))
 
 
 @pytest.mark.parametrize("name", sorted(BANK_DIGESTS))
@@ -103,9 +108,6 @@ seed = 5
 [time]
 T = 0.02
 snapshots = 4
-[checks]
-bank_size = 12
-bank_modes = 1
 """
 
 RUN_2D = """
@@ -123,9 +125,6 @@ seed = 5
 [time]
 T = 0.02
 snapshots = 4
-[checks]
-bank_size = 12
-bank_modes = 1
 """
 
 
@@ -152,12 +151,13 @@ def test_banks_dumps_the_scalar_bank_of_the_weak_form_checks(
     assert dump[f"scalar_{ndim}d"] == [
         {"coeffs": [list(q) for q in phi.coeffs], "scale": phi.scale}
         for phi in drawn[0]]
-    # min(bank_size, 10) members on the waves of bank_modes = 1
-    assert len(drawn[0]) == 10
+    # WEAK_FORM_SIZE = 10 members on the waves of BANK_MODES = 3
+    assert len(drawn[0]) == WEAK_FORM_SIZE == 10
     assert {tuple(q[:-2]) for phi in drawn[0] for q in phi.coeffs} \
-        == set(_waves(1, ndim))
-    # the velocity banks have bank_size members; the 2D one keeps the
-    # modes C11 draws
-    assert len(dump["velocity_1d"]) == len(dump["velocity_2d"]) == 12
+        == set(_waves(BANK_MODES, ndim)) and BANK_MODES == 3
+    # the velocity banks have BANK_SIZE = 20 members; the 2D one keeps
+    # the modes C11 draws
+    assert len(dump["velocity_1d"]) == len(dump["velocity_2d"]) \
+        == BANK_SIZE == 20
     for v in dump["velocity_2d"]:
         assert [tuple(q[:2]) for q in v["coeffs1"]] == _waves(2, 2)

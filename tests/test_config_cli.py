@@ -138,6 +138,26 @@ T = 0.05
             parse_config(bad)
 
 
+def test_readme_checks_table_lists_the_checks_keys_with_their_defaults():
+    from dataclasses import MISSING, fields
+
+    from thickflow.config import _READ, Config, _parse_value
+
+    readme = open(os.path.join(os.path.dirname(__file__), "..",
+                               "README.md")).read()
+    table = readme.split("The `[checks]` keys and their defaults:")[1]
+    table = table.split("\n\n")[1]
+    rows = re.findall(r"^\| `(\w+)` \| (`[^`]*`|none) \|", table, re.M)
+    assert [key for key, _ in rows] == list(_READ["checks"])
+    defaults = {f.name: f.default_factory() if f.default is MISSING
+                else f.default for f in fields(Config)
+                if f.name in _READ["checks"]}
+    for key, cell in rows:
+        assert (cell == "none" and defaults[key] == []) \
+            or _parse_value(cell.strip("`")) == defaults[key]
+    assert len(table.strip().splitlines()) == len(rows) + 2
+
+
 REJECTED = [
     ("[sweep]\nkind = eps", "sweep.values: kind = eps"),
     ("[sweep]\nkind = cross\nvalues = 4, 8\neps_values = 0.5\neps_n = 96",
@@ -164,8 +184,9 @@ REJECTED = [
      "semistationary2d"),
     ("[sweep]\nkind = p\nvalues = 4, 8\n[checks]\neta = 0.0, 0.05",
      r"checks.eta: every eta must be positive, got \[0.0, 0.05\]"),
+    # the bank sizes are constants of banks.check_bank
     ("[sweep]\nkind = p\nvalues = 4, 8\n[checks]\nbank_size = 0",
-     "checks.bank_size: must be >= 1, got 0"),
+     "checks.bank_size: unknown key"),
     ("[params]\nnewton_max_iter = 0",
      "params.newton_max_iter: Newton iteration budget newton_max_iter must "
      "be >= 1"),
@@ -185,15 +206,15 @@ REJECTED = [
     ("[time]\nsnapshot = 4", "time.snapshot: unknown key"),
     ("[checks]\ntolc = 3", "checks.tolc: unknown key"),
     ("[output]\ndirectory = x", "output.directory: unknown key"),
-    ("[time]\nsnapshot_times = 0.005, 0.5",
-     r"time.snapshot_times: \[0.5\] outside \(0, T = 0.05\]"),
+    # the snapshots are on the midpoint grid of time.snapshots
+    ("[time]\nsnapshot_times = 0.005, 0.5", "time.snapshot_times: unknown key"),
     ("[model]\nkind = singular1d\n[params]\na = -1.0",
      "params.a: pressure constant a must be positive"),
     ("[model]\nkind = semistationary2d\n[initial]\nrho_modes = 1, 0, 0.3, 0"
      "\n[params]\na = -1.0",
      "params.a: pressure constant a must be positive"),
     ("[sweep]\nkind = p\nvalues = 4, 8\n[checks]\nbank_modes = 0",
-     "checks.bank_modes: must be >= 1, got 0"),
+     "checks.bank_modes: unknown key"),
     ("[checks]\ns_list = 0.02, 0.5, 0.0",
      r"checks.s_list: \[0.5, 0.0\] outside \(0, T = 0.05\]"),
     # 8 snapshots to T = 0.04 are 0.005 apart
@@ -228,6 +249,12 @@ REJECTED = [
     ("[model]\nkind = semistationary2d\n[initial]\nrho_modes = 1, 0, 0.3, 0"
      "\n[params]\ndelta = nan",
      "params.delta: flux regularization delta must be >= 0"),
+    # keys that only repeated another way to give a setting
+    ("[output]\ndir = x", "output.dir: unknown key"),
+    ("[model]\nkind = semistationary2d\n[initial]\nrho_modes = 1, 0, 0.3, 0"
+     "\n[grid]\nnx = 16\nny = 16\nn = 16", "grid.n: unknown key"),
+    ("[checks]\nbank_size = 20\nbank_modes = 3",
+     "checks.bank_size: unknown key; checks.bank_modes: unknown key"),
 ]
 REJECTED_IDS = ["eps_without_values", "cross_grids_not_nested",
                 "cross_without_values", "cross_without_eps_values",
@@ -246,7 +273,8 @@ REJECTED_IDS = ["eps_without_values", "cross_grids_not_nested",
                 "p_sweep_eps_values", "eps_sweep_eps_values",
                 "snapshots_zero", "snapshots_negative", "sweep_without_kind",
                 "sweep_2d_without_kind", "energy_tol_key", "rho_mean_nan",
-                "u_modes_inf", "tol_c_nan", "tol_c_negative", "2d_delta_nan"]
+                "u_modes_inf", "tol_c_nan", "tol_c_negative", "2d_delta_nan",
+                "output_dir_key", "2d_grid_n_key", "bank_keys_at_defaults"]
 
 
 @pytest.mark.parametrize("sweep, message", REJECTED, ids=REJECTED_IDS)
@@ -360,6 +388,43 @@ def test_fourier_field_equals_per_mode_loops(path):
             ref = _FourierField1D(field.coeffs[0][-2], field.coeffs[1:])
             assert np.array_equal(field.spatial(x), ref.eval(x))
             assert np.array_equal(field.spatial(x, d=0), ref.eval_dx(x))
+
+
+REPORT = {"check": "ok", "bound": 1.0, "measured": 0.5, "tol": 0.0,
+          "pass": True, "skipped": False, "context": {}}
+# checks.json contents that verify cannot read, and the reason it gives
+MALFORMED_REPORTS = {
+    "object": (REPORT, "expected a list of reports, got dict"),
+    "non_object_entry": ([REPORT, 3],
+                         "report 1: expected an object, got int"),
+    "string_bound": ([dict(REPORT, bound="a")],
+                     "report 0: bound: expected a number or null, got 'a'"),
+    "null_tol": ([dict(REPORT, tol=None)],
+                 "report 0: tol: expected a number, got None"),
+    "bool_measured": ([dict(REPORT, measured=True)],
+                      "report 0: measured: expected a number or null, "
+                      "got True"),
+    "number_check": ([dict(REPORT, check=7)],
+                     "report 0: check: expected a string, got 7"),
+    "number_pass": ([dict(REPORT, **{"pass": 1})],
+                    "report 0: pass: expected a bool, got 1"),
+    "no_skipped": ([{k: v for k, v in REPORT.items() if k != "skipped"}],
+                   "report 0: no skipped"),
+}
+
+
+@pytest.mark.parametrize("quiet", [False, True], ids=["table", "quiet"])
+@pytest.mark.parametrize("shape", list(MALFORMED_REPORTS))
+def test_verify_rejects_a_malformed_report(tmp_path, capsys, shape, quiet):
+    content, reason = MALFORMED_REPORTS[shape]
+    path = tmp_path / "checks.json"
+    # the well-formed report verifies
+    path.write_text(json.dumps([REPORT]))
+    assert main(["verify", str(tmp_path)] + ["--quiet"] * quiet) == 0
+    capsys.readouterr()
+    path.write_text(json.dumps(content))
+    assert main(["verify", str(tmp_path)] + ["--quiet"] * quiet) == 2
+    assert capsys.readouterr() == ("", f"unreadable report {path}: {reason}\n")
 
 
 class TestCLI:
@@ -476,26 +541,24 @@ class TestCLI:
         assert main(["verify", str(d), "--quiet"]) == 0
         assert main(["verify", str(tmp_path / "nothing"), "--quiet"]) == 2
 
-    def test_verify_tolerant_policy(self, tmp_path):
+    def test_verify_is_strict(self, tmp_path, capsys):
         from thickflow.diagnostics import CheckReport, write_reports
 
         d = tmp_path / "reports"
         d.mkdir()
-        # fails strict but within twice the tolerance
-        rep = CheckReport.build("edge", 1.0, 1.0 + 2.5e-3, 1e-3)
-        assert not rep.passed
-        write_reports([rep], d / "checks.json")
-        assert main(["verify", str(d), "--quiet", "--policy", "strict"]) == 4
-        assert main(["verify", str(d), "--quiet", "--policy", "tolerant"]) == 0
-        # below zero the tolerated slack is bound (1 - 2 tol) + 2 tol
-        rep = CheckReport.build("negative", -2.0, -2.0 + 5e-3, 1e-3)
-        assert not rep.passed
-        write_reports([rep], d / "checks.json")
-        assert main(["verify", str(d), "--quiet", "--policy", "strict"]) == 4
-        assert main(["verify", str(d), "--quiet", "--policy", "tolerant"]) == 0
-        rep = CheckReport.build("negative", -2.0, -2.0 + 7e-3, 1e-3)
-        write_reports([rep], d / "checks.json")
-        assert main(["verify", str(d), "--quiet", "--policy", "tolerant"]) == 4
+        # a failure within twice the tolerance is a failure, whatever the
+        # sign of the bound
+        for rep in (CheckReport.build("edge", 1.0, 1.0 + 2.5e-3, 1e-3),
+                    CheckReport.build("negative", -2.0, -2.0 + 5e-3, 1e-3)):
+            assert not rep.passed
+            write_reports([rep], d / "checks.json")
+            assert main(["verify", str(d), "--quiet"]) == 4
+        # and no flag relaxes it
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", str(d), "--quiet", "--policy", "tolerant"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --policy tolerant" in \
+            capsys.readouterr().err
 
     def test_run_with_s_list_writes_the_time_mean_report(self, tmp_path):
         cfgp = tmp_path / "run.cfg"

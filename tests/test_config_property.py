@@ -60,7 +60,7 @@ KEYS = {
     + [(section, key) for section, keys in _READ.items() for key in keys]
     for ndim, grid, params, means in (
         (1, ["n"], PowerLawParams, ["rho", "u"]),
-        (2, ["n", "nx", "ny"], Stokes2DParams, ["rho"]))}
+        (2, ["nx", "ny"], Stokes2DParams, ["rho"]))}
 
 # finding 18's edge values: zero, negative, not-a-number, infinities,
 # huge, text, a list and a bool

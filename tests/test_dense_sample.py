@@ -12,7 +12,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from thickflow.banks import scalar_bank_1d, velocity_bank_1d, velocity_bank_2d
+from thickflow.banks import (BANK_MODES, BANK_SIZE, scalar_bank_1d,
+                             velocity_bank_1d, velocity_bank_2d)
 from thickflow.config import load_config, parse_config
 from thickflow.grids import FourierSeries, sym_grad_norm
 
@@ -70,9 +71,9 @@ def test_non_square_2d_config_samples_each_axis_at_its_own_resolution(
     assert shapes == [(256, 128)] * 16
 
 
-# (seed, bank_size, bank_modes) of the banks the configs draw; T enters
-# only the envelope, not the scales
-BANKS = sorted({(c.seed, c.bank_size, c.bank_modes) for c in ALL})
+# (seed, size, modes) of the velocity banks the configs draw
+# (banks.check_bank); T enters only the envelope, not the scales
+BANKS = sorted({(c.seed, BANK_SIZE, BANK_MODES) for c in ALL})
 
 
 @pytest.mark.parametrize("seed, size, modes", BANKS)

@@ -1,13 +1,18 @@
 import numpy as np
 import pytest
 
-from thickflow.banks import scalar_bank_1d, scalar_bank_2d
+from thickflow.banks import sample_bank, scalar_bank_1d, scalar_bank_2d
 from thickflow.grids import Grid1D
 from thickflow.powerlaw1d import PowerLawModel, PowerLawParams
 from thickflow.transport_check import (continuity_residual,
                                        renormalized_residual,
                                        time_mean_continuity,
                                        time_mean_values)
+
+
+def sampled(traj, bank):
+    """bank sampled on the grid of traj, as the residuals take it."""
+    return sample_bank(bank, traj.model.g)
 
 
 def reference_run(n=256, T=0.1, nsnap=64, a=2.0):
@@ -30,7 +35,8 @@ def steady_run(T=0.1, nsnap=32):
 class TestContinuityResidual:
     def test_steady_trajectory_vanishes(self):
         traj = steady_run()
-        for phi in scalar_bank_1d(seed=11, T=0.1, size=3, modes=3):
+        for phi in sampled(traj, scalar_bank_1d(seed=11, T=0.1, size=3,
+                                                modes=3)):
             assert continuity_residual(traj, phi) < 1e-10
 
     def test_reference_run_consistency_band(self):
@@ -38,8 +44,8 @@ class TestContinuityResidual:
         dts = [r.dt for r in traj.records if r.dt > 0]
         scale = traj.model.g.dx + max(dts) + (0.1 / 64) ** 2
         worst = max(continuity_residual(traj, phi)
-                    for phi in scalar_bank_1d(seed=11, T=0.1, size=10,
-                                               modes=3))
+                    for phi in sampled(traj, scalar_bank_1d(
+                        seed=11, T=0.1, size=10, modes=3)))
         # consistency constant frozen from the first verified run
         assert worst <= 2.0 * scale
 
@@ -48,9 +54,9 @@ class TestContinuityResidual:
         traj1, _ = reference_run(n=128, nsnap=32)
         traj2, _ = reference_run(n=256, nsnap=64)
         w1 = max(continuity_residual(traj1, phi)
-                 for phi in scalar_bank_1d(size=6, **bank_kw))
+                 for phi in sampled(traj1, scalar_bank_1d(size=6, **bank_kw)))
         w2 = max(continuity_residual(traj2, phi)
-                 for phi in scalar_bank_1d(size=6, **bank_kw))
+                 for phi in sampled(traj2, scalar_bank_1d(size=6, **bank_kw)))
         assert w1 / w2 >= 1.8
 
     def test_envelope_constant_shift_invariance(self):
@@ -59,21 +65,23 @@ class TestContinuityResidual:
         # under scaling both phi and the tolerance consistently
         traj = steady_run()
         phi = scalar_bank_1d(seed=3, T=0.1, size=1, modes=3)[0]
-        r1 = continuity_residual(traj, phi)
+        r1 = continuity_residual(traj, sampled(traj, [phi])[0])
         phi.coeffs = [(k, 2 * c, 2 * s) for k, c, s in phi.coeffs]
-        r2 = continuity_residual(traj, phi)
+        r2 = continuity_residual(traj, sampled(traj, [phi])[0])
         assert r2 == pytest.approx(2 * r1, abs=1e-12)
 
 
 class TestRenormalizedResidual:
     def test_constant_trajectory(self):
         traj = steady_run()
-        for phi in scalar_bank_1d(seed=5, T=0.1, size=3, modes=3):
+        for phi in sampled(traj, scalar_bank_1d(seed=5, T=0.1, size=3,
+                                                modes=3)):
             assert renormalized_residual(traj, 2.0, phi) < 1e-10
 
     def test_gamma_one_reduces_to_continuity(self):
         traj, _ = reference_run(n=128, nsnap=32)
-        for phi in scalar_bank_1d(seed=5, T=0.1, size=5, modes=3):
+        for phi in sampled(traj, scalar_bank_1d(seed=5, T=0.1, size=5,
+                                                modes=3)):
             a = renormalized_residual(traj, 1.0, phi)
             b = continuity_residual(traj, phi)
             assert a == pytest.approx(b, rel=1e-12, abs=1e-15)
@@ -83,8 +91,8 @@ class TestRenormalizedResidual:
         dts = [r.dt for r in traj.records if r.dt > 0]
         scale = traj.model.g.dx + max(dts)
         worst = max(renormalized_residual(traj, 2.0, phi)
-                    for phi in scalar_bank_1d(seed=5, T=0.1, size=10,
-                                               modes=3))
+                    for phi in sampled(traj, scalar_bank_1d(
+                        seed=5, T=0.1, size=10, modes=3)))
         assert worst <= 6.0 * scale
 
 
@@ -141,7 +149,7 @@ def test_2d_continuity_residual_small():
                              rho0, None, T, snaps)
     dts = [r.dt for r in traj.records if r.dt > 0]
     scale = g.dx + max(dts)
-    for phi in scalar_bank_2d(seed=17, T=T, size=4, modes=2):
+    for phi in sampled(traj, scalar_bank_2d(seed=17, T=T, size=4, modes=2)):
         assert continuity_residual(traj, phi) <= 2.0 * scale
         assert renormalized_residual(traj, 2.0, phi) <= 6.0 * scale
 
@@ -197,7 +205,6 @@ def _random_trajectory(grid, shape, u_shape, T=1.0, nsnap=8):
 @pytest.mark.parametrize("dim", [1, 2])
 def test_sampled_residuals_equal_per_snapshot_form(dim):
     # sampling each test function once must not change a single bit
-    from thickflow.banks import sample_bank
     from thickflow.grids import Grid2D
 
     if dim == 1:
@@ -207,14 +214,12 @@ def test_sampled_residuals_equal_per_snapshot_form(dim):
         traj = _random_trajectory(Grid2D(18, 20), (18, 20), (2, 18, 20))
         bank = scalar_bank_2d(seed=23, T=1.0, size=10, modes=2)
     for gamma in (1.0, 1.4, 2.0):
-        for phi, sampled in zip(bank, sample_bank(bank, traj.model.g)):
+        for phi, sampled_phi in zip(bank, sampled(traj, bank)):
             cont, ren = _reference_residuals(traj, gamma, phi)
             assert cont > 0.0 and ren > 0.0
-            assert continuity_residual(traj, phi) == cont
-            assert continuity_residual(traj, sampled) == cont
-            assert renormalized_residual(traj, gamma, phi) == ren
-            assert renormalized_residual(traj, gamma, sampled) == ren
+            assert continuity_residual(traj, sampled_phi) == cont
+            assert renormalized_residual(traj, gamma, sampled_phi) == ren
             if gamma == 1.0:
                 # continuity is the renormalized residual at gamma = 1
-                assert continuity_residual(traj, phi) == \
-                    renormalized_residual(traj, 1.0, phi)
+                assert continuity_residual(traj, sampled_phi) == \
+                    renormalized_residual(traj, 1.0, sampled_phi)
